@@ -28,12 +28,12 @@ from repro.bench.scenarios import SCENARIOS, Scenario, ScenarioRun, resolve_scen
 from repro.bench.schema import (
     BENCH_FORMAT,
     BENCH_VERSION,
-    CURRENT_BENCH_INDEX,
     bench_path,
     build_bench_doc,
     list_bench_files,
     load_bench,
     machine_fingerprint,
+    next_bench_index,
     save_bench,
     validate_bench,
 )
@@ -42,7 +42,6 @@ from repro.bench.stats import bootstrap_ci, detect_warmup, relative_width
 __all__ = [
     "BENCH_FORMAT",
     "BENCH_VERSION",
-    "CURRENT_BENCH_INDEX",
     "Comparison",
     "Finding",
     "HarnessConfig",
@@ -60,6 +59,7 @@ __all__ = [
     "list_bench_files",
     "load_bench",
     "machine_fingerprint",
+    "next_bench_index",
     "relative_width",
     "render_report",
     "resolve_scenarios",

@@ -2,7 +2,7 @@
 
 Subcommands::
 
-    repro bench run [--quick] [--scenarios a,b] [--out BENCH_5.json]
+    repro bench run [--quick] [--scenarios a,b] [--out BENCH_9.json]
     repro bench validate BENCH_5.json
     repro bench compare BENCH_4.json BENCH_5.json [--report diff.md]
     repro bench report [--root .] [--markdown]
@@ -24,9 +24,10 @@ from repro.bench.compare import compare_docs
 from repro.bench.harness import HarnessConfig, ScenarioResult, run_suite
 from repro.bench.report import render_report
 from repro.bench.schema import (
-    CURRENT_BENCH_INDEX,
+    bench_path,
     build_bench_doc,
     load_bench,
+    next_bench_index,
     save_bench,
 )
 from repro.bench.scenarios import SCENARIOS, resolve_scenarios
@@ -94,10 +95,10 @@ def cmd_run(args: argparse.Namespace) -> int:
         f"{' (quick)' if args.quick else ''}"
     )
     results = run_suite(scenarios, config)
-    doc = build_bench_doc(
-        results, config, index=args.index, quick=args.quick
-    )
-    out = Path(args.out) if args.out else Path(f"BENCH_{args.index}.json")
+    out_dir = Path(args.out).parent if args.out else Path(".")
+    index = args.index if args.index is not None else next_bench_index(out_dir)
+    doc = build_bench_doc(results, config, index=index, quick=args.quick)
+    out = Path(args.out) if args.out else bench_path(out_dir, index)
     save_bench(out, doc)
     print()
     print(_format_results(results))
@@ -208,10 +209,13 @@ def configure_parser(parser: argparse.ArgumentParser) -> None:
     run_p.add_argument("--bootstrap", type=int, default=1000,
                        help="bootstrap resamples for the CIs")
     run_p.add_argument("--seed", type=int, default=12345)
-    run_p.add_argument("--index", type=int, default=CURRENT_BENCH_INDEX,
-                       help="BENCH series index to stamp")
+    run_p.add_argument("--index", type=int, default=None,
+                       help="BENCH series index to stamp (default: one past "
+                            "the highest BENCH_<n>.json in the output "
+                            "directory, or 1)")
     run_p.add_argument("-o", "--out", default=None,
-                       help="output path (default BENCH_<index>.json)")
+                       help="output path (default BENCH_<index>.json in the "
+                            "current directory)")
     run_p.add_argument("--no-heartbeat", action="store_true",
                        help="suppress per-trial progress lines")
     run_p.set_defaults(func=_guarded(cmd_run))

@@ -26,10 +26,6 @@ from repro.bench.harness import HarnessConfig, ScenarioResult
 BENCH_FORMAT = "repro-bench"
 BENCH_VERSION = 1
 
-#: The index of the BENCH file this code version emits by default; bump it
-#: in the PR that wants a new point on the trajectory.
-CURRENT_BENCH_INDEX = 5
-
 _BENCH_NAME = re.compile(r"^BENCH_(\d+)\.json$")
 
 #: Per-scenario throughput statistics every BENCH file must carry.
@@ -51,7 +47,7 @@ def machine_fingerprint() -> Dict[str, object]:
 def build_bench_doc(
     results: Sequence[ScenarioResult],
     config: HarnessConfig,
-    index: int = CURRENT_BENCH_INDEX,
+    index: int,
     quick: bool = False,
     timestamp: Optional[str] = None,
 ) -> Dict[str, object]:
@@ -115,6 +111,13 @@ def list_bench_files(root: Union[str, Path]) -> List[Tuple[int, Path]]:
         if match:
             found.append((int(match.group(1)), path))
     return sorted(found)
+
+
+def next_bench_index(root: Union[str, Path]) -> int:
+    """One past the highest BENCH_<n>.json index under ``root``, or 1 when
+    there is none: a new run never overwrites an existing point."""
+    found = list_bench_files(root)
+    return found[-1][0] + 1 if found else 1
 
 
 # ----------------------------------------------------------------------

@@ -22,7 +22,7 @@ from __future__ import annotations
 import dataclasses
 from collections import deque
 from functools import partial
-from typing import TYPE_CHECKING, Deque, Iterable, Optional, Sequence
+from typing import TYPE_CHECKING, Deque, Iterable, Optional, Sequence, Union
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.dram.bank import Bank
@@ -46,6 +46,11 @@ from repro.stats.collector import MemSystemStats
 class ChannelControllerBase:
     """Queueing, scheduling and completion plumbing shared by both kinds."""
 
+    #: Whether _kick calls _prune at the first kick of every tick.  A
+    #: channel whose reservations move no grant when pruned late prunes
+    #: on growth instead (see FbdimmChannelController._issue).
+    _prune_each_tick = True
+
     def __init__(
         self,
         sim: Simulator,
@@ -61,12 +66,14 @@ class ChannelControllerBase:
         self.stats = stats
         self.read_q: Deque[MemoryRequest] = deque()
         self.write_q: Deque[MemoryRequest] = deque()
+        #: The channel's DIMMs (DDR2 DIMMs or AMBs), indexed by
+        #: ``mapped.dimm``; each subclass fills it in.
+        self._dimms: "Sequence[Union[Ddr2Dimm, Amb]]" = ()
         self.scheduler = HitFirstScheduler(config.write_drain_threshold)
         # Cached bound methods for the kick loop: building the bound-method
         # objects anew on every select call is measurable at this call rate.
         self._select = self.scheduler.select
-        self._estimate_fn = self._estimate
-        self._is_hit_fn = self._is_hit
+        self._probe_fn = self._probe
         # Separate read/write in-flight caps: a write drain may not
         # monopolise the issue pipeline and starve ready reads (writes are
         # posted; reads are latency-critical).
@@ -80,6 +87,7 @@ class ChannelControllerBase:
         #: one, so it needs no cancellation handle — only this dedupe mark.
         self._wake_now_tick = -1
         self._pruned_at = -1  # last tick _prune ran (idempotent within one)
+        self._banks_per_dimm = config.banks_per_dimm
         #: Optional request-lifecycle tracer (assigned by MemoryController);
         #: every hook site is a no-op when this stays None.
         self.tracer: "Optional[Tracer]" = None
@@ -90,7 +98,16 @@ class ChannelControllerBase:
     # -- queue interface -------------------------------------------------
 
     def submit(self, req: MemoryRequest) -> None:
-        """Accept a mapped, schedulable request into this channel's queues."""
+        """Accept a mapped, schedulable request into this channel's queues.
+
+        The request's bank and rank timer are resolved here, once, so the
+        scheduler's per-candidate probe does no index arithmetic.
+        """
+        mapped = req.mapped
+        rank = mapped.rank
+        dimm = self._dimms[mapped.dimm]
+        req.bank = dimm.banks[rank * self._banks_per_dimm + mapped.bank]
+        req.rank_timer = dimm.rank_timers[rank]
         if req.kind is RequestKind.WRITE:
             self.write_q.append(req)
         else:
@@ -125,7 +142,7 @@ class ChannelControllerBase:
         self._wake = None
         self._wake_now_tick = -1
         now = self.sim.now
-        if now != self._pruned_at:
+        if self._prune_each_tick and now != self._pruned_at:
             # prune_before(now) is idempotent at a fixed now (reservations
             # never end in the past), so repeated kicks within one tick
             # skip the rescan without changing any backfill search.
@@ -140,9 +157,7 @@ class ChannelControllerBase:
             )
             if not reads and not writes:
                 return
-            choice = self._select(
-                now, reads, writes, self._estimate_fn, self._is_hit_fn
-            )
+            choice = self._select(now, reads, writes, self._probe_fn)
             if choice is None:
                 return
             req, est, from_writes = choice
@@ -258,14 +273,16 @@ class ChannelControllerBase:
     # -- hooks implemented per channel kind --------------------------------
 
     def _prune(self, now: int) -> None:
-        """Drop expired bus reservations (keeps backfill searches short)."""
+        """Drop expired bus reservations (keeps backfill searches short);
+        called once per tick while ``_prune_each_tick`` is set."""
         raise NotImplementedError
 
-    def _estimate(self, req: MemoryRequest) -> int:
-        raise NotImplementedError
+    def _probe(self, req: MemoryRequest) -> "tuple[int, bool]":
+        """The scheduler's probe: (earliest start, hit) for a candidate.
 
-    def _is_hit(self, req: MemoryRequest) -> bool:
-        raise NotImplementedError
+        Side-effect-free; called once per scanned candidate per kick.
+        """
+        return req.bank.probe(self.sim.now, req.mapped.row, req.rank_timer)
 
     def _issue(self, req: MemoryRequest) -> None:
         raise NotImplementedError
@@ -295,6 +312,7 @@ class Ddr2ChannelController(ChannelControllerBase):
             Ddr2Dimm(config, timing, channel_id, d, self.data_bus, self.command_bus)
             for d in range(config.dimms_per_channel)
         ]
+        self._dimms = self.dimms
         per_rank = config.banks_per_dimm
         self._start_refresh([
             dimm.banks[r * per_rank:(r + 1) * per_rank]
@@ -303,27 +321,13 @@ class Ddr2ChannelController(ChannelControllerBase):
         ])
 
     def _prune(self, now: int) -> None:
-        # Emptiness guards saved here beat the (very frequent) no-op calls.
+        # Every tick, not lazily: the tagged data bus's prune timing shows
+        # in its grants (TaggedBusResource.prune_before).  Emptiness guards
+        # saved here beat the (very frequent) no-op calls.
         if len(self.data_bus._intervals) > 1:
             self.data_bus.prune_before(now)
         if self.command_bus._intervals:
             self.command_bus.prune_before(now)
-
-    def _estimate(self, req: MemoryRequest) -> int:
-        mapped = req.mapped
-        dimm = self.dimms[mapped.dimm]
-        rank = mapped.rank
-        bank = dimm.banks[rank * dimm._banks_per_dimm + mapped.bank]
-        return bank.earliest_start(
-            self.sim.now, mapped.row, dimm.rank_timers[rank]
-        )
-
-    def _is_hit(self, req: MemoryRequest) -> bool:
-        mapped = req.mapped
-        dimm = self.dimms[mapped.dimm]
-        return dimm.banks[
-            mapped.rank * dimm._banks_per_dimm + mapped.bank
-        ].is_row_hit(mapped.row)
 
     def _issue(self, req: MemoryRequest) -> None:
         dimm = self.dimms[req.mapped.dimm]
@@ -379,6 +383,11 @@ class FbdimmChannelController(ChannelControllerBase):
     cache (Section 3.2), misses become group fetches that fill it.
     """
 
+    # The links and the AMB buses only ever take reservations at or after
+    # now, so an expired entry can never move a grant: _issue prunes a
+    # structure only once it outgrows its bound.
+    _prune_each_tick = False
+
     def __init__(
         self,
         sim: Simulator,
@@ -393,6 +402,7 @@ class FbdimmChannelController(ChannelControllerBase):
         self.ambs = [
             Amb(config, timing, channel_id, d) for d in range(config.dimms_per_channel)
         ]
+        self._dimms = self.ambs
         per_rank = config.banks_per_dimm
         self._start_refresh([
             amb.banks[r * per_rank:(r + 1) * per_rank]
@@ -402,12 +412,6 @@ class FbdimmChannelController(ChannelControllerBase):
         self.prefetch = config.prefetch
         self._pf_enabled = config.prefetch.enabled
         self._region_lines = config.prefetch.region_cachelines
-        # One-entry probe memo: the scheduler always calls _estimate(req)
-        # before _is_hit(req) with no state change in between, so the
-        # second availability probe of the same request can reuse the
-        # first's answer.  _probe_cache stays side-effect-free either way.
-        self._probe_memo_req: Optional[MemoryRequest] = None
-        self._probe_memo_avail: Optional[int] = None
         #: CRC retry/replay engine (None keeps the exact seed timing path).
         self.faults: Optional[ChannelFaults] = None
         #: Request currently inside _issue — context for the retry tracer
@@ -440,6 +444,19 @@ class FbdimmChannelController(ChannelControllerBase):
                 * config.dimms_per_channel,
             )
             self.mc_table = PrefetchTable(scaled)
+        # Prune bounds: how many entries the in-flight caps can keep booked
+        # at once.  A read books one command slot and returns one line
+        # north (its whole group under controller-side buffering); a
+        # prefetching read books one AMB-bus burst per group line; a write
+        # books its data frames and one burst.  An AMB bus carries one
+        # DIMM's share, and its gap search scans expired entries too, so
+        # its bound is that even share.
+        group = self._region_lines if self._pf_enabled else 1
+        north_lines = group if self.mc_table is not None else 1
+        reads, writes = self.max_read_inflight, self.max_write_inflight
+        self._north_bound = reads * north_lines * self.links.read_frames
+        self._south_bound = reads + writes * self.links.write_frames
+        self._bus_bound = (reads * group + writes) // len(self.ambs)
 
     def attach_lifecycle(self, lifecycle: "PrefetchLifecycle") -> None:
         """Arm per-prefetch lifecycle tracking on this channel.
@@ -456,41 +473,24 @@ class FbdimmChannelController(ChannelControllerBase):
         if self.mc_table is not None:
             self.mc_table.lifecycle = lifecycle
 
-    def _prune(self, now: int) -> None:
-        # Emptiness guards saved here beat the (very frequent) no-op calls.
-        links = self.links
-        if links.north._taken:
-            links.north.prune_before(now)
-        if links.south._frames:
-            links.south.prune_before(now)
-        for amb in self.ambs:
-            bus = amb.data_bus
-            if bus._intervals:
-                bus.prune_before(now)
+    def submit(self, req: MemoryRequest) -> None:
+        if req.kind is not RequestKind.WRITE:
+            # Bind the prefetch buffer's tag-store set and pending-fill map
+            # (stable objects) so the probe needs no lookups of its own.
+            if self.mc_table is not None:
+                req.tag_set = self.mc_table.set_for(req.line_addr)
+                req.pending_fills = self.mc_pending
+            else:
+                amb = self.ambs[req.mapped.dimm]
+                if amb.table is not None:
+                    req.tag_set = amb.table.set_for(req.line_addr)
+                    req.pending_fills = amb.pending_fills
+        super().submit(req)
 
-    # -- estimates ---------------------------------------------------------
+    # -- scheduling probe ------------------------------------------------
 
     def _amb_for(self, req: MemoryRequest) -> Amb:
         return self.ambs[req.mapped.dimm]
-
-    def _probe_cache(self, amb: Amb, line_addr: int) -> Optional[int]:
-        """Stat-free availability probe used while scheduling."""
-        region = line_addr // self._region_lines
-        if self.mc_table is not None:
-            if self.mc_table.contains(line_addr):
-                return 0
-            pending = self.mc_pending.get(region)
-            if pending is not None and line_addr in pending:
-                return pending[line_addr]
-            return None
-        if amb.table is None:
-            return None
-        if amb.table.contains(line_addr):
-            return 0
-        pending = amb.pending_fills.get(region)
-        if pending is not None and line_addr in pending:
-            return pending[line_addr]
-        return None
 
     def _prefetch_active(self) -> bool:
         """Prefetching is configured and the channel has not degraded.
@@ -504,40 +504,26 @@ class FbdimmChannelController(ChannelControllerBase):
         faults = self.faults
         return faults is None or not faults.degraded
 
-    def _estimate(self, req: MemoryRequest) -> int:
-        mapped = req.mapped
-        amb = self.ambs[mapped.dimm]
-        # Inlined _prefetch_active() + _probe_cache(): this runs once per
-        # scheduler candidate per kick, the hottest probe in the FBD model.
-        if req.kind is not RequestKind.WRITE and self._pf_enabled and (
-            self.faults is None or not self.faults.degraded
-        ):
-            avail = self._probe_cache(amb, req.line_addr)
-            self._probe_memo_req = req
-            self._probe_memo_avail = avail
-            if avail is not None:
-                now = self.sim.now
-                return now if now >= avail else avail
-        bank = amb.banks[mapped.rank * amb._banks_per_dimm + mapped.bank]
-        return bank.earliest_start(
-            self.sim.now, mapped.row, amb.rank_timers[mapped.rank]
-        )
+    def _probe(self, req: MemoryRequest) -> "tuple[int, bool]":
+        """A read the prefetch buffer holds, or is filling, is a hit that
+        is ready when its data is; anything else asks the bank.
 
-    def _is_hit(self, req: MemoryRequest) -> bool:
-        mapped = req.mapped
-        amb = self.ambs[mapped.dimm]
-        if req.kind is not RequestKind.WRITE and self._pf_enabled and (
-            self.faults is None or not self.faults.degraded
-        ):
-            if self._probe_memo_req is req:
-                avail = self._probe_memo_avail
-            else:
-                avail = self._probe_cache(amb, req.line_addr)
-            if avail is not None:
-                return True
-        return amb.banks[
-            mapped.rank * amb._banks_per_dimm + mapped.bank
-        ].is_row_hit(mapped.row)
+        Inlines _prefetch_active(): this is the hottest probe in the FBD
+        model, and a degraded channel no longer trusts its buffer.
+        """
+        now = self.sim.now
+        tag_set = req.tag_set
+        if tag_set is not None:
+            faults = self.faults
+            if faults is None or not faults.degraded:
+                line = req.line_addr
+                if line in tag_set:
+                    return now, True
+                pending = req.pending_fills.get(line // self._region_lines)
+                if pending is not None and line in pending:
+                    avail = pending[line]
+                    return (now if now >= avail else avail), True
+        return req.bank.probe(now, req.mapped.row, req.rank_timer)
 
     # -- issue paths ---------------------------------------------------------
 
@@ -557,6 +543,16 @@ class FbdimmChannelController(ChannelControllerBase):
                 self._issue_read_plain(req)
         finally:
             self._issuing = None
+        # Only issues book: check the links and the one AMB bus it used.
+        now = self.sim.now
+        links = self.links
+        if len(links.north._taken) > self._north_bound:
+            links.north.prune_before(now)
+        if len(links.south._frames) > self._south_bound:
+            links.south.prune_before(now)
+        bus = self.ambs[req.mapped.dimm].data_bus
+        if len(bus._intervals) > self._bus_bound:
+            bus.prune_before(now)
 
     def _issue_write(self, req: MemoryRequest) -> None:
         amb = self._amb_for(req)

@@ -49,13 +49,19 @@ class PrefetchTable:
         #: fires from here (the victim address is known nowhere else).
         self.lifecycle: "Optional[PrefetchLifecycle]" = None
 
-    def _set_for(self, line_addr: int) -> OrderedDict:
+    def set_for(self, line_addr: int) -> OrderedDict:
+        """The set that holds ``line_addr``'s tag.
+
+        Sets are created once and only ever mutated in place, so a caller
+        may keep the returned object and test ``line_addr in it`` later
+        (the channel controller binds it to each read at submit).
+        """
         return self._sets[line_addr % self.num_sets]
 
     def lookup(self, line_addr: int) -> bool:
         """Probe for a line; counts a lookup and updates LRU order on hit."""
         self.stats.lookups += 1
-        cache_set = self._set_for(line_addr)
+        cache_set = self.set_for(line_addr)
         if line_addr in cache_set:
             self.stats.hits += 1
             if self.config.replacement is ReplacementPolicy.LRU:
@@ -65,7 +71,7 @@ class PrefetchTable:
 
     def contains(self, line_addr: int) -> bool:
         """Probe without touching statistics or replacement state."""
-        return line_addr in self._set_for(line_addr)
+        return line_addr in self.set_for(line_addr)
 
     def insert(self, line_addrs: Iterable[int]) -> int:
         """Install prefetched lines; returns the number of evictions.
@@ -75,7 +81,7 @@ class PrefetchTable:
         """
         evicted = 0
         for line_addr in line_addrs:
-            cache_set = self._set_for(line_addr)
+            cache_set = self.set_for(line_addr)
             if line_addr in cache_set:
                 cache_set.move_to_end(line_addr)
                 continue
@@ -91,7 +97,7 @@ class PrefetchTable:
 
     def invalidate(self, line_addr: int) -> bool:
         """Drop a line (a write made the AMB copy stale); True if present."""
-        cache_set = self._set_for(line_addr)
+        cache_set = self.set_for(line_addr)
         if line_addr in cache_set:
             del cache_set[line_addr]
             self.stats.invalidations += 1

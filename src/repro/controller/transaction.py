@@ -4,9 +4,14 @@ from __future__ import annotations
 
 import enum
 import itertools
-from typing import Callable, Optional
+from typing import TYPE_CHECKING, Callable, Dict, Optional
 
 from repro.controller.mapping import MappedAddress
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from collections import OrderedDict
+
+    from repro.dram.bank import Bank, RankTimer
 
 _request_ids = itertools.count()
 
@@ -38,12 +43,18 @@ class MemoryRequest:
     Identity semantics: ``req_id`` is unique per request, so equality is
     identity — which keeps the controllers' ``deque.remove`` calls at
     pointer-compare cost on the issue hot path.
+
+    ``bank``/``rank_timer`` (and, for FB-DIMM reads with a prefetch
+    buffer, ``tag_set``/``pending_fills``) are bound once by the channel
+    controller at submit, so the scheduler's per-candidate probe resolves
+    nothing.
     """
 
     __slots__ = (
         "kind", "line_addr", "core_id", "arrival", "mapped", "on_complete",
         "req_id", "schedulable_at", "issue_time", "finish_time",
         "amb_hit", "row_hit",
+        "bank", "rank_timer", "tag_set", "pending_fills",
     )
 
     def __init__(
@@ -68,6 +79,12 @@ class MemoryRequest:
         self.finish_time = -1  # critical data at the controller / write retired
         self.amb_hit = False  # served from the AMB cache
         self.row_hit = False  # open-page row-buffer hit
+        self.bank: "Optional[Bank]" = None  # target bank (bound at submit)
+        self.rank_timer: "Optional[RankTimer]" = None
+        #: The prefetch tag-store set holding this line, and the buffer's
+        #: region -> {line: fill time} map of in-flight group fetches.
+        self.tag_set: "Optional[OrderedDict]" = None
+        self.pending_fills: "Optional[Dict[int, Dict[int, int]]]" = None
 
     def __repr__(self) -> str:
         return (

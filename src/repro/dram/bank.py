@@ -26,7 +26,7 @@ the property suite differentials this file against.
 from __future__ import annotations
 
 from bisect import insort
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from repro.config import PagePolicy
 from repro.dram.commands import CommandRecord, CommandType
@@ -231,33 +231,28 @@ class Bank:
     # Scheduling estimates (used by the hit-first scheduler; no mutation)
     # ------------------------------------------------------------------
 
-    def is_row_hit(self, row: int) -> bool:
-        """Whether an open-page access to ``row`` would skip ACT."""
-        return self._open_page and self.open_row == row
+    def probe(self, now: int, row: int, rank: RankTimer) -> Tuple[int, bool]:
+        """``(earliest_start, row_hit)`` for an access to ``row``.
 
-    def earliest_start(self, now: int, row: int, rank: RankTimer) -> int:
-        """Estimate when the command chain for ``row`` could begin."""
-        if not self._open_page:
-            floor = self.ready_at
-            if now > floor:
-                floor = now
-            gate = rank.next_act_ok
-            start = floor if floor >= gate else gate
-            return self._faw_gate(rank, start) if self._tFAW else start
-        open_row = self.open_row
-        if open_row == row:
-            col = self.column_ok
-            return col if col >= now else now
-        if open_row is None:
-            floor = self.ready_at
-            if now > floor:
-                floor = now
-            gate = rank.next_act_ok
-            start = floor if floor >= gate else gate
-            return self._faw_gate(rank, start) if self._tFAW else start
-        # Row conflict: precharge first.
-        pre = self.precharge_ok
-        return pre if pre >= now else now
+        The first is when the command chain could begin; the second is
+        whether an open-page access would skip ACT.  One call answers the
+        scheduler's whole per-candidate question.
+        """
+        if self._open_page:
+            open_row = self.open_row
+            if open_row == row:
+                col = self.column_ok
+                return (col if col >= now else now), True
+            if open_row is not None:
+                # Row conflict: precharge first.
+                pre = self.precharge_ok
+                return (pre if pre >= now else now), False
+        floor = self.ready_at
+        if now > floor:
+            floor = now
+        gate = rank.next_act_ok
+        start = floor if floor >= gate else gate
+        return (self._faw_gate(rank, start) if self._tFAW else start), False
 
     # ------------------------------------------------------------------
     # Accesses (mutating)

@@ -57,7 +57,9 @@ class BusResource:
 
         Only safe with the invariant that future ``reserve`` calls use
         ``earliest >= time_ps`` — which holds because every caller reserves
-        at or after the current simulation time.
+        at or after the current simulation time.  Under that invariant an
+        expired interval never moves a grant, so when (or whether) this
+        runs changes nothing but the length of later gap searches.
         """
         intervals = self._intervals
         for iv in intervals:
@@ -131,6 +133,13 @@ class TaggedBusResource:
 
         The most recent expired reservation is kept so a new reservation
         immediately after it still pays the switch gap against it.
+
+        Unlike :meth:`BusResource.prune_before`, *when* this runs is part
+        of the model: an older expired burst within one switch gap of
+        ``time_ps`` still pushes a differently-tagged grant until it is
+        pruned (``tests/test_prune_timing.py`` pins a case).  The DDR2
+        controller therefore prunes this bus every tick; do not make that
+        lazy without accepting changed results.
         """
         intervals = self._intervals
         if len(intervals) <= 1:

@@ -79,7 +79,7 @@ class TestRankTimer:
     def test_estimate_matches_gate(self):
         bank, bus, rank = make_bank()
         rank.note_act(0, T.tRRD)
-        assert bank.earliest_start(0, 5, rank) == T.tRRD
+        assert bank.probe(0, 5, rank) == (T.tRRD, False)
 
     def test_twtr_blocks_read_after_write_data(self):
         bank, bus, rank = make_bank()
@@ -140,16 +140,16 @@ class TestOpenPage:
 
     def test_is_row_hit_probe(self):
         bank, bus, rank = make_bank(PagePolicy.OPEN_PAGE)
-        assert not bank.is_row_hit(5)
+        assert not bank.probe(0, 5, rank)[1]
         bank.read(0, 5, 1, bus, rank)
-        assert bank.is_row_hit(5)
-        assert not bank.is_row_hit(6)
+        assert bank.probe(0, 5, rank)[1]
+        assert not bank.probe(0, 6, rank)[1]
 
     def test_estimate_prefers_open_row(self):
         bank, bus, rank = make_bank(PagePolicy.OPEN_PAGE)
         bank.read(0, 5, 1, bus, rank)
-        hit_est = bank.earliest_start(bank.column_ok, 5, rank)
-        miss_est = bank.earliest_start(bank.column_ok, 9, rank)
+        hit_est, _ = bank.probe(bank.column_ok, 5, rank)
+        miss_est, _ = bank.probe(bank.column_ok, 9, rank)
         assert hit_est <= miss_est
 
 

@@ -28,11 +28,11 @@ from repro.bench.scenarios import (
     resolve_scenarios,
 )
 from repro.bench.schema import (
-    CURRENT_BENCH_INDEX,
     build_bench_doc,
     list_bench_files,
     load_bench,
     machine_fingerprint,
+    next_bench_index,
     save_bench,
     validate_bench,
 )
@@ -167,7 +167,7 @@ def bench_doc():
         [fake_scenario("a"), fake_scenario("b", events=2000)], quick_config()
     )
     return build_bench_doc(
-        results, quick_config(), index=CURRENT_BENCH_INDEX, quick=True,
+        results, quick_config(), index=5, quick=True,
         timestamp="2026-01-01T00:00:00+00:00",
     )
 
@@ -176,7 +176,7 @@ class TestSchema:
     def test_built_doc_is_valid(self, bench_doc):
         assert validate_bench(bench_doc) == []
         assert bench_doc["format"] == "repro-bench"
-        assert bench_doc["index"] == CURRENT_BENCH_INDEX
+        assert bench_doc["index"] == 5
         assert set(bench_doc["scenarios"]) == {"a", "b"}
 
     def test_save_load_round_trip(self, bench_doc, tmp_path):
@@ -232,6 +232,10 @@ class TestSchema:
             save_bench(tmp_path / f"BENCH_{index}.json", doc)
         (tmp_path / "BENCH_x.json").write_text("{}")  # name mismatch: skipped
         assert [i for i, _ in list_bench_files(tmp_path)] == [2, 5, 10]
+        assert next_bench_index(tmp_path) == 11
+
+    def test_next_bench_index_starts_at_one(self, tmp_path):
+        assert next_bench_index(tmp_path) == 1
 
 
 def degrade(doc, factor=0.8):
@@ -350,6 +354,27 @@ class TestCli:
         assert main(["report", "--root", str(tmp_path)]) == 0
         out = capsys.readouterr().out
         assert "performance trajectory" in out
+
+    def test_default_run_writes_next_index_and_keeps_existing(
+        self, bench_doc, tmp_path, monkeypatch
+    ):
+        from repro.bench import cli
+
+        originals = {}
+        for index in (5, 8):
+            path = save_bench(
+                tmp_path / f"BENCH_{index}.json", dict(bench_doc, index=index)
+            )
+            originals[path] = path.read_bytes()
+        monkeypatch.setattr(
+            cli, "run_suite",
+            lambda scenarios, config: run_suite([fake_scenario("a")], config),
+        )
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(["run", "--quick", "--no-heartbeat"]) == 0
+        assert load_bench(tmp_path / "BENCH_9.json")["index"] == 9
+        for path, content in originals.items():
+            assert path.read_bytes() == content
 
     def test_validate_rejects_corrupt_file(self, tmp_path, capsys):
         from repro.bench.cli import main

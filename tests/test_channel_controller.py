@@ -121,6 +121,51 @@ class TestPrefetchBehaviour:
         assert pf.amb_hit
 
 
+class TestSchedulerProbe:
+    """Submit binds what the scheduler's one probe per candidate reads."""
+
+    def bound_read(self, h, line):
+        req = MemoryRequest(RequestKind.DEMAND_READ, line, 0, h.sim.now)
+        req.mapped = h.controller.mapper.map(line)
+        channel = h.controller.channels[req.mapped.channel]
+        channel.submit(req)
+        return channel, req
+
+    def test_submit_binds_bank_timer_and_tag_set(self):
+        h = Harness(fbdimm_amb_prefetch().memory)
+        channel, req = self.bound_read(h, 0)
+        amb = channel.ambs[req.mapped.dimm]
+        assert req.bank is amb.bank_of(req.mapped)
+        assert req.rank_timer is amb.timer_of(req.mapped)
+        assert req.tag_set is amb.table.set_for(0)
+        assert req.pending_fills is amb.pending_fills
+
+    def test_writes_and_plain_fbd_reads_bind_no_tag_set(self):
+        h = Harness(fbdimm_baseline().memory)
+        _, read = self.bound_read(h, 0)
+        assert read.bank is not None and read.tag_set is None
+        h = Harness(fbdimm_amb_prefetch().memory)
+        write = MemoryRequest(RequestKind.WRITE, 0, 0, 0)
+        write.mapped = h.controller.mapper.map(0)
+        h.controller.channels[write.mapped.channel].submit(write)
+        assert write.bank is not None and write.tag_set is None
+
+    def test_buffered_line_is_a_ready_hit_until_the_channel_degrades(self):
+        h = Harness(fbdimm_amb_prefetch().memory)
+        h.submit(0)
+        h.run()  # line 0's group fetch leaves lines 1-3 in the AMB cache
+        channel, req = self.bound_read(h, 1)
+        assert channel._probe(req) == (h.sim.now, True)
+
+        class Degraded:
+            degraded = True
+
+        channel.faults = Degraded()
+        assert channel._probe(req) == req.bank.probe(
+            h.sim.now, req.mapped.row, req.rank_timer
+        )
+
+
 class TestQueueing:
     def test_bank_conflict_reorders(self):
         """Two reads to one bank, one to another: the other-bank read must

@@ -70,7 +70,7 @@ class TestBankEdges:
         bank = Bank(0, T, PagePolicy.CLOSE_PAGE)
         bus, rank = BusResource("b"), RankTimer()
         bank.read(0, 5, 1, bus, rank)
-        est = bank.earliest_start(10_000, 6, rank)
+        est, _ = bank.probe(10_000, 6, rank)
         result = bank.read(10_000, 6, 1, bus, rank)
         assert result.command_start == est
 
@@ -84,29 +84,29 @@ class TestSchedulerEdges:
     def test_single_write_no_reads_issues_immediately(self):
         s = HitFirstScheduler(write_drain_threshold=16)
         w = deque([self.req(RequestKind.WRITE)])
-        chosen, est, is_write = s.select(0, deque(), w, lambda r: 0, lambda r: False)
+        chosen, est, is_write = s.select(0, deque(), w, lambda r: (0, False))
         assert is_write and est == 0
 
     def test_sw_prefetch_goes_through_read_queue(self):
         s = HitFirstScheduler(write_drain_threshold=16)
         r = deque([self.req(RequestKind.SW_PREFETCH)])
-        chosen, _, is_write = s.select(0, r, deque(), lambda r: 0, lambda r: False)
+        chosen, _, is_write = s.select(0, r, deque(), lambda r: (0, False))
         assert not is_write
 
     def test_selection_is_stable_under_equal_keys(self):
         s = HitFirstScheduler(write_drain_threshold=16)
         reads = deque(self.req(line=i) for i in range(5))
-        chosen, _, _ = s.select(0, reads, deque(), lambda r: 0, lambda r: False)
+        chosen, _, _ = s.select(0, reads, deque(), lambda r: (0, False))
         assert chosen is reads[0]  # FIFO among ties
 
     def test_hysteresis_resets_after_full_drain(self):
         s = HitFirstScheduler(write_drain_threshold=2)
         reads = deque([self.req()])
         s.select(0, reads, deque(self.req(RequestKind.WRITE) for _ in range(2)),
-                 lambda r: 0, lambda r: False)
+                 lambda r: (0, False))
         assert s._draining_writes
         # Queue fully drained: flag clears even with reads present.
-        s.select(0, reads, deque(), lambda r: 0, lambda r: False)
+        s.select(0, reads, deque(), lambda r: (0, False))
         assert not s._draining_writes
 
 

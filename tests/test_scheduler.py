@@ -28,48 +28,53 @@ def ready_now(_):
     return 0
 
 
+def probe(estimate=ready_now, hit=never_hit):
+    """A scheduler probe answering from separate estimate and hit rules."""
+    return lambda r: (estimate(r), hit(r))
+
+
 class TestReadPriority:
     def test_reads_win_below_threshold(self):
         s = HitFirstScheduler(write_drain_threshold=4)
         r, w = reads(2), writes(3)
-        chosen, _, is_write = s.select(0, r, w, ready_now, never_hit)
+        chosen, _, is_write = s.select(0, r, w, probe())
         assert not is_write
         assert chosen is r[0]
 
     def test_writes_win_when_no_reads(self):
         s = HitFirstScheduler(write_drain_threshold=4)
         w = writes(1)
-        chosen, _, is_write = s.select(0, deque(), w, ready_now, never_hit)
+        chosen, _, is_write = s.select(0, deque(), w, probe())
         assert is_write
 
     def test_empty_queues_return_none(self):
         s = HitFirstScheduler(write_drain_threshold=4)
-        assert s.select(0, deque(), deque(), ready_now, never_hit) is None
+        assert s.select(0, deque(), deque(), probe()) is None
 
 
 class TestWriteDrainHysteresis:
     def test_drain_starts_at_threshold(self):
         s = HitFirstScheduler(write_drain_threshold=4)
-        _, _, is_write = s.select(0, reads(2), writes(4), ready_now, never_hit)
+        _, _, is_write = s.select(0, reads(2), writes(4), probe())
         assert is_write
 
     def test_drain_continues_until_half(self):
         s = HitFirstScheduler(write_drain_threshold=4)
-        s.select(0, reads(2), writes(4), ready_now, never_hit)
+        s.select(0, reads(2), writes(4), probe())
         # 3 writes left: still above threshold/2 -> keep draining.
-        _, _, is_write = s.select(0, reads(2), writes(3), ready_now, never_hit)
+        _, _, is_write = s.select(0, reads(2), writes(3), probe())
         assert is_write
 
     def test_drain_stops_at_half(self):
         s = HitFirstScheduler(write_drain_threshold=4)
-        s.select(0, reads(2), writes(4), ready_now, never_hit)
-        _, _, is_write = s.select(0, reads(2), writes(2), ready_now, never_hit)
+        s.select(0, reads(2), writes(4), probe())
+        _, _, is_write = s.select(0, reads(2), writes(2), probe())
         assert not is_write
 
     def test_drain_flag_clears_when_writes_empty(self):
         s = HitFirstScheduler(write_drain_threshold=2)
-        s.select(0, reads(1), writes(2), ready_now, never_hit)
-        _, _, is_write = s.select(0, reads(1), deque(), ready_now, never_hit)
+        s.select(0, reads(1), writes(2), probe())
+        _, _, is_write = s.select(0, reads(1), deque(), probe())
         assert not is_write
 
 
@@ -79,14 +84,14 @@ class TestHitFirst:
         r = reads(3)
         hits = {r[2].req_id}
         chosen, _, _ = s.select(
-            0, r, deque(), ready_now, lambda x: x.req_id in hits
+            0, r, deque(), probe(hit=lambda x: x.req_id in hits)
         )
         assert chosen is r[2]
 
     def test_fifo_among_equal(self):
         s = HitFirstScheduler(write_drain_threshold=8)
         r = reads(3)
-        chosen, _, _ = s.select(0, r, deque(), ready_now, never_hit)
+        chosen, _, _ = s.select(0, r, deque(), probe())
         assert chosen is r[0]
 
 
@@ -100,7 +105,7 @@ class TestReadiness:
             return 500 if x.req_id in future_hits else 0
 
         chosen, est, _ = s.select(
-            0, r, deque(), estimate, lambda x: x.req_id in future_hits
+            0, r, deque(), probe(estimate, lambda x: x.req_id in future_hits)
         )
         assert chosen is r[1]
         assert est == 0
@@ -110,7 +115,7 @@ class TestReadiness:
         r = reads(3)
         times = {r[0].req_id: 300, r[1].req_id: 100, r[2].req_id: 200}
         chosen, est, _ = s.select(
-            0, r, deque(), lambda x: times[x.req_id], never_hit
+            0, r, deque(), probe(lambda x: times[x.req_id])
         )
         assert chosen is r[1]
         assert est == 100
@@ -122,7 +127,7 @@ class TestReadiness:
         def estimate(x):
             return 999 if x.kind is RequestKind.DEMAND_READ else 0
 
-        chosen, est, is_write = s.select(0, r, w, estimate, never_hit)
+        chosen, est, is_write = s.select(0, r, w, probe(estimate))
         assert is_write
         assert est == 0
 
@@ -134,6 +139,6 @@ class TestScanWindow:
         beyond = r[SCAN_WINDOW + 2]
         # Even if a request beyond the window would be a hit, it is unseen.
         chosen, _, _ = s.select(
-            0, r, deque(), ready_now, lambda x: x is beyond
+            0, r, deque(), probe(hit=lambda x: x is beyond)
         )
         assert chosen is r[0]

@@ -62,6 +62,14 @@ STEPS = st.lists(
 )
 
 
+def _probe(bank, now, row, rank):
+    """(earliest start, row hit): ``Bank.probe``, or the oracle's pair of
+    separate estimates."""
+    if isinstance(bank, Bank):
+        return bank.probe(now, row, rank)
+    return bank.earliest_start(now, row, rank), bank.is_row_hit(row)
+
+
 class _Harness:
     """One side of the differential: two banks, one rank, one data bus."""
 
@@ -85,9 +93,8 @@ class _Harness:
             bank.refresh(self.now, count * 1000)
             result = None
         else:
-            result = bank.earliest_start(self.now, row, self.rank)
-        hit = bank.is_row_hit(row)
-        return result, hit
+            return _probe(bank, self.now, row, self.rank)
+        return result, _probe(bank, self.now, row, self.rank)[1]
 
     def snapshot(self):
         state = []
@@ -149,20 +156,16 @@ def test_table_bank_matches_legacy_oracle(timing, steps, policy, trace):
     policy=st.sampled_from([PagePolicy.CLOSE_PAGE, PagePolicy.OPEN_PAGE]),
 )
 def test_estimates_are_side_effect_free_and_agree(timing, steps, policy):
-    """earliest_start never mutates, and agrees with the oracle even when
-    interleaved mid-sequence at every step."""
+    """probe never mutates, and agrees with the oracle's earliest_start
+    and is_row_hit even when interleaved mid-sequence at every step."""
     new = _Harness(Bank, RankTimer, timing, policy, trace=False)
     old = _Harness(legacy.Bank, legacy.RankTimer, timing, policy, trace=False)
     for op, bank_idx, row, count, advance in steps:
         before = new.snapshot()
         for probe_row in range(3):
-            est_new = new.banks[bank_idx % 2].earliest_start(
-                new.now, probe_row, new.rank
-            )
-            est_old = old.banks[bank_idx % 2].earliest_start(
-                old.now, probe_row, old.rank
-            )
-            assert est_new == est_old
+            assert _probe(
+                new.banks[bank_idx % 2], new.now, probe_row, new.rank
+            ) == _probe(old.banks[bank_idx % 2], old.now, probe_row, old.rank)
         assert new.snapshot() == before
         new.step(op, bank_idx, row, count, advance)
         old.step(op, bank_idx, row, count, advance)
