@@ -7,8 +7,12 @@ sweep or silently poison its results.
 """
 
 import dataclasses
+import hashlib
+import json
 import random
 import shutil
+import sys
+import typing
 
 import pytest
 
@@ -20,6 +24,7 @@ from repro.experiments.runcache import (
     run_key,
 )
 from repro.experiments.runner import ExperimentContext
+from repro.serialize import canonical_dumps
 from repro.system import run_system
 
 INSTS = 1500
@@ -190,6 +195,101 @@ class TestCorruptionFuzz:
         third = ExperimentContext(instructions=INSTS, cache=tmp_path)
         assert third.run(fbdimm_baseline(num_cores=1), PROGRAMS) == first
         assert third.fresh_runs == 0 and third.disk_hits == 1
+
+
+def _drop_elapsed(raw):
+    del raw["elapsed_ps"]
+    return raw
+
+
+def _unknown_enum(raw):
+    raw["config"]["memory"]["kind"] = "SDRAM"
+    return raw
+
+
+def _non_numeric_core_key(raw):
+    raw["mem"]["per_core_reads"] = {"core0": [1, 2, 3]}
+    return raw
+
+
+def _mem_as_list(raw):
+    raw["mem"] = [raw["mem"]]
+    return raw
+
+
+class TestPayloadBoundaryFuzz:
+    """Well-formed entries (valid header, matching checksum) whose payload
+    does not decode: the decoder's error paths must surface as a clean
+    quarantined miss, never an exception and never a result."""
+
+    @pytest.mark.parametrize(
+        "rewrite",
+        [
+            lambda raw: [],
+            _mem_as_list,
+            _drop_elapsed,
+            _unknown_enum,
+            _non_numeric_core_key,
+        ],
+        ids=["payload-list", "mem-list", "missing-elapsed", "unknown-enum",
+             "non-numeric-key"],
+    )
+    def test_undecodable_payload_quarantines(self, tmp_path, small_result, rewrite):
+        cache = RunCache(tmp_path)
+        key = run_key(_config(), PROGRAMS)
+        path = cache.store(key, small_result)
+        raw = json.loads(path.read_text().splitlines()[1])
+        payload = canonical_dumps(rewrite(raw))
+        header = {
+            "format": CACHE_FORMAT,
+            "key": key,
+            "salt": code_salt(),
+            "payload_sha256": hashlib.sha256(payload.encode()).hexdigest(),
+        }
+        path.write_text(canonical_dumps(header) + "\n" + payload + "\n")
+
+        assert cache.load(key) is None
+        assert cache.stats.misses == 1 and cache.stats.hits == 0
+        assert cache.stats.quarantined == 1
+        assert not path.exists()
+        assert [p.name for p in cache.quarantined()] == [path.name]
+
+
+class TestWarmDecodeCost:
+    """Deterministic cost guard for the codec plans: once a type's plan is
+    built, loading and keying never re-resolve type hints or re-walk
+    dataclass fields.  Counts calls, so machine noise cannot move it."""
+
+    def test_warm_load_and_key_skip_typing_and_dataclasses(
+        self, tmp_path, small_result
+    ):
+        cache = RunCache(tmp_path)
+        config = _config()
+        key = run_key(config, PROGRAMS)
+        cache.store(key, small_result)
+        assert cache.load(key) is not None  # warm-up: builds every plan
+
+        calls = []
+
+        def profile(frame, event, arg):
+            if event == "call":
+                code = frame.f_code
+                calls.append((code.co_filename, code.co_name))
+
+        sys.setprofile(profile)
+        try:
+            loaded = cache.load(key)
+            again = run_key(config, PROGRAMS)
+        finally:
+            sys.setprofile(None)
+
+        assert loaded == small_result and again == key
+        assert any(name.endswith("serialize.py") for name, _ in calls)
+        assert [c for c in calls if c[0] == typing.__file__] == []
+        assert [
+            c for c in calls
+            if c[0] == dataclasses.__file__ and c[1] in ("fields", "is_dataclass")
+        ] == []
 
 
 class TestContextIntegration:
