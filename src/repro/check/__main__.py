@@ -43,8 +43,11 @@ def _check_traces(paths: List[str]) -> int:
         path = Path(raw)
         try:
             params, events = load_events(path)
-        except (OSError, ValueError) as exc:
+        except OSError as exc:
             print(f"{path}: cannot load trace: {exc}", file=sys.stderr)
+            return EXIT_USAGE
+        except ValueError as exc:  # already located as path:line:
+            print(exc, file=sys.stderr)
             return EXIT_USAGE
         violations = ProtocolChecker(params).check(events)
         if violations:

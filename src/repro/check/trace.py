@@ -16,10 +16,12 @@ Format (one JSON object per line)::
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from dataclasses import asdict, dataclass
+from operator import itemgetter
 from pathlib import Path
-from typing import Dict, Iterable, List, Tuple, Union
+from typing import Any, Dict, Iterable, List, NamedTuple, Tuple, Union
 
 from repro.config import DRAM_CLOCK_PS, MemoryConfig, MemoryKind
 from repro.dram.timing import TimingPs
@@ -32,11 +34,16 @@ FORMAT_VERSION = 1
 DRAM_COMMANDS = ("ACT", "RD", "WR", "PRE")
 FRAME_EVENTS = ("SB_CMD", "SB_DATA", "NB_LINE")
 EVENT_KINDS = DRAM_COMMANDS + FRAME_EVENTS
+#: The channel kinds a trace can describe.
+MEMORY_KINDS = ("ddr2", "fbdimm")
 
 
-@dataclass(frozen=True)
-class CheckEvent:
+class CheckEvent(NamedTuple):
     """One trace record: a DRAM command or an FB-DIMM frame-slot booking.
+
+    A plain tuple underneath, so it compares equal to the tuple of its
+    field values; the kind is validated where events come from outside
+    (:func:`record_to_event`) and by the checker's dispatch, not here.
 
     Attributes:
         time_ps: Command instant (DRAM commands) or frame start (frames).
@@ -57,10 +64,6 @@ class CheckEvent:
     row: int = -1
     frames: int = 1
     retry: int = 0
-
-    def __post_init__(self) -> None:
-        if self.kind not in EVENT_KINDS:
-            raise ValueError(f"unknown check-event kind {self.kind!r}")
 
     @property
     def is_dram_command(self) -> bool:
@@ -128,10 +131,41 @@ class TraceParams:
         return data
 
     @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "TraceParams":
-        timing = TimingPs(**data["timing"])  # type: ignore[arg-type]
-        fields = {k: v for k, v in data.items() if k != "timing"}
-        return cls(timing=timing, **fields)  # type: ignore[arg-type]
+    def from_dict(cls, data: object) -> "TraceParams":
+        """Rebuild from :meth:`to_dict` output; ValueError on anything else."""
+        kwargs = _checked_kwargs("params", data, cls, exempt=("kind", "timing"))
+        kwargs["timing"] = TimingPs(
+            **_checked_kwargs("params.timing", kwargs["timing"], TimingPs)
+        )
+        if kwargs["kind"] not in MEMORY_KINDS:
+            raise ValueError(f"unknown memory kind {kwargs['kind']!r}")
+        return cls(**kwargs)
+
+
+def _checked_kwargs(
+    where: str, data: object, cls: Any, exempt: Tuple[str, ...] = ()
+) -> Dict[str, Any]:
+    """``data`` as keyword arguments for the dataclass ``cls``.
+
+    It must be a JSON object naming only fields of ``cls`` and every field
+    without a default; each value outside ``exempt`` must be an integer.
+    """
+    if not isinstance(data, dict):
+        raise ValueError(f"{where} must be a JSON object, got {data!r}")
+    fields = dataclasses.fields(cls)
+    unknown = sorted(set(data) - {f.name for f in fields})
+    if unknown:
+        raise ValueError(f"{where}: unknown field(s) {', '.join(unknown)}")
+    missing = [
+        f.name for f in fields
+        if f.default is dataclasses.MISSING and f.name not in data
+    ]
+    if missing:
+        raise ValueError(f"{where}: missing field(s) {', '.join(missing)}")
+    for name, value in data.items():
+        if name not in exempt and type(value) is not int:
+            raise ValueError(f"{where}.{name} must be an integer, got {value!r}")
+    return dict(data)
 
 
 #: Default timing bundle for hand-written traces: Table 2 at 667 MT/s with
@@ -163,7 +197,7 @@ _FIELD_CODES = (
     ("r", "rank"), ("b", "bank"), ("row", "row"), ("n", "frames"),
     ("rt", "retry"),
 )
-_DEFAULTS = {f.name: f.default for f in CheckEvent.__dataclass_fields__.values()}
+_DEFAULTS = CheckEvent._field_defaults
 
 
 def event_to_record(event: CheckEvent) -> Dict[str, object]:
@@ -173,20 +207,37 @@ def event_to_record(event: CheckEvent) -> Dict[str, object]:
     both speak the same command-record dialect.
     """
     record: Dict[str, object] = {}
-    for code, name in _FIELD_CODES:
-        value = getattr(event, name)
-        if name in ("time_ps", "kind") or value != _DEFAULTS[name]:
+    for (code, name), value in zip(_FIELD_CODES, event):
+        if name not in _DEFAULTS or value != _DEFAULTS[name]:
             record[code] = value
     return record
 
 
-def record_to_event(record: Dict[str, object]) -> CheckEvent:
-    """Decode one short-field-code record back into a :class:`CheckEvent`."""
-    kwargs = {}
+def record_to_event(record: object) -> CheckEvent:
+    """Decode one short-field-code record back into a :class:`CheckEvent`.
+
+    This is where outside input arrives, so the record is validated: a
+    JSON object with an integer ``t``, a known kind ``c``, and an integer
+    for every other field code it carries.  Keys that are not field codes
+    are ignored (telemetry capture records carry a ``type``).
+    """
+    if not isinstance(record, dict):
+        raise ValueError(f"record must be a JSON object, got {record!r}")
+    values: List[object] = []
     for code, name in _FIELD_CODES:
-        if code in record:
-            kwargs[name] = record[code]
-    return CheckEvent(**kwargs)  # type: ignore[arg-type]
+        if code not in record:
+            if name not in _DEFAULTS:
+                raise ValueError(f"record has no {code!r} ({name})")
+            values.append(_DEFAULTS[name])
+            continue
+        value = record[code]
+        if name == "kind":
+            if value not in EVENT_KINDS:
+                raise ValueError(f"unknown check-event kind {value!r}")
+        elif type(value) is not int:
+            raise ValueError(f"{code!r} must be an integer, got {value!r}")
+        values.append(value)
+    return CheckEvent._make(values)
 
 
 def save_events(
@@ -206,25 +257,40 @@ def save_events(
     return count
 
 
+def _parse_json(line: str) -> object:
+    try:
+        return json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"not valid JSON ({exc.msg})") from exc
+
+
+def _parse_header(line: str) -> TraceParams:
+    header = _parse_json(line)
+    if not isinstance(header, dict):
+        raise ValueError(f"header must be a JSON object, got {header!r}")
+    if header.get("version") != FORMAT_VERSION:
+        raise ValueError(
+            f"unsupported check-trace version {header.get('version')!r}"
+        )
+    return TraceParams.from_dict(header.get("params"))
+
+
 def load_events(path: Union[str, Path]) -> Tuple[TraceParams, List[CheckEvent]]:
-    """Load a saved check trace: (params, time-sorted events)."""
+    """Load a saved check trace: (params, time-sorted events).
+
+    Raises OSError when the file cannot be read, and ValueError prefixed
+    ``path:line:`` for a malformed header or record.
+    """
     path = Path(path)
+    line_no = 1
+    events: List[CheckEvent] = []
     with path.open("r", encoding="utf-8") as handle:
-        header = json.loads(handle.readline())
-        if header.get("version") != FORMAT_VERSION:
-            raise ValueError(
-                f"{path}: unsupported check-trace version "
-                f"{header.get('version')!r}"
-            )
-        params = TraceParams.from_dict(header["params"])
-        events: List[CheckEvent] = []
-        for line_no, line in enumerate(handle, start=2):
-            if not line.strip():
-                continue
-            record = json.loads(line)
-            try:
-                events.append(record_to_event(record))
-            except (TypeError, ValueError) as exc:
-                raise ValueError(f"{path}:{line_no}: {exc}") from exc
-    events.sort(key=lambda e: e.time_ps)
+        try:
+            params = _parse_header(handle.readline())
+            for line_no, line in enumerate(handle, start=2):
+                if line.strip():
+                    events.append(record_to_event(_parse_json(line)))
+        except ValueError as exc:
+            raise ValueError(f"{path}:{line_no}: {exc}") from exc
+    events.sort(key=itemgetter(0))
     return params, events

@@ -22,6 +22,7 @@ from __future__ import annotations
 import dataclasses
 from collections import deque
 from functools import partial
+from operator import itemgetter
 from typing import TYPE_CHECKING, Deque, Iterable, Optional, Sequence, Union
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -246,20 +247,17 @@ class ChannelControllerBase:
         from repro.check.trace import CheckEvent
 
         per_dimm = self.config.banks_per_dimm
+        channel = self.channel_id
         events = []
         for bank in banks:
             if not bank.command_log:
                 continue
-            for rec in bank.command_log:
-                events.append(CheckEvent(
-                    time_ps=rec.time_ps,
-                    kind=rec.kind.value,
-                    channel=self.channel_id,
-                    dimm=dimm_id,
-                    rank=rec.bank_id // per_dimm,
-                    bank=rec.bank_id % per_dimm,
-                    row=rec.row,
-                ))
+            rank, local = divmod(bank.bank_id, per_dimm)
+            # ``_value_`` rather than ``.value``: a plain attribute read,
+            # not a property call per command.
+            for command, time_ps, _, row in bank.command_log:
+                events.append(CheckEvent(time_ps, command._value_, channel,
+                                         dimm_id, rank, local, row, 1, 0))
         return events
 
     def enable_protocol_trace(self) -> None:
@@ -348,7 +346,7 @@ class Ddr2ChannelController(ChannelControllerBase):
         events = []
         for dimm in self.dimms:
             events.extend(self._bank_check_events(dimm.dimm_id, dimm.banks))
-        events.sort(key=lambda e: e.time_ps)
+        events.sort(key=itemgetter(0))
         return events
 
     def collect_device_counters(self) -> "dict":
@@ -683,25 +681,20 @@ class FbdimmChannelController(ChannelControllerBase):
     def collect_check_events(self) -> "list":
         from repro.check.trace import CheckEvent
 
+        channel = self.channel_id
         events = []
         for amb in self.ambs:
             events.extend(self._bank_check_events(amb.dimm_id, amb.banks))
         if self.links.south.journal is not None:
             for kind, start, retry in self.links.south.journal:
                 events.append(CheckEvent(
-                    time_ps=start,
-                    kind="SB_CMD" if kind == "cmd" else "SB_DATA",
-                    channel=self.channel_id,
-                    retry=retry,
-                ))
+                    start, "SB_CMD" if kind == "cmd" else "SB_DATA",
+                    channel, -1, -1, -1, -1, 1, retry))
         if self.links.north.journal is not None:
             for _, start, frames, retry in self.links.north.journal:
-                events.append(CheckEvent(
-                    time_ps=start, kind="NB_LINE",
-                    channel=self.channel_id, frames=frames,
-                    retry=retry,
-                ))
-        events.sort(key=lambda e: e.time_ps)
+                events.append(CheckEvent(start, "NB_LINE", channel,
+                                         -1, -1, -1, -1, frames, retry))
+        events.sort(key=itemgetter(0))
         return events
 
     def collect_device_counters(self) -> "dict":

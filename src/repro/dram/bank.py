@@ -224,7 +224,7 @@ class Bank:
     def _log(self, kind: CommandType, time_ps: int, row: int) -> None:
         if self.command_log is not None:
             self.command_log.append(
-                CommandRecord(kind=kind, time_ps=time_ps, bank_id=self.bank_id, row=row)
+                CommandRecord(kind, time_ps, self.bank_id, row)
             )
 
     # ------------------------------------------------------------------

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
 class CommandType(enum.Enum):
@@ -15,8 +15,7 @@ class CommandType(enum.Enum):
     PRECHARGE = "PRE"
 
 
-@dataclass(frozen=True)
-class CommandRecord:
+class CommandRecord(NamedTuple):
     """One issued DRAM command, for traces and debugging."""
 
     kind: CommandType

@@ -6,6 +6,6 @@ they schedule callbacks for the instant at which something can change.
 """
 
 from repro.engine.event_queue import Event, EventQueue
-from repro.engine.simulator import Simulator
+from repro.engine.simulator import Simulator, gc_paused
 
-__all__ = ["Event", "EventQueue", "Simulator"]
+__all__ = ["Event", "EventQueue", "Simulator", "gc_paused"]

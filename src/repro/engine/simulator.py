@@ -16,7 +16,8 @@ from __future__ import annotations
 
 import gc
 import heapq
-from typing import TYPE_CHECKING, Callable, Optional
+from contextlib import contextmanager
+from typing import TYPE_CHECKING, Callable, Iterator, Optional
 
 from repro.engine.event_queue import Event, EventQueue
 
@@ -31,6 +32,25 @@ PS_PER_NS = 1000
 def ns(value: float) -> int:
     """Convert nanoseconds to the integer-picosecond time base."""
     return round(value * PS_PER_NS)
+
+
+@contextmanager
+def gc_paused() -> Iterator[None]:
+    """Pause the cyclic garbage collector for the block.
+
+    For allocation-heavy code that creates no reference cycles: reference
+    counting reclaims everything it frees, so collector passes over a
+    growing heap are pure overhead.  The previous GC state is restored on
+    exit, including on exceptions.
+    """
+    was_enabled = gc.isenabled()
+    if was_enabled:
+        gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 class Simulator:
@@ -121,12 +141,10 @@ class Simulator:
         reference stays valid even when a dispatched callback cancels
         enough events to trigger compaction.
 
-        The generational GC is paused for the duration of the loop: the
-        loop allocates heavily (heap entries, requests, closures) but the
-        only reference cycles — Event._queue back-references — are broken
-        explicitly on pop/cancel, so refcounting reclaims everything and
-        collector passes are pure overhead.  The previous GC state is
-        restored on exit, including on exceptions.
+        The loop runs under :func:`gc_paused`: it allocates heavily (heap
+        entries, requests, closures) but the only reference cycles —
+        Event._queue back-references — are broken explicitly on
+        pop/cancel, so refcounting reclaims everything.
         """
         self._stopped = False
         profiler = self.profiler
@@ -135,10 +153,7 @@ class Simulator:
         heappop = heapq.heappop
         event_cls = Event
         fired = 0
-        gc_was_enabled = gc.isenabled()
-        if gc_was_enabled:
-            gc.disable()
-        try:
+        with gc_paused():
             while heap and not self._stopped:
                 entry = heap[0]
                 item = entry[2]
@@ -176,6 +191,3 @@ class Simulator:
                     raise RuntimeError(
                         f"simulation exceeded {max_events} events"
                     )
-        finally:
-            if gc_was_enabled:
-                gc.enable()

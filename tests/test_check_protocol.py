@@ -1,5 +1,6 @@
 """Protocol checker: rules, self-test suite, JSONL round-trip, CLI."""
 
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -17,7 +18,9 @@ from repro.check.trace import (
     CheckEvent,
     TraceParams,
     default_params,
+    event_to_record,
     load_events,
+    record_to_event,
     save_events,
 )
 
@@ -78,6 +81,22 @@ class TestCheckerBasics:
         )
         assert check_trace(params, events) == []
 
+    def test_unknown_event_kind_rejected_at_dispatch(self):
+        params = default_params("fbdimm")
+        with pytest.raises(ValueError, match="unknown check-event kind 'NOP'"):
+            ProtocolChecker(params).check([CheckEvent(0, "NOP")])
+
+    def test_event_is_a_plain_tuple(self):
+        event = CheckEvent(5, "ACT", dimm=0, rank=1, bank=2, row=3)
+        assert event == (5, "ACT", 0, 0, 1, 2, 3, 1, 0)
+        assert hash(event) == hash((5, "ACT", 0, 0, 1, 2, 3, 1, 0))
+        assert CheckEvent._field_defaults == {
+            "channel": 0, "dimm": -1, "rank": -1, "bank": -1, "row": -1,
+            "frames": 1, "retry": 0,
+        }
+        with pytest.raises(AttributeError):
+            event.row = 4  # type: ignore[misc]
+
     def test_violation_error_formats_and_truncates(self):
         violations = [
             Violation(rule="tRCD", time_ps=i, message=f"v{i}") for i in range(15)
@@ -112,6 +131,47 @@ class TestTraceIo:
             fh.write('{"t": 0, "c": "NOP"}\n')
         with pytest.raises(ValueError, match=":2"):
             load_events(path)
+
+
+class TestRecordValidation:
+    def test_round_trip_elides_defaults(self):
+        event = CheckEvent(7, "NB_LINE", channel=1, frames=2, retry=1)
+        record = event_to_record(event)
+        assert record == {"t": 7, "c": "NB_LINE", "ch": 1, "n": 2, "rt": 1}
+        assert record_to_event(record) == event
+
+    def test_extra_keys_ignored(self):
+        assert record_to_event({"type": "cmd", "t": 0, "c": "SB_CMD"}) == (
+            CheckEvent(0, "SB_CMD")
+        )
+
+    @pytest.mark.parametrize("record, message", [
+        ([0, "ACT"], "must be a JSON object"),
+        ({"c": "ACT"}, "no 't'"),
+        ({"t": 0}, "no 'c'"),
+        ({"t": 0, "c": "NOP"}, "unknown check-event kind 'NOP'"),
+        ({"t": "zero", "c": "ACT"}, "'t' must be an integer"),
+        ({"t": 0, "c": "ACT", "row": 1.5}, "'row' must be an integer"),
+        ({"t": 0, "c": "ACT", "b": True}, "'b' must be an integer"),
+    ])
+    def test_bad_records_rejected(self, record, message):
+        with pytest.raises(ValueError, match=message):
+            record_to_event(record)
+
+    @pytest.mark.parametrize("mutate, message", [
+        (lambda d: [d], "params must be a JSON object"),
+        (lambda d: {k: v for k, v in d.items() if k != "timing"},
+         "missing field"),
+        (lambda d: dict(d, timing=None), "params.timing must be a JSON object"),
+        (lambda d: dict(d, timing=dict(d["timing"], tRP="x")),
+         "params.timing.tRP must be an integer"),
+        (lambda d: dict(d, frame_ps=1.5), "params.frame_ps must be an integer"),
+        (lambda d: dict(d, bogus=1), "unknown field"),
+        (lambda d: dict(d, kind="ddr5"), "unknown memory kind 'ddr5'"),
+    ])
+    def test_bad_params_rejected(self, mutate, message):
+        with pytest.raises(ValueError, match=message):
+            TraceParams.from_dict(mutate(default_params("fbdimm").to_dict()))
 
 
 class TestCli:
@@ -162,3 +222,46 @@ class TestCli:
         proc = self._run("--lint", str(victim))
         assert proc.returncode == 1
         assert "wall-clock" in proc.stdout
+
+    def _header(self) -> str:
+        return json.dumps(
+            {"version": 1, "params": default_params("fbdimm").to_dict()}
+        )
+
+    def _expect_located(self, tmp_path, lines, line_no, message):
+        path = tmp_path / "trace.jsonl"
+        path.write_text("\n".join(lines) + "\n")
+        proc = self._run(str(path))
+        assert proc.returncode == 2, proc.stdout + proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith(f"{path}:{line_no}: ")
+        assert message in proc.stderr
+
+    def test_non_integer_time_is_usage_error(self, tmp_path):
+        self._expect_located(tmp_path, [
+            self._header(),
+            '{"t": "zero", "c": "ACT", "ch": 0, "d": 0, "r": 0, "b": 2, '
+            '"row": 17}',
+        ], 2, "'t' must be an integer")
+
+    def test_list_header_is_usage_error(self, tmp_path):
+        self._expect_located(tmp_path, ['[1, 2]', '{"t": 0, "c": "SB_CMD"}'],
+                             1, "header must be a JSON object")
+
+    def test_header_without_timing_is_usage_error(self, tmp_path):
+        params = default_params("fbdimm").to_dict()
+        del params["timing"]
+        self._expect_located(tmp_path, [
+            json.dumps({"version": 1, "params": params}),
+            '{"t": 0, "c": "SB_CMD"}',
+        ], 1, "missing field(s) timing")
+
+    def test_malformed_record_line_is_located(self, tmp_path):
+        self._expect_located(tmp_path, [
+            self._header(), '{"t": 0, "c": "SB_CMD"}', '{"t": 6000,',
+        ], 3, "not valid JSON")
+
+    def test_unknown_kind_is_located(self, tmp_path):
+        self._expect_located(tmp_path, [
+            self._header(), '{"t": 0, "c": "SB_CMD"}', '{"t": 0, "c": "NOP"}',
+        ], 3, "unknown check-event kind 'NOP'")

@@ -1,0 +1,177 @@
+"""Differential property suite: the protocol checker vs its frozen oracle.
+
+``repro.check.protocol`` dispatches on the event kind and builds its
+per-bank, per-rank and per-channel state once per key;
+``tests/_legacy_protocol.py`` is the frozen checker it replaced, which
+dispatched on ``is_dram_command`` and built a throwaway state object on
+every event.  Hypothesis replays real journals from short runs (DDR2,
+FB-DIMM, FB-DIMM with AMB prefetch, the same with link faults and
+replays, and a tFAW device) with random mutations: an event shifted by
+±k ps, dropped, copied up to three times, moved to another bank or row, given another
+kind, or (frames) moved off the frame grid.  Both checkers must return
+the same ``(rule, time_ps, message, first, second)`` list.
+"""
+
+import dataclasses
+import random
+from operator import itemgetter
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import tests._legacy_protocol as legacy
+from repro.check.protocol import MAX_VIOLATIONS, ProtocolChecker
+from repro.check.trace import EVENT_KINDS, FRAME_EVENTS, TraceParams
+from repro.config import ddr2_baseline, fbdimm_amb_prefetch, fbdimm_baseline
+from repro.system import System
+
+INSTS = 3000
+
+
+def _journal(config):
+    """(params, time-sorted events) of one short checked run, with the
+    retry budget set exactly as the post-run check sets it."""
+    config = dataclasses.replace(
+        config, instructions_per_core=INSTS, check_protocol=True
+    )
+    system = System(config, ["swim", "wupwise"])
+    system.run()
+    params = TraceParams.from_memory_config(config.memory)
+    if config.faults.enabled:
+        params = dataclasses.replace(
+            params, max_retries=config.faults.max_retries
+        )
+    return params, system.controller.collect_check_events()
+
+
+@pytest.fixture(scope="module")
+def journals():
+    runs = {
+        "ddr2": _journal(ddr2_baseline(num_cores=2)),
+        "fbd": _journal(fbdimm_baseline(num_cores=2)),
+        "fbd-ap": _journal(fbdimm_amb_prefetch(num_cores=2)),
+        "fbd-ap-faults": _journal(
+            fbdimm_amb_prefetch(num_cores=2).with_faults(error_rate=2e-2)
+        ),
+        "ddr4-2400": _journal(
+            ddr2_baseline(num_cores=2).with_device("ddr4-2400")
+        ),
+    }
+    _, faulted = runs["fbd-ap-faults"]
+    assert any(e.retry for e in faulted), "faulted run journalled no replay"
+    assert runs["ddr4-2400"][0].timing.tFAW > 0
+    return runs
+
+
+def _report(checker_cls, params, events):
+    return [
+        (v.rule, v.time_ps, v.message, v.first, v.second)
+        for v in checker_cls(params).check(events)
+    ]
+
+
+def _assert_same(params, events):
+    old = _report(legacy.ProtocolChecker, params, events)
+    new = _report(ProtocolChecker, params, events)
+    assert new == old
+    return new
+
+
+def _mutate(rnd, params, events, op):
+    """Apply one mutation named ``op`` in place; a no-op on an empty list."""
+    if not events:
+        return
+    i = rnd.randrange(len(events))
+    event = events[i]
+    if op == "shift":
+        k = rnd.choice([1, params.timing.clock, params.timing.tRCD,
+                        rnd.randint(1, 4 * params.timing.tRC)])
+        k = k if rnd.random() < 0.5 else -k
+        events[i] = event._replace(time_ps=max(0, event.time_ps + k))
+    elif op == "drop":
+        del events[i]
+    elif op == "duplicate":
+        # Up to three copies: enough to overfill a southbound frame.
+        events[i:i] = [event] * rnd.randint(1, 3)
+    elif op == "bank":
+        events[i] = event._replace(bank=rnd.randrange(params.banks_per_dimm))
+    elif op == "row":
+        events[i] = event._replace(row=event.row + rnd.randint(1, 3))
+    elif op == "kind":
+        events[i] = event._replace(kind=rnd.choice(EVENT_KINDS))
+    elif op == "off-grid":
+        frames = [j for j, e in enumerate(events) if e.kind in FRAME_EVENTS]
+        j = rnd.choice(frames) if frames else i
+        step = max(params.frame_ps, params.timing.clock)
+        events[j] = events[j]._replace(
+            time_ps=events[j].time_ps + rnd.randint(1, step - 1)
+        )
+
+
+MUTATIONS = st.lists(
+    st.sampled_from(
+        ["shift", "drop", "duplicate", "bank", "row", "kind", "off-grid"]
+    ),
+    max_size=6,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    name=st.sampled_from(["ddr2", "fbd", "fbd-ap", "fbd-ap-faults",
+                          "ddr4-2400"]),
+    ops=MUTATIONS,
+    seed=st.integers(0, 2**32 - 1),
+    window=st.integers(0, 400),
+)
+def test_mutated_journals_match_legacy(journals, name, ops, seed, window):
+    params, journal = journals[name]
+    rnd = random.Random(seed)
+    # A window of the journal keeps each example fast; mutations land
+    # anywhere in it.
+    start = rnd.randrange(max(1, len(journal) - window))
+    events = list(journal[start:start + window])
+    for op in ops:
+        _mutate(rnd, params, events, op)
+    events.sort(key=itemgetter(0))
+    _assert_same(params, events)
+
+
+@pytest.mark.parametrize("name", ["ddr2", "fbd", "fbd-ap", "fbd-ap-faults",
+                                  "ddr4-2400"])
+def test_whole_journals_clean_and_equal(journals, name):
+    params, journal = journals[name]
+    assert _assert_same(params, journal) == []
+
+
+@pytest.mark.parametrize("name", ["ddr2", "fbd-ap-faults", "ddr4-2400"])
+def test_violation_cap_matches_legacy(journals, name):
+    """Time-compressed journals break rules on nearly every event, so the
+    checkers stop at MAX_VIOLATIONS (plus the post-loop burst rules)."""
+    params, journal = journals[name]
+    events = [e._replace(time_ps=e.time_ps // 16) for e in journal]
+    report = _assert_same(params, events)
+    assert len(report) >= MAX_VIOLATIONS
+
+
+@pytest.mark.parametrize("copies", [1, 2, 3])
+def test_overfilled_frames_match_legacy(journals, copies):
+    """Every frame event repeated: southbound frames pass three commands
+    (or one command plus data) and northbound frames are booked twice."""
+    params, journal = journals["fbd-ap-faults"]
+    events = []
+    for event in journal:
+        events.extend([event] * (1 + copies if event.kind in FRAME_EVENTS
+                                 else 1))
+    rules = {r[0] for r in _assert_same(params, events)}
+    assert {"frame-reuse", "frame-overcommit"} <= rules
+
+
+def test_retry_budget_rule_matches_legacy(journals):
+    params, journal = journals["fbd-ap-faults"]
+    tight = dataclasses.replace(params, max_retries=1)
+    events = [e._replace(retry=e.retry + 2) if e.kind in FRAME_EVENTS else e
+              for e in journal]
+    report = _assert_same(tight, events)
+    assert {r[0] for r in report} >= {"retry-budget"}

@@ -1,8 +1,10 @@
 """Unit tests for the simulation loop."""
 
+import gc
+
 import pytest
 
-from repro.engine.simulator import PS_PER_NS, Simulator, ns
+from repro.engine.simulator import PS_PER_NS, Simulator, gc_paused, ns
 
 
 class TestNs:
@@ -84,3 +86,31 @@ class TestRunControl:
             sim.schedule(i + 1, lambda: None)
         sim.run()
         assert sim.events_fired == 5
+
+
+class TestGcPaused:
+    def test_pauses_and_restores_on_exception(self):
+        assert gc.isenabled()
+        with pytest.raises(RuntimeError), gc_paused():
+            assert not gc.isenabled()
+            raise RuntimeError("boom")
+        assert gc.isenabled()
+
+    def test_leaves_a_disabled_collector_disabled(self):
+        gc.disable()
+        try:
+            with gc_paused():
+                assert not gc.isenabled()
+            assert not gc.isenabled()
+        finally:
+            gc.enable()
+
+    def test_run_pauses_and_restores(self):
+        sim = Simulator()
+        seen = []
+        sim.schedule(1, lambda: seen.append(gc.isenabled()))
+        sim.schedule(2, lambda: None)
+        with pytest.raises(RuntimeError, match="exceeded 1 events"):
+            sim.run(max_events=1)
+        assert seen == [False]
+        assert gc.isenabled()
