@@ -6,8 +6,7 @@ Rule families (see ``docs/STATIC_ANALYSIS.md`` for the catalogue):
   (``wall-clock``, ``unseeded-random``, ``set-iteration``, ``float-time``);
 * :mod:`~repro.check.lint.rules.unitflow` — ``unit-mix``, ``unit-return``;
 * :mod:`~repro.check.lint.rules.sharedstate` — ``worker-shared-state``;
-* :mod:`~repro.check.lint.rules.counterdrift` — ``stat-no-increment``,
-  ``stat-unreported``, ``stat-unregistered``;
+* :mod:`~repro.check.lint.rules.counterdrift` — ``stat-no-increment``;
 * :mod:`~repro.check.lint.rules.typing_rules` — ``untyped-def``.
 """
 

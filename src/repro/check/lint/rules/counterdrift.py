@@ -1,43 +1,39 @@
-"""Counter-drift analysis: every stats field must be fed and exported.
+"""Counter-drift analysis: every counter field must be fed.
 
-The simulator has three counter dataclasses that feed the paper's
-reported quantities: :class:`repro.stats.collector.MemSystemStats`
-(whole-run totals), :class:`repro.timeline.records.WindowRecord` (the
-windowed timeline's per-window deltas) and
-:class:`repro.dram.bank.BankStats` (per-bank device counters folded by
-the channel controllers).  A field drifts in two ways:
+The simulator has four counter classes that feed the paper's reported
+quantities: :class:`repro.stats.collector.MemSystemStats` (whole-run
+totals), :class:`repro.timeline.records.WindowRecord` (the windowed
+timeline's per-window deltas), :class:`repro.dram.bank.BankStats`
+(per-bank device counters) and
+:class:`repro.controller.prefetch_table.TableStats` (prefetch tag-store
+counters).  A field is *orphaned* when nothing feeds it any more (a
+refactor moved the accounting and the field silently reads its default
+forever).
 
-* **orphaned** — nothing increments it any more (a refactor moved the
-  accounting and the field silently reads zero forever);
-* **unexported** — it is incremented but never surfaced, so telemetry and
-  the run report diverge from what the simulator actually measured.
+One rule, ``stat-no-increment``, anchored at the field's declaration line
+and applied to every counter spec: no write site anywhere in the project
+updates the field with a non-constant value (reset-to-zero assignments do
+not count; constructor keyword arguments do).  Two feeds are declared
+rather than written, and are credited from their declarations:
 
-Three rules, each anchored at the field's declaration line in its
-collector module and applied to every counter spec:
+* a ``MemSystemStats`` counter declared ``scope="device"`` is fed by the
+  controller's generic device fold, so it counts as fed when a
+  ``controller/`` module names it as a fold source — a string key of a
+  dict literal (``BANK_FOLD``, ``TABLE_FOLD``) or of a subscript store
+  (``counters["column_accesses"] = ...``).  The BankStats/TableStats
+  specs check that the sources those folds read are themselves fed;
+* a ``WindowRecord`` field named by a counter's ``window=`` declaration
+  is fed by the timeline's generic per-window delta.
 
-* ``stat-no-increment`` — no write site anywhere in the project updates
-  the field with a non-constant value (reset-to-zero assignments do not
-  count; constructor keyword arguments do, which is how WindowRecord
-  fields are fed);
-* ``stat-unreported`` — neither the field nor a collector property
-  derived from it is read by the spec's report path;
-* ``stat-unregistered`` — the field is absent from the spec's export
-  registration surface (``registry_from_stats`` for MemSystemStats; the
-  explicit export column tuples in ``timeline/export.py`` for
-  WindowRecord, where a field-name string constant counts as
-  registration).
-
-Fields consumed through a property (``elapsed_ps`` covers
-``first_activity_ps``/``last_activity_ps``; ``bandwidth_gbs`` covers the
-window byte counters) are credited when the *property* is read.  Export
-checks run only when the respective surface module is part of the lint
-run, so linting a file subset never produces spurious orphans.
+Export is not checked here: the telemetry registry, the timeline deltas
+and the timeline export columns are all derived from the declarations,
+so a declared counter cannot be left out of them.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Set
 
 from repro.check.lint.core import (
     Finding,
@@ -46,88 +42,29 @@ from repro.check.lint.core import (
     register,
 )
 
-#: Where the stats dataclass lives and which class to introspect.
+#: Where the counter schema lives and which class declares it.
 COLLECTOR_REL = "stats/collector.py"
 COLLECTOR_CLASS = "MemSystemStats"
 
-#: The run-report export surface (modules whose reads count as reported).
-REPORT_SURFACE = ("analysis/", "stats/metrics.py")
-
-#: The telemetry export surface.
-REGISTRY_REL = "telemetry/registry.py"
-REGISTRY_FUNC = "registry_from_stats"
+#: Package whose modules declare the device fold sources.
+FOLD_PREFIX = "controller/"
 
 #: Method calls that count as feeding a container-typed field.
 _FEEDING_METHODS = {"append", "setdefault", "add", "update", "__setitem__"}
 
 
 class CounterSpec(NamedTuple):
-    """One counter dataclass and the surfaces that must consume it."""
+    """One counter class and the module declaring it."""
 
     collector_rel: str
     collector_class: str
-    #: Report-path entries: a trailing ``/`` matches a directory prefix,
-    #: anything else must match the module path exactly.
-    report_surface: Tuple[str, ...]
-    report_label: str
-    registry_rel: str
-    #: Function whose body counts as registration; None = whole module.
-    registry_func: Optional[str]
-    registry_label: str
 
 
 _SPECS = (
-    CounterSpec(
-        collector_rel=COLLECTOR_REL,
-        collector_class=COLLECTOR_CLASS,
-        report_surface=REPORT_SURFACE,
-        report_label="the report path (analysis/ or stats/metrics.py)",
-        registry_rel=REGISTRY_REL,
-        registry_func=REGISTRY_FUNC,
-        registry_label=f"{REGISTRY_FUNC} (telemetry/registry.py)",
-    ),
-    CounterSpec(
-        collector_rel="timeline/records.py",
-        collector_class="WindowRecord",
-        report_surface=("timeline/report.py", "timeline/diff.py", "analysis/"),
-        report_label="the timeline report path (timeline/report.py,"
-                     " timeline/diff.py or analysis/)",
-        registry_rel="timeline/export.py",
-        registry_func=None,
-        registry_label="the timeline export columns (timeline/export.py)",
-    ),
-    # Per-bank counters surface through the channel controllers'
-    # collect_device_counters fold (a method, so registry_func must stay
-    # None: the registry scan only sees module-level functions).  New bank
-    # counters — the tFAW stall pair, future refresh accounting — cannot
-    # silently skip that fold.
-    CounterSpec(
-        collector_rel="dram/bank.py",
-        collector_class="BankStats",
-        report_surface=("controller/channel_controller.py", "channel/"),
-        report_label="the device-counter fold "
-                     "(controller/channel_controller.py or channel/)",
-        registry_rel="controller/channel_controller.py",
-        registry_func=None,
-        registry_label="the device-counter fold "
-                       "(controller/channel_controller.py)",
-    ),
-    # Prefetch tag-store counters (lookups/hits/inserts/evictions/
-    # invalidations) surface through the FB-DIMM controller's
-    # collect_device_counters fold into the pf_table_* stats fields;
-    # TableStats.evictions once went dark for whole PRs because nothing
-    # reconciled it — this spec makes that structurally impossible.
-    CounterSpec(
-        collector_rel="controller/prefetch_table.py",
-        collector_class="TableStats",
-        report_surface=("controller/channel_controller.py",),
-        report_label="the tag-store counter fold "
-                     "(controller/channel_controller.py)",
-        registry_rel="controller/channel_controller.py",
-        registry_func=None,
-        registry_label="the tag-store counter fold "
-                       "(controller/channel_controller.py)",
-    ),
+    CounterSpec(COLLECTOR_REL, COLLECTOR_CLASS),
+    CounterSpec("timeline/records.py", "WindowRecord"),
+    CounterSpec("dram/bank.py", "BankStats"),
+    CounterSpec("controller/prefetch_table.py", "TableStats"),
 )
 
 
@@ -138,35 +75,54 @@ def _find_class(tree: ast.Module, name: str) -> Optional[ast.ClassDef]:
     return None
 
 
+def _is_classvar(annotation: ast.expr) -> bool:
+    if isinstance(annotation, ast.Subscript):
+        annotation = annotation.value
+    return (isinstance(annotation, ast.Name) and annotation.id == "ClassVar") or (
+        isinstance(annotation, ast.Attribute) and annotation.attr == "ClassVar"
+    )
+
+
 def _stat_fields(cls: ast.ClassDef) -> Dict[str, int]:
-    """Dataclass field name -> declaration line."""
+    """Dataclass field name -> declaration line (class variables excluded)."""
     fields: Dict[str, int] = {}
     for node in cls.body:
-        if isinstance(node, ast.AnnAssign) and isinstance(node.target,
-                                                          ast.Name):
+        if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name) \
+                and not _is_classvar(node.annotation):
             fields[node.target.id] = node.lineno
     return fields
 
 
-def _property_aliases(cls: ast.ClassDef,
-                      fields: Dict[str, int]) -> Dict[str, Set[str]]:
-    """field -> {property names whose body reads it} (export credit)."""
-    aliases: Dict[str, Set[str]] = {name: set() for name in fields}
+def _declared_keywords(cls: ast.ClassDef) -> Dict[str, Dict[str, str]]:
+    """Field -> string-constant keyword arguments of its declaring call
+    (``scope``/``window`` of a ``counter(...)`` declaration)."""
+    declared: Dict[str, Dict[str, str]] = {}
     for node in cls.body:
-        if not isinstance(node, ast.FunctionDef):
+        if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name) \
+                and isinstance(node.value, ast.Call):
+            declared[node.target.id] = {
+                kw.arg: kw.value.value for kw in node.value.keywords
+                if kw.arg is not None and isinstance(kw.value, ast.Constant)
+                and isinstance(kw.value.value, str)
+            }
+    return declared
+
+
+def _fold_keys(tree: ast.Module) -> Set[str]:
+    """String keys of dict literals and of subscript stores in a module."""
+    keys: Set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Dict):
+            candidates: List[Optional[ast.expr]] = list(node.keys)
+        elif isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Store):
+            candidates = [node.slice]
+        else:
             continue
-        is_property = any(
-            (isinstance(dec, ast.Name) and dec.id == "property")
-            or (isinstance(dec, ast.Attribute) and dec.attr in
-                ("property", "cached_property"))
-            for dec in node.decorator_list
+        keys.update(
+            key.value for key in candidates
+            if isinstance(key, ast.Constant) and isinstance(key.value, str)
         )
-        if not is_property:
-            continue
-        for child in ast.walk(node):
-            if isinstance(child, ast.Attribute) and child.attr in fields:
-                aliases[child.attr].add(node.name)
-    return aliases
+    return keys
 
 
 def _is_reset_value(value: ast.AST) -> bool:
@@ -239,59 +195,53 @@ def _ctor_feeds(tree: ast.Module, class_name: str,
     return fed
 
 
-def _attribute_reads(node: ast.AST, names: Set[str]) -> Set[str]:
-    """Which of ``names`` are read as attributes anywhere under ``node``."""
-    seen: Set[str] = set()
-    for child in ast.walk(node):
-        if isinstance(child, ast.Attribute) and child.attr in names:
-            seen.add(child.attr)
-    return seen
-
-
-def _string_mentions(node: ast.AST, names: Set[str]) -> Set[str]:
-    """Which of ``names`` appear as exact string constants under ``node``.
-
-    The timeline exporter registers columns through explicit name tuples
-    (``WINDOW_FIELDS``); a field name present there counts as exported.
-    """
-    seen: Set[str] = set()
-    for child in ast.walk(node):
-        if isinstance(child, ast.Constant) and isinstance(child.value, str) \
-                and child.value in names:
-            seen.add(child.value)
-    return seen
+def _declared_feeds(ctxs: Sequence[ModuleContext]) -> Dict[str, Set[str]]:
+    """Class name -> fields fed through a declaration, not a write site."""
+    collector = next((ctx for ctx in ctxs if ctx.rel == COLLECTOR_REL), None)
+    if collector is None or collector.tree is None:
+        return {}
+    cls = _find_class(collector.tree, COLLECTOR_CLASS)
+    if cls is None:
+        return {}
+    declared = _declared_keywords(cls)
+    folded: Set[str] = set()
+    for ctx in ctxs:
+        if ctx.tree is not None and ctx.rel.startswith(FOLD_PREFIX):
+            folded |= _fold_keys(ctx.tree)
+    return {
+        COLLECTOR_CLASS: {
+            name for name, kw in declared.items()
+            if kw.get("scope") == "device" and name in folded
+        },
+        "WindowRecord": {kw["window"] for kw in declared.values() if "window" in kw},
+    }
 
 
 @register
 class CounterDriftRule(ProjectRule):
-    """Umbrella project rule emitting the three ``stat-*`` findings.
-
-    One registry entry per finding id keeps suppression and selection
-    per-id; this class is registered three times through the subclasses
-    below, each filtering the shared analysis to its own id.  Each rule
-    runs once per :data:`CounterSpec`, so MemSystemStats and the
-    timeline's WindowRecord are reconciled by the same machinery.
-    """
+    """``stat-no-increment``, run once per :data:`CounterSpec`."""
 
     id = "stat-no-increment"
     severity = "error"
     description = (
-        "a counter dataclass field (MemSystemStats, WindowRecord) with no "
-        "non-reset write site anywhere in the project (the counter "
-        "silently reads zero forever)"
+        "a counter field (MemSystemStats, WindowRecord, BankStats, "
+        "TableStats) with no non-reset write site and no declared feed "
+        "anywhere in the project (the counter silently reads zero forever)"
     )
-    _emit = "stat-no-increment"
 
     def check_project(
         self, ctxs: Sequence[ModuleContext]
     ) -> Iterable[Finding]:
+        declared = _declared_feeds(ctxs)
         findings: List[Finding] = []
         for spec in _SPECS:
-            findings.extend(self._check_spec(spec, ctxs))
+            findings.extend(self._check_spec(
+                spec, ctxs, declared.get(spec.collector_class, set())
+            ))
         return findings
 
     def _check_spec(
-        self, spec: CounterSpec, ctxs: Sequence[ModuleContext]
+        self, spec: CounterSpec, ctxs: Sequence[ModuleContext], fed: Set[str]
     ) -> Iterable[Finding]:
         collector = next(
             (ctx for ctx in ctxs if ctx.rel == spec.collector_rel), None
@@ -302,90 +252,16 @@ class CounterDriftRule(ProjectRule):
         if cls is None:
             return ()
         fields = _stat_fields(cls)
-        aliases = _property_aliases(cls, fields)
-
-        findings: List[Finding] = []
-        if self._emit == "stat-no-increment":
-            fed: Set[str] = set()
-            for ctx in ctxs:
-                if ctx.tree is not None and not ctx.is_test_code:
-                    fed |= _attribute_stores(ctx.tree, fields)
-                    fed |= _ctor_feeds(ctx.tree, spec.collector_class, fields)
-            for name, line in sorted(fields.items()):
-                if name not in fed:
-                    findings.append(self.finding(
-                        collector, line,
-                        f"{spec.collector_class}.{name} has no increment/"
-                        "write site: the counter can only ever read its "
-                        "default",
-                    ))
-            return findings
-
-        if self._emit == "stat-unreported":
-            surface = [
-                ctx for ctx in ctxs
-                if ctx.tree is not None and any(
-                    ctx.rel.startswith(entry) if entry.endswith("/")
-                    else ctx.rel == entry
-                    for entry in spec.report_surface
-                )
-            ]
-            label = spec.report_label
-        else:
-            surface = [
-                ctx for ctx in ctxs
-                if ctx.tree is not None and ctx.rel == spec.registry_rel
-            ]
-            label = spec.registry_label
-        if not surface:
-            return ()
-
-        read: Set[str] = set()
-        searchable = set(fields)
-        for names in aliases.values():
-            searchable |= names
-        for ctx in surface:
-            assert ctx.tree is not None
-            scope: ast.AST = ctx.tree
-            if self._emit == "stat-unregistered" \
-                    and spec.registry_func is not None:
-                for node in ctx.tree.body:
-                    if isinstance(node, ast.FunctionDef) \
-                            and node.name == spec.registry_func:
-                        scope = node
-                        break
-            read |= _attribute_reads(scope, searchable)
-            if self._emit == "stat-unregistered":
-                read |= _string_mentions(scope, searchable)
-        for name, line in sorted(fields.items()):
-            credited = {name} | aliases[name]
-            if not credited & read:
-                findings.append(self.finding(
-                    collector, line,
-                    f"{spec.collector_class}.{name} is never exported "
-                    f"through {label}: telemetry and paper figures can "
-                    "drift",
-                ))
-        return findings
-
-
-@register
-class StatUnreportedRule(CounterDriftRule):
-    id = "stat-unreported"
-    description = (
-        "a counter dataclass field (or a property derived from it) never "
-        "read by its report path (analysis/ modules, stats/metrics.py, or "
-        "the timeline report)"
-    )
-    _emit = "stat-unreported"
-
-
-@register
-class StatUnregisteredRule(CounterDriftRule):
-    id = "stat-unregistered"
-    description = (
-        "a counter dataclass field (or a property derived from it) never "
-        "exported through its registration surface (registry_from_stats "
-        "or the timeline export columns)"
-    )
-    _emit = "stat-unregistered"
+        fed = set(fed)
+        for ctx in ctxs:
+            if ctx.tree is not None and not ctx.is_test_code:
+                fed |= _attribute_stores(ctx.tree, fields)
+                fed |= _ctor_feeds(ctx.tree, spec.collector_class, fields)
+        return [
+            self.finding(
+                collector, line,
+                f"{spec.collector_class}.{name} has no increment/write site: "
+                "the counter can only ever read its default",
+            )
+            for name, line in sorted(fields.items()) if name not in fed
+        ]

@@ -33,10 +33,9 @@ def _one(name: str, rel: str, source: str,
 def _counter_project(
     collector_extra: str = "",
     writer: str = "    s.reads += 1\n",
-    report_reads: str = "mem.reads",
-    registry_reads: str = "stats.reads",
+    fold: str = "",
 ) -> Tuple[Tuple[str, str], ...]:
-    """A minimal stats project: collector + writer + both export surfaces."""
+    """A minimal stats project: counter schema + writer/device fold."""
     collector = (
         "from dataclasses import dataclass\n"
         "\n"
@@ -48,13 +47,7 @@ def _counter_project(
     return (
         ("stats/collector.py", collector),
         ("controller/mod.py",
-         "def account(s: object) -> None:\n" + writer),
-        ("analysis/report.py",
-         "def run_report(mem: object) -> str:\n"
-         f"    return str({report_reads})\n"),
-        ("telemetry/registry.py",
-         "def registry_from_stats(stats: object) -> object:\n"
-         f"    return ({registry_reads},)\n"),
+         fold + "def account(s: object) -> None:\n" + writer),
     )
 
 
@@ -232,46 +225,59 @@ def cases() -> List[LintSelfTestCase]:
     ))
     out.append(LintSelfTestCase(
         "bad-counter-no-increment",
+        _counter_project(collector_extra="    lost_events: int = 0\n"),
+        ("stat-no-increment",),
+    ))
+    out.append(LintSelfTestCase(
+        "bad-counter-device-orphan",
         _counter_project(
-            collector_extra="    lost_events: int = 0\n",
-            report_reads="mem.reads) + str(mem.lost_events",
-            registry_reads="stats.reads, stats.lost_events",
+            collector_extra='    acts: int = counter("ACTs", scope="device")\n',
         ),
         ("stat-no-increment",),
     ))
     out.append(LintSelfTestCase(
-        "bad-counter-unreported",
+        "good-counter-device-fold-source",
         _counter_project(
-            collector_extra="    ghost: int = 0\n",
-            writer="    s.reads += 1\n    s.ghost += 1\n",
-            registry_reads="stats.reads, stats.ghost",
-        ),
-        ("stat-unreported",),
-    ))
-    out.append(LintSelfTestCase(
-        "bad-counter-unregistered",
-        _counter_project(
-            collector_extra="    ghost: int = 0\n",
-            writer="    s.reads += 1\n    s.ghost += 1\n",
-            report_reads="mem.reads) + str(mem.ghost",
-        ),
-        ("stat-unregistered",),
-    ))
-    out.append(LintSelfTestCase(
-        "good-counter-property-alias",
-        _counter_project(
-            collector_extra=(
-                "    first_ps: int = -1\n"
-                "\n"
-                "    @property\n"
-                "    def window_ps(self) -> int:\n"
-                "        return self.first_ps\n"
-            ),
-            writer="    s.reads += 1\n    s.first_ps = 7\n",
-            report_reads="mem.reads) + str(mem.window_ps",
-            registry_reads="stats.reads, stats.window_ps",
+            collector_extra='    acts: int = counter("ACTs", scope="device")\n',
+            fold='FOLD = {"acts": "activates"}\n',
         ),
         (),
+    ))
+    out.append(LintSelfTestCase(
+        "good-counter-device-keyed-store",
+        _counter_project(
+            collector_extra='    acts: int = counter("ACTs", scope="device")\n',
+            writer='    s.reads += 1\n    totals = {}\n    totals["acts"] = 1\n',
+        ),
+        (),
+    ))
+    out.append(LintSelfTestCase(
+        "bad-counter-completion-not-fed-by-fold",
+        _counter_project(
+            collector_extra='    ghost: int = counter("x", scope="completion")\n',
+            fold='FOLD = {"ghost": "activates"}\n',
+        ),
+        ("stat-no-increment",),
+    ))
+    window_record = (
+        "timeline/records.py",
+        "from dataclasses import dataclass\n"
+        "\n"
+        "@dataclass(frozen=True)\n"
+        "class WindowRecord:\n"
+        "    delta_reads: int = 0\n"
+        "    bogus: int = 0\n",
+    )
+    out.append(LintSelfTestCase(
+        "bad-window-field-undeclared",
+        _counter_project(
+            collector_extra=(
+                '    hits: int = counter("h", scope="completion",'
+                ' window="delta_reads")\n'
+            ),
+            writer="    s.reads += 1\n    s.hits += 1\n",
+        ) + (window_record,),
+        ("stat-no-increment",),
     ))
 
     # -- untyped-def -----------------------------------------------------

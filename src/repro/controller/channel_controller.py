@@ -22,8 +22,8 @@ from __future__ import annotations
 import dataclasses
 from collections import deque
 from functools import partial
-from operator import itemgetter
-from typing import TYPE_CHECKING, Deque, Iterable, Optional, Sequence, Union
+from operator import attrgetter, itemgetter
+from typing import TYPE_CHECKING, Deque, Dict, Iterable, Optional, Sequence, Union
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.dram.bank import Bank
@@ -42,6 +42,38 @@ from repro.dram.resources import BusResource, TaggedBusResource
 from repro.dram.timing import TimingPs
 from repro.engine.simulator import Simulator
 from repro.stats.collector import MemSystemStats
+
+#: Device-scope MemSystemStats counters each channel sums over its banks,
+#: with the BankStats slot each one reads.  ``column_accesses`` is
+#: ``column_reads + column_writes``; close-page precharges mirror
+#: activates one-for-one, so no counter reads them.
+BANK_FOLD = {
+    "activates": "activates",
+    "column_reads": "reads",
+    "column_writes": "writes",
+    "refreshes": "refreshes",
+    "row_hits": "row_hits",
+    "row_misses": "row_misses",
+    "faw_stalls": "faw_stalls",
+    "faw_stall_ps": "faw_stall_ps",
+}
+#: Device-scope counters summed over a channel's prefetch tag stores, with
+#: the TableStats field each one reads.
+TABLE_FOLD = {
+    "pf_table_lookups": "lookups",
+    "pf_table_hits": "hits",
+    "pf_table_inserts": "inserts",
+    "pf_table_evictions": "evictions",
+    "pf_table_invalidations": "invalidations",
+}
+
+
+def _fold(fold: Dict[str, str], records: Iterable[object]) -> Dict[str, int]:
+    """Sum each fold source over ``records`` into its counter's name."""
+    columns = zip(*map(attrgetter(*fold.values()), records))  # one per source
+    totals = dict.fromkeys(fold, 0)
+    totals.update(zip(fold, map(sum, columns)))
+    return totals
 
 
 class ChannelControllerBase:
@@ -285,10 +317,30 @@ class ChannelControllerBase:
     def _issue(self, req: MemoryRequest) -> None:
         raise NotImplementedError
 
-    def collect_device_counters(self) -> "dict":
-        """Side-effect-free snapshot of device activity (see controller
-        finalize/warmup)."""
+    def busy_ps(self) -> Dict[str, int]:
+        """Occupancy of the channel's buses/links, by resource name."""
         raise NotImplementedError
+
+    def _prefetched_lines(self) -> int:
+        """Lines written into this channel's prefetch buffers."""
+        return 0
+
+    def _tag_stores(self) -> "Sequence[PrefetchTable]":
+        """Tag stores whose counters fold into the pf_table_* counters."""
+        return ()
+
+    # -- device counters ---------------------------------------------------
+
+    def collect_device_counters(self) -> Dict[str, int]:
+        """Side-effect-free snapshot of the channel's device-scope counters
+        (see controller finalize/warmup)."""
+        counters = _fold(BANK_FOLD, (
+            bank.stats for dimm in self._dimms for bank in dimm.banks
+        ))
+        counters["column_accesses"] = counters["column_reads"] + counters["column_writes"]
+        counters["prefetched_lines"] = self._prefetched_lines()
+        counters.update(_fold(TABLE_FOLD, (t.stats for t in self._tag_stores())))
+        return counters
 
 
 class Ddr2ChannelController(ChannelControllerBase):
@@ -349,28 +401,8 @@ class Ddr2ChannelController(ChannelControllerBase):
         events.sort(key=itemgetter(0))
         return events
 
-    def collect_device_counters(self) -> "dict":
-        """Snapshot of DRAM-operation counts and bus occupancy."""
-        counters = {
-            "activates": 0, "column_accesses": 0, "prefetched_lines": 0,
-            "column_reads": 0, "column_writes": 0, "refreshes": 0,
-            "row_hits": 0, "row_misses": 0,
-            "faw_stalls": 0, "faw_stall_ps": 0,
-            "busy": {self.data_bus.name: self.data_bus.busy_ps},
-        }
-        for dimm in self.dimms:
-            acts, cols = dimm.bank_operation_counts()
-            counters["activates"] += acts
-            counters["column_accesses"] += cols
-            for bank in dimm.banks:
-                counters["column_reads"] += bank.stats.reads
-                counters["column_writes"] += bank.stats.writes
-                counters["refreshes"] += bank.stats.refreshes
-                counters["row_hits"] += bank.stats.row_hits
-                counters["row_misses"] += bank.stats.row_misses
-                counters["faw_stalls"] += bank.stats.faw_stalls
-                counters["faw_stall_ps"] += bank.stats.faw_stall_ps
-        return counters
+    def busy_ps(self) -> Dict[str, int]:
+        return {self.data_bus.name: self.data_bus.busy_ps}
 
 
 class FbdimmChannelController(ChannelControllerBase):
@@ -697,45 +729,19 @@ class FbdimmChannelController(ChannelControllerBase):
         events.sort(key=itemgetter(0))
         return events
 
-    def collect_device_counters(self) -> "dict":
-        """Snapshot of DRAM activity, AMB cache fills and link occupancy."""
-        counters = {
-            "activates": 0, "column_accesses": 0,
-            "prefetched_lines": self.mc_prefetched_lines,
-            "column_reads": 0, "column_writes": 0, "refreshes": 0,
-            "row_hits": 0, "row_misses": 0,
-            "faw_stalls": 0, "faw_stall_ps": 0,
-            "pf_table_lookups": 0, "pf_table_hits": 0, "pf_table_inserts": 0,
-            "pf_table_evictions": 0, "pf_table_invalidations": 0,
-            "busy": {
-                self.links.north.name: self.links.north.busy_ps,
-                self.links.south.name: self.links.south.busy_ps,
-            },
-        }
-        for amb in self.ambs:
-            acts, cols = amb.bank_operation_counts()
-            counters["activates"] += acts
-            counters["column_accesses"] += cols
-            counters["prefetched_lines"] += amb.prefetched_lines
-            for bank in amb.banks:
-                counters["column_reads"] += bank.stats.reads
-                counters["column_writes"] += bank.stats.writes
-                counters["refreshes"] += bank.stats.refreshes
-                counters["row_hits"] += bank.stats.row_hits
-                counters["row_misses"] += bank.stats.row_misses
-                counters["faw_stalls"] += bank.stats.faw_stalls
-                counters["faw_stall_ps"] += bank.stats.faw_stall_ps
-        if self.lifecycle is not None:
+    def busy_ps(self) -> Dict[str, int]:
+        north, south = self.links.north, self.links.south
+        return {north.name: north.busy_ps, south.name: south.busy_ps}
+
+    def _prefetched_lines(self) -> int:
+        return self.mc_prefetched_lines + sum(amb.prefetched_lines for amb in self.ambs)
+
+    def _tag_stores(self) -> "Sequence[PrefetchTable]":
+        if self.lifecycle is None:
             # Tag-store counters fold only under lifecycle observability,
             # keeping default-run stats (and their digests) untouched.
-            tables = [amb.table for amb in self.ambs if amb.table is not None]
-            if self.mc_table is not None:
-                tables.append(self.mc_table)
-            for table in tables:
-                table_stats = table.stats
-                counters["pf_table_lookups"] += table_stats.lookups
-                counters["pf_table_hits"] += table_stats.hits
-                counters["pf_table_inserts"] += table_stats.inserts
-                counters["pf_table_evictions"] += table_stats.evictions
-                counters["pf_table_invalidations"] += table_stats.invalidations
-        return counters
+            return ()
+        tables = [amb.table for amb in self.ambs if amb.table is not None]
+        if self.mc_table is not None:
+            tables.append(self.mc_table)
+        return tables

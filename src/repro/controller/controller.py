@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections import deque
 from functools import partial
 from operator import itemgetter
-from typing import TYPE_CHECKING, Deque, List, Optional
+from typing import TYPE_CHECKING, Deque, Dict, List, Optional, Tuple
 
 from repro.config import FaultConfig, MemoryConfig, MemoryKind
 from repro.controller.channel_controller import (
@@ -24,23 +24,12 @@ from repro.controller.mapping import AddressMapper
 from repro.controller.transaction import MemoryRequest
 from repro.dram.timing import TimingPs
 from repro.engine.simulator import Simulator, gc_paused, ns
-from repro.stats.collector import MemSystemStats
+from repro.stats.collector import DEVICE_COUNTERS, MemSystemStats
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.prefetch.lifecycle import PrefetchLifecycle
     from repro.telemetry.spans import Tracer
     from repro.timeline.collector import TimelineCollector
-
-#: Device/residency counter keys summed across channels and baseline-
-#: subtracted at a measurement reset (see mark_measurement_start).
-_DEVICE_COUNTER_KEYS = (
-    "activates", "column_accesses", "prefetched_lines",
-    "column_reads", "column_writes", "refreshes",
-    "row_hits", "row_misses", "faw_stalls", "faw_stall_ps",
-    "idle_ps", "powerdown_ps", "idle_gaps",
-    "pf_table_lookups", "pf_table_hits", "pf_table_inserts",
-    "pf_table_evictions", "pf_table_invalidations",
-)
 
 
 class MemoryController:
@@ -94,6 +83,8 @@ class MemoryController:
         self._idle_ps = 0
         self._powerdown_ps = 0
         self._idle_gaps = 0
+        #: Device-scope totals and bus occupancy at the measurement start.
+        self._baseline: Optional[Tuple[Dict[str, int], Dict[str, int]]] = None
         for channel in self.channels:
             channel.tracer = tracer
         #: Per-prefetch lifecycle tracker (repro.prefetch), armed by the
@@ -203,28 +194,28 @@ class MemoryController:
 
     # ------------------------------------------------------------------
 
-    def _summed_device_counters(self) -> dict:
-        totals: dict = {key: 0 for key in _DEVICE_COUNTER_KEYS}
-        totals["busy"] = {}
+    def device_counters(self) -> Dict[str, int]:
+        """Live device-scope counter totals (timeline snapshots).
+
+        Unlike :meth:`finalize` this performs no baseline subtraction:
+        the timeline collector differences successive snapshots itself,
+        so absolute values are what it needs.
+        """
+        totals = dict.fromkeys(DEVICE_COUNTERS, 0)
         for channel in self.channels:
-            counters = channel.collect_device_counters()
-            for key in _DEVICE_COUNTER_KEYS:
-                totals[key] += counters.get(key, 0)
-            totals["busy"].update(counters["busy"])
+            for name, value in channel.collect_device_counters().items():
+                totals[name] += value
         # Residency lives on the controller, not in the channels.
         totals["idle_ps"] += self._idle_ps
         totals["powerdown_ps"] += self._powerdown_ps
         totals["idle_gaps"] += self._idle_gaps
         return totals
 
-    def device_counters(self) -> dict:
-        """Live device/residency counter totals (timeline snapshots).
-
-        Unlike :meth:`finalize` this performs no baseline subtraction:
-        the timeline collector differences successive snapshots itself,
-        so absolute values are what it needs.
-        """
-        return self._summed_device_counters()
+    def _busy_ps(self) -> Dict[str, int]:
+        busy: Dict[str, int] = {}
+        for channel in self.channels:
+            busy.update(channel.busy_ps())
+        return busy
 
     def collect_check_events(self) -> "list":
         """All journalled protocol-checker events, time-sorted.
@@ -273,7 +264,7 @@ class MemoryController:
         if self._idle_since is not None:
             self._close_idle_gap(self.sim.now)
             self._idle_since = self.sim.now
-        self._baseline = self._summed_device_counters()
+        self._baseline = (self.device_counters(), self._busy_ps())
         self.stats.reset_measurement()
         if self.lifecycle is not None:
             # After the stats reset: re-seeds pf_issued with the in-flight
@@ -292,32 +283,13 @@ class MemoryController:
         if self.lifecycle is not None:
             # Close the taxonomy: still-open instances -> resident_at_end.
             self.lifecycle.finalize()
-        totals = self._summed_device_counters()
-        baseline = getattr(self, "_baseline", None)
-        if baseline is not None:
-            for key in _DEVICE_COUNTER_KEYS:
-                totals[key] -= baseline[key]
-            totals["busy"] = {
-                name: busy - baseline["busy"].get(name, 0)
-                for name, busy in totals["busy"].items()
-            }
-        self.stats.activates += totals["activates"]
-        self.stats.column_accesses += totals["column_accesses"]
-        self.stats.prefetched_lines += totals["prefetched_lines"]
-        self.stats.column_reads += totals["column_reads"]
-        self.stats.column_writes += totals["column_writes"]
-        self.stats.refreshes += totals["refreshes"]
-        self.stats.row_hits += totals["row_hits"]
-        self.stats.row_misses += totals["row_misses"]
-        self.stats.faw_stalls += totals["faw_stalls"]
-        self.stats.faw_stall_ps += totals["faw_stall_ps"]
-        self.stats.idle_ps += totals["idle_ps"]
-        self.stats.powerdown_ps += totals["powerdown_ps"]
-        self.stats.idle_gaps += totals["idle_gaps"]
-        self.stats.pf_table_lookups += totals["pf_table_lookups"]
-        self.stats.pf_table_hits += totals["pf_table_hits"]
-        self.stats.pf_table_inserts += totals["pf_table_inserts"]
-        self.stats.pf_table_evictions += totals["pf_table_evictions"]
-        self.stats.pf_table_invalidations += totals["pf_table_invalidations"]
-        self.stats.per_channel_busy_ps.update(totals["busy"])
+        totals, busy = self.device_counters(), self._busy_ps()
+        if self._baseline is not None:
+            base, base_busy = self._baseline
+            for name in DEVICE_COUNTERS:
+                totals[name] -= base[name]
+            busy = {name: ps - base_busy.get(name, 0) for name, ps in busy.items()}
+        for name in DEVICE_COUNTERS:
+            setattr(self.stats, name, getattr(self.stats, name) + totals[name])
+        self.stats.per_channel_busy_ps.update(busy)
         return self.stats

@@ -37,11 +37,10 @@ from repro.dram.timing import TimingPs
 class BankStats:
     """DRAM operation counters, the input to the power model (Section 5.5).
 
-    The bare class-level annotations are load-bearing: the counter-drift
-    lint (``repro.check.lint.rules.counterdrift``) reconciles every
-    annotated field against its increment sites and the channel
-    controllers' ``collect_device_counters`` export surface, so a new
-    counter cannot silently go unreported.
+    The bare class-level annotations are what the ``stat-no-increment``
+    lint checks; the channel controllers fold the counters into
+    ``MemSystemStats`` through ``BANK_FOLD``
+    (``repro.controller.channel_controller``).
     """
 
     __slots__ = (
@@ -51,9 +50,9 @@ class BankStats:
     )
 
     activates: int
-    #: Close-page auto-precharges mirror ``activates`` one-for-one, so the
-    #: export surfaces report activates only.
-    precharges: int  # repro: ignore[stat-unreported, stat-unregistered]
+    #: Close-page auto-precharges mirror ``activates`` one-for-one, so no
+    #: stats counter folds them.
+    precharges: int
     reads: int
     writes: int
     row_hits: int

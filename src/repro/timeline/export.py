@@ -15,6 +15,7 @@ spreadsheet / pandas consumption.
 from __future__ import annotations
 
 import json
+from dataclasses import fields
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple, Union
 
@@ -24,23 +25,8 @@ from repro.timeline.records import TimelineResult, WindowRecord
 FORMAT_NAME = "repro-timeline"
 FORMAT_VERSION = 1
 
-#: Serialised WindowRecord columns, in CSV column order.  Kept explicit —
-#: the counter-drift lint reconciles this tuple against the dataclass, so
-#: adding a field to WindowRecord without exporting it fails the lint.
-WINDOW_FIELDS = (
-    "index", "start_ps", "end_ps",
-    "demand_reads", "sw_prefetch_reads", "writes", "amb_hits",
-    "bytes_read", "bytes_written",
-    "demand_latency_sum_ps", "queue_delay_sum_ps", "fault_retries",
-    "latency_p50_ps", "latency_p95_ps", "latency_p99_ps", "latency_max_ps",
-    "activates", "column_reads", "column_writes", "refreshes",
-    "row_hits", "row_misses", "prefetched_lines",
-    "idle_ps", "powerdown_ps", "queue_depth",
-    "energy_act_nj", "energy_rd_nj", "energy_wr_nj",
-    "energy_refresh_nj", "energy_background_nj",
-    "pf_issued", "pf_used", "pf_evicted_unused", "pf_late_unused",
-    "pf_invalidated",
-)
+#: Serialised WindowRecord columns, in CSV column order.
+WINDOW_FIELDS = tuple(f.name for f in fields(WindowRecord))
 
 #: Derived per-window rates appended to the CSV after the raw columns.
 DERIVED_FIELDS = (
@@ -73,31 +59,69 @@ def write_timeline_jsonl(
             fh.write(canonical_dumps(record) + "\n")
 
 
+def _parse_json(line: str) -> object:
+    try:
+        return json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"not valid JSON ({exc.msg})") from exc
+
+
+#: WindowRecord field -> the JSON value types it accepts (an integral
+#: energy like ``0`` is a valid float; a bool is never a count).
+_WINDOW_VALUE_TYPES: Dict[str, Tuple[type, ...]] = {
+    f.name: (int, float) if f.type == "float" else (int,)
+    for f in fields(WindowRecord)
+}
+
+
+def _window_record(raw: object) -> WindowRecord:
+    """Validate one decoded window line and build its record."""
+    if not isinstance(raw, dict):
+        raise ValueError(f"record must be a JSON object, got {raw!r}")
+    values = dict(raw)
+    kind = values.pop("type", None)
+    if kind != "window":
+        raise ValueError(f"unknown record type {kind!r}")
+    unknown = sorted(set(values) - set(_WINDOW_VALUE_TYPES))
+    if unknown:
+        raise ValueError(f"unknown field(s) {', '.join(unknown)}")
+    for name, value in values.items():
+        accepted = _WINDOW_VALUE_TYPES[name]
+        if type(value) not in accepted:
+            expected = "a number" if float in accepted else "an integer"
+            raise ValueError(f"{name} must be {expected}, got {value!r}")
+    return decode_value(values, WindowRecord)
+
+
 def read_timeline_jsonl(
     path: Union[str, Path],
 ) -> Tuple[TimelineResult, Dict[str, object]]:
-    """Inverse of :func:`write_timeline_jsonl`; returns (timeline, header)."""
+    """Inverse of :func:`write_timeline_jsonl`; returns (timeline, header).
+
+    Raises OSError when the file cannot be read, and ValueError prefixed
+    ``path:line:`` for a malformed header or window record.
+    """
     with open(path, encoding="utf-8") as fh:
         lines = [line for line in fh.read().splitlines() if line.strip()]
     if not lines:
         raise ValueError(f"{path}: empty timeline file")
-    header = json.loads(lines[0])
-    if header.get("format") != FORMAT_NAME:
-        raise ValueError(
-            f"{path}: not a {FORMAT_NAME} file (format={header.get('format')!r})"
-        )
+    try:
+        header = _parse_json(lines[0])
+    except ValueError as exc:
+        raise ValueError(f"{path}:1: {exc}") from exc
+    if not isinstance(header, dict) or header.get("format") != FORMAT_NAME:
+        found = header.get("format") if isinstance(header, dict) else header
+        raise ValueError(f"{path}: not a {FORMAT_NAME} file (format={found!r})")
     if header.get("version") != FORMAT_VERSION:
         raise ValueError(
             f"{path}: unsupported version {header.get('version')!r}"
         )
     windows: List[WindowRecord] = []
     for lineno, line in enumerate(lines[1:], start=2):
-        raw = json.loads(line)
-        if raw.get("type") != "window":
-            raise ValueError(f"{path}:{lineno}: unknown record type "
-                             f"{raw.get('type')!r}")
-        raw.pop("type")
-        windows.append(decode_value(raw, WindowRecord))
+        try:
+            windows.append(_window_record(_parse_json(line)))
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: {exc}") from exc
     timeline = TimelineResult(
         window_ps=int(header.get("window_ps", 0)),
         windows=windows,

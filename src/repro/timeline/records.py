@@ -20,6 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List
 
+from repro.stats.collector import COUNTERS
+
 
 @dataclass(frozen=True)
 class WindowRecord:
@@ -69,13 +71,14 @@ class WindowRecord:
     pf_late_unused: int = 0
     pf_invalidated: int = 0
 
-    #: Late-added fields elided from the canonical encoding while at
-    #: their defaults so pre-existing timeline digests, goldens and JSONL
-    #: files keep decoding (and hashing) unchanged.
-    ENCODE_OPTIONAL_FIELDS = frozenset({
-        "pf_issued", "pf_used", "pf_evicted_unused", "pf_late_unused",
-        "pf_invalidated",
-    })
+    #: Windows of counters declared ``elide=True``, elided from the
+    #: canonical encoding while at their defaults so pre-existing timeline
+    #: digests, goldens and JSONL files keep decoding (and hashing)
+    #: unchanged.
+    ENCODE_OPTIONAL_FIELDS = frozenset(
+        f.metadata["window"] for f in COUNTERS
+        if f.metadata["elide"] and f.metadata["window"]
+    )
 
     # -- derived rates (never serialised; recomputed from the counts) ---
     # Structural validity (end > start, contiguous indices) is checked by

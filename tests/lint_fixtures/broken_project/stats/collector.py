@@ -1,4 +1,4 @@
-# Seeded defect: `lost_events` is exported everywhere but never written.
+# Seeded defect: `lost_events` is declared but never written.
 from dataclasses import dataclass
 
 

@@ -41,7 +41,7 @@ EXPECTED_RULE_IDS = {
     # shared state
     "worker-shared-state",
     # counter drift
-    "stat-no-increment", "stat-unreported", "stat-unregistered",
+    "stat-no-increment",
     # strict typing
     "untyped-def",
 }
@@ -74,8 +74,7 @@ class TestRegistry:
 
     def test_project_rules_are_marked(self):
         project = {r.id for r in all_rules() if isinstance(r, ProjectRule)}
-        assert {"worker-shared-state", "stat-no-increment",
-                "stat-unreported", "stat-unregistered"} <= project
+        assert {"worker-shared-state", "stat-no-increment"} <= project
 
 
 class TestSuppression:
@@ -325,8 +324,6 @@ class TestOnDiskFixtures:
         "stats/collector.py": {"stat-no-increment"},
         "experiments/parallel.py": set(),
         "controller/account.py": set(),
-        "analysis/report.py": set(),
-        "telemetry/registry.py": set(),
     }
 
     def test_fixture_tree_matches_expectations(self):

@@ -10,6 +10,7 @@ real runs, JSONL/CSV round-trips, phase detection, diffing, the
 
 import dataclasses
 import json
+from pathlib import Path
 
 import pytest
 
@@ -553,6 +554,34 @@ class TestSerialization:
         with pytest.raises(ValueError, match="unknown record type"):
             read_timeline_jsonl(path)
 
+    @pytest.mark.parametrize("line, reason", [
+        ('{"type": "window", "index": 0, "demand_reads": "7"}',
+         "demand_reads must be an integer, got '7'"),
+        (None, "record must be a JSON object, got [1, 2]"),
+        ('{"type": "window", "index": 0, "bogus": 3}',
+         "unknown field(s) bogus"),
+        ('{"type": "window",', "not valid JSON"),
+    ], ids=["string-counter", "non-object", "unknown-field", "bad-json"])
+    def test_malformed_record_rejected_at_its_line(self, tmp_path, capsys,
+                                                    line, reason):
+        from repro.timeline.cli import main
+
+        if line is None:  # the committed fixture CI feeds the CLI
+            path = Path(__file__).parent / "fixtures" / "timeline_non_object.jsonl"
+        else:
+            path = tmp_path / "bad.jsonl"
+            path.write_text(
+                '{"format": "repro-timeline", "version": 1, "window_ps": 10}\n'
+                + line + "\n"
+            )
+        with pytest.raises(ValueError) as excinfo:
+            read_timeline_jsonl(path)
+        assert str(excinfo.value).startswith(f"{path}:2: {reason}")
+        assert main(["report", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}:2: {reason}")
+        assert "Traceback" not in err
+
     def test_csv_columns_and_rows(self):
         timeline = synthetic_timeline()
         lines = timeline_csv_lines(timeline)
@@ -892,15 +921,6 @@ class TestWindowRecordLintSpec:
             "def make(x: int) -> object:\n"
             "    return WindowRecord(good=x)\n",
         ),
-        (
-            "timeline/report.py",
-            "def show(w: object) -> int:\n"
-            "    return w.good\n",
-        ),
-        (
-            "timeline/export.py",
-            'WINDOW_FIELDS = ("good",)\n',
-        ),
     )
 
     def lint(self):
@@ -908,18 +928,11 @@ class TestWindowRecordLintSpec:
 
         return LintEngine().lint_sources(list(self.FIXTURE))
 
-    def test_orphaned_window_field_fails_all_three_rules(self):
+    def test_orphaned_window_field_fails_no_increment(self):
         findings = self.lint()
-        by_rule = {}
-        for finding in findings:
-            by_rule.setdefault(finding.rule, []).append(finding)
-        for rule in ("stat-no-increment", "stat-unreported",
-                     "stat-unregistered"):
-            assert rule in by_rule, rule
-            assert any(
-                "WindowRecord.bogus_counter" in f.message
-                for f in by_rule[rule]
-            ), rule
+        assert [(f.rule, f.message.split()[0]) for f in findings] == [
+            ("stat-no-increment", "WindowRecord.bogus_counter"),
+        ]
 
     def test_fed_and_exported_field_is_clean(self):
         findings = self.lint()
