@@ -14,7 +14,11 @@ import argparse
 import dataclasses
 
 from repro import AmbPrefetchConfig, fbdimm_amb_prefetch, fbdimm_baseline, run_system
-from repro.power.ddr2_power import MicronPowerCalculator, PowerModel, relative_dynamic_power
+from repro.power import (
+    CommandEnergyModel,
+    MicronPowerCalculator,
+    relative_dynamic_power_from_commands,
+)
 from repro.workloads.multiprog import workload_programs
 
 
@@ -30,7 +34,7 @@ def main() -> None:
     args = parser.parse_args()
 
     calc = MicronPowerCalculator()
-    model = PowerModel(act_pre_weight=round(calc.act_to_column_ratio(), 1))
+    model = CommandEnergyModel(act_pre_units=round(calc.act_to_column_ratio(), 1))
     print(
         f"Micron-style calculator: ACT/PRE pair = {calc.act_pre_energy_nj():.1f} nJ, "
         f"column burst = {calc.column_energy_nj():.1f} nJ "
@@ -49,7 +53,7 @@ def main() -> None:
         for k in (2, 4, 8):
             prefetch = AmbPrefetchConfig(region_cachelines=k)
             result = run(fbdimm_amb_prefetch(cores, prefetch=prefetch), programs, args.insts)
-            power = relative_dynamic_power(result.mem, baseline.mem, model)
+            power = relative_dynamic_power_from_commands(result.mem, baseline.mem, model)
             print(
                 f"  {'K=' + str(k):<8} {sum(result.core_ipcs) / base_ipc:>8.3f} "
                 f"{result.mem.activates:>7} {result.mem.column_accesses:>7} "

@@ -21,7 +21,7 @@ from repro import (
     fbdimm_baseline,
     run_system,
 )
-from repro.power.ddr2_power import relative_dynamic_power
+from repro.power import relative_dynamic_power_from_commands
 from repro.workloads.multiprog import workload_programs
 
 VARIANTS = [
@@ -66,7 +66,7 @@ def main() -> None:
         )
         result = run_system(config, programs)
         speedup = sum(result.core_ipcs) / base_ipc
-        power = relative_dynamic_power(result.mem, baseline.mem)
+        power = relative_dynamic_power_from_commands(result.mem, baseline.mem)
         scored.append((label, speedup, power))
         print(
             f"{label:<18} {speedup:>8.3f} {result.prefetch_coverage:>9.3f} "

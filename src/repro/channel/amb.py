@@ -1,53 +1,19 @@
-"""The Advanced Memory Buffer of one DIMM, with its AMB cache.
+"""The Advanced Memory Buffer of one DIMM: its DDR2 bus and logic banks.
 
-The AMB owns the DIMM's private DDR2 data bus and logic banks.  Under AMB
-prefetching it executes the *group fetch* of Section 3.2: one special
-command from the controller becomes one ACT plus K pipelined column
-accesses; the demanded line is forwarded north immediately (cut-through)
-while the K-1 prefetched lines stream into the AMB cache.
-
-The tag store (:class:`~repro.controller.prefetch_table.PrefetchTable`)
-lives logically at the memory controller; it is instantiated here per-AMB
-because its contents mirror this AMB's data array one-to-one.
+Under AMB prefetching the AMB executes the *group fetch* of Section 3.2:
+one special command from the controller becomes one ACT plus K pipelined
+column accesses (:meth:`Amb.group_read`).  The buffer the prefetched lines
+land in, with its tags at the controller, is
+:class:`~repro.controller.prefetch_buffer.PrefetchBuffer`.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Optional
-
 from repro.config import MemoryConfig
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.faults.retry import ChannelFaults
-    from repro.prefetch.lifecycle import PrefetchLifecycle
-    from repro.prefetch.policy import PrefetchPolicy
 from repro.controller.mapping import MappedAddress
-from repro.controller.prefetch_table import PrefetchTable
 from repro.dram.bank import AccessResult, Bank, RankTimer
 from repro.dram.resources import BusResource
 from repro.dram.timing import TimingPs
-
-
-class GroupFetch:
-    """Outcome of a demand miss under AMB prefetching.
-
-    One is built per prefetch-mode demand miss, hence a plain
-    ``__slots__`` class rather than a dataclass.
-
-    Attributes:
-        demanded_start: Cut-through start of the demanded line's burst.
-        fills: line address -> fill completion time for the prefetched lines.
-        last_fill: When the whole group is resident in the AMB cache.
-    """
-
-    __slots__ = ("demanded_start", "fills", "last_fill")
-
-    def __init__(
-        self, demanded_start: int, fills: Dict[int, int], last_fill: int
-    ) -> None:
-        self.demanded_start = demanded_start
-        self.fills = fills
-        self.last_fill = last_fill
 
 
 class Amb:
@@ -55,8 +21,7 @@ class Amb:
 
     __slots__ = (
         "config", "timing", "dimm_id", "data_bus", "rank_timers", "banks",
-        "table", "pending_fills", "prefetched_lines", "faults",
-        "policy", "lifecycle", "_banks_per_dimm", "_region_lines",
+        "_banks_per_dimm",
     )
 
     def __init__(
@@ -70,7 +35,6 @@ class Amb:
         self.timing = timing
         self.dimm_id = dimm_id
         self._banks_per_dimm = config.banks_per_dimm
-        self._region_lines = config.prefetch.region_cachelines
         self.data_bus = BusResource(f"ch{channel_id}.dimm{dimm_id}.ddr2")
         # All ranks of the DIMM share the AMB's DDR2 bus; each rank has
         # its own cross-bank timer (tRRD/tWTR) and logic banks.
@@ -79,33 +43,6 @@ class Amb:
             Bank(bank_id=b, timing=timing, page_policy=config.page_policy)
             for b in range(config.ranks_per_dimm * config.banks_per_dimm)
         ]
-        from repro.config import PrefetchLocation
-
-        has_amb_cache = (
-            config.prefetch.enabled
-            and config.prefetch.location is PrefetchLocation.AMB
-        )
-        self.table: Optional[PrefetchTable] = (
-            PrefetchTable(config.prefetch) if has_amb_cache else None
-        )
-        #: Prediction policy deciding the group-fetch companions; present
-        #: for both buffer placements whenever prefetching is configured.
-        self.policy: "Optional[PrefetchPolicy]" = None
-        if config.prefetch.enabled:
-            from repro.prefetch.policy import create_policy
-
-            self.policy = create_policy(config.prefetch)
-        #: Optional per-prefetch lifecycle tracker (observation only);
-        #: attached by the channel controller, None keeps every hook free.
-        self.lifecycle: "Optional[PrefetchLifecycle]" = None
-        #: In-flight group fetches: region id -> {line -> fill time}.
-        #: A read that arrives while its region is still streaming into the
-        #: AMB cache merges with the fill instead of re-fetching.
-        self.pending_fills: Dict[int, Dict[int, int]] = {}
-        self.prefetched_lines = 0  # lines written into the AMB cache
-        #: Optional fault-injection state shared with the channel
-        #: controller; drives the AMB-cache parity checks when set.
-        self.faults: "Optional[ChannelFaults]" = None
 
     # ------------------------------------------------------------------
     # Rank/bank resolution
@@ -120,7 +57,7 @@ class Amb:
         return self.rank_timers[mapped.rank]
 
     # ------------------------------------------------------------------
-    # Demand path without prefetching
+    # Reads and writes
     # ------------------------------------------------------------------
 
     def read_line(self, earliest: int, mapped: MappedAddress) -> AccessResult:
@@ -130,129 +67,17 @@ class Amb:
         )
 
     def write_line(self, earliest: int, mapped: MappedAddress) -> AccessResult:
-        """Single-line write; invalidates any stale AMB-cache copy."""
+        """Single-line write (the controller invalidates buffered copies)."""
         return self.bank_of(mapped).write(
             earliest, mapped.row, self.data_bus, self.timer_of(mapped)
         )
 
-    # ------------------------------------------------------------------
-    # AMB prefetching
-    # ------------------------------------------------------------------
-
-    def cache_lookup(self, line_addr: int) -> Optional[int]:
-        """Probe the AMB cache (tags at the controller) for a read.
-
-        Returns the time at which the data is (or will be) available at the
-        AMB — 0 for already-resident lines — or None on a miss.  Pending
-        group fetches count as hits that become ready at their fill time.
-        """
-        assert self.table is not None, "cache_lookup requires prefetching"
-        if (
-            self.faults is not None
-            and self.table.contains(line_addr)
-            and self.faults.cached_line_flipped()
-        ):
-            # Parity detected a bit-flipped copy: void the entry before the
-            # tag probe, so the lookup below counts a miss and the demand
-            # re-fetches the line from DRAM (no silent corruption served).
-            self.table.invalidate(line_addr)
-            if self.lifecycle is not None:
-                self.lifecycle.on_invalidate(line_addr)
-        if self.table.lookup(line_addr):
-            if self.lifecycle is not None:
-                self.lifecycle.on_hit(line_addr)
-            if self.policy is not None:
-                self.policy.observe_hit(line_addr)
-            return 0
-        region = line_addr // self._region_lines
-        pending = self.pending_fills.get(region)
-        if pending is not None and line_addr in pending:
-            self.table.stats.hits += 1  # merged with an in-flight fill
-            if self.lifecycle is not None:
-                self.lifecycle.on_late(line_addr)
-            return pending[line_addr]
-        return None
-
-    def group_order(self, demanded_line: int) -> List[int]:
-        """The region's lines in fetch order: demanded first, then the
-        policy's companion predictions (Section 3.2 under the default
-        region policy: the rest of the region by address)."""
-        assert self.policy is not None, "group_order requires prefetching"
-        return [demanded_line] + self.policy.prefetch_lines(demanded_line)
-
     def group_read(
-        self, earliest: int, mapped: MappedAddress, order: List[int]
+        self, earliest: int, mapped: MappedAddress, lines: int
     ) -> AccessResult:
-        """Issue one ACT plus len(order) pipelined column accesses.
-
-        Raw DRAM-side group read shared by both prefetch placements (AMB
-        cache here, or a controller-side buffer across the channel).
-        """
+        """One ACT plus ``lines`` column accesses, fully pipelined on the
+        DIMM's DDR2 bus (Section 3.2: the burst length is unchanged, the
+        AMB simply issues several column accesses)."""
         return self.bank_of(mapped).read(
-            earliest, mapped.row, len(order), self.data_bus, self.timer_of(mapped)
+            earliest, mapped.row, lines, self.data_bus, self.timer_of(mapped)
         )
-
-    def group_fetch(
-        self, earliest: int, mapped: MappedAddress, demanded_line: int
-    ) -> GroupFetch:
-        """Fetch the demanded line plus its region into the AMB cache.
-
-        The demanded line's column access is issued first; the remaining
-        lines of the region follow in address order, fully pipelined on the
-        DIMM's DDR2 bus (Section 3.2: burst length is unchanged, the AMB
-        simply issues multiple column accesses).
-        """
-        assert self.table is not None
-        region = demanded_line // self._region_lines
-        if self.policy is not None:
-            self.policy.observe_miss(demanded_line)
-        order = self.group_order(demanded_line)
-        result = self.group_read(earliest, mapped, order)
-
-        fills: Dict[int, int] = {}
-        for line, fill_time in zip(order[1:], result.data_times[1:]):
-            fills[line] = fill_time
-        if fills:
-            self.pending_fills[region] = fills
-            self.prefetched_lines += len(fills)
-            if self.lifecycle is not None:
-                self.lifecycle.on_issue(fills)
-        return GroupFetch(
-            demanded_start=result.data_starts[0],
-            fills=fills,
-            last_fill=result.data_times[-1] if fills else result.data_times[0],
-        )
-
-    def commit_fills(self, region: int) -> None:
-        """Move a completed group fetch from pending state into the tags."""
-        assert self.table is not None
-        fills = self.pending_fills.pop(region, None)
-        if fills:
-            if self.lifecycle is not None:
-                # Fills become resident before the insert below so that a
-                # same-batch eviction of a just-filled line is charged to
-                # the right instance.
-                self.lifecycle.on_fill(fills)
-            self.table.insert(fills.keys())
-
-    def invalidate(self, line_addr: int) -> None:
-        """A write to ``line_addr`` makes any AMB copy stale."""
-        if self.table is None:
-            return
-        self.table.invalidate(line_addr)
-        region = line_addr // self._region_lines
-        pending = self.pending_fills.get(region)
-        if pending is not None:
-            pending.pop(line_addr, None)
-        if self.lifecycle is not None:
-            self.lifecycle.on_invalidate(line_addr)
-
-    # ------------------------------------------------------------------
-    # Introspection
-    # ------------------------------------------------------------------
-
-    def bank_operation_counts(self) -> "tuple[int, int]":
-        """(activate/precharge pairs, column accesses) across all banks."""
-        acts = sum(b.stats.activates for b in self.banks)
-        cols = sum(b.stats.reads + b.stats.writes for b in self.banks)
-        return acts, cols

@@ -86,9 +86,3 @@ class Ddr2Dimm:
             self._views[(rank, "wr")],
             self.rank_timers[rank],
         )
-
-    def bank_operation_counts(self) -> "tuple[int, int]":
-        """(activate/precharge pairs, column accesses) across all banks."""
-        acts = sum(b.stats.activates for b in self.banks)
-        cols = sum(b.stats.reads + b.stats.writes for b in self.banks)
-        return acts, cols

@@ -9,8 +9,6 @@ Three independent passes (see ``docs/CHECKING.md``):
   ``random``, set iteration, float arithmetic on picosecond times) plus
   unit-flow, worker shared-state, counter-drift and strict-typing
   analyses (``docs/STATIC_ANALYSIS.md``);
-* :mod:`repro.check.determinism` — thin shim keeping the PR-1
-  determinism-only entry points stable;
 * :mod:`repro.check.config_audit` — cross-field consistency checks on
   :class:`~repro.config.SystemConfig` with actionable messages.
 
@@ -20,7 +18,6 @@ Run offline with ``python -m repro.check trace.jsonl`` (plus ``lint`` /
 """
 
 from repro.check.config_audit import AuditIssue, audit_memory, audit_system
-from repro.check.determinism import LintFinding, lint_source, lint_tree
 from repro.check.lint import Finding, LintEngine, ProjectRule, Rule, all_rules
 from repro.check.protocol import (
     ProtocolChecker,
@@ -39,7 +36,6 @@ __all__ = [
     "CheckEvent",
     "Finding",
     "LintEngine",
-    "LintFinding",
     "ProjectRule",
     "ProtocolChecker",
     "ProtocolViolationError",
@@ -49,8 +45,6 @@ __all__ = [
     "all_rules",
     "audit_memory",
     "audit_system",
-    "lint_source",
-    "lint_tree",
     "load_events",
     "save_events",
 ]

@@ -10,7 +10,7 @@ Modes (combinable; default with no flags is trace checking):
   strict-typing rules; see :mod:`repro.check.lint.cli` for its options);
 * ``--self-test`` — run the golden known-bad suites (seeded protocol
   traces and seeded lint fixtures);
-* ``--lint [PATH ...]`` — the four legacy determinism rules only
+* ``--lint [PATH ...]`` — the four determinism rules only
   (defaults to the installed ``repro`` sources);
 * ``--audit-configs`` — cross-field audit of the standard factory
   configurations.
@@ -26,7 +26,14 @@ from pathlib import Path
 from typing import List
 
 from repro.check.config_audit import audit_system, errors_only
-from repro.check.determinism import lint_file, lint_tree, repro_source_root
+from repro.check.lint import (
+    Finding,
+    LintEngine,
+    ModuleContext,
+    get_rule,
+    repro_source_root,
+)
+from repro.check.lint.rules.determinism import RULE_IDS as DETERMINISM_RULE_IDS
 from repro.check.lint.selftest import run_self_test as run_lint_self_test
 from repro.check.protocol import ProtocolChecker
 from repro.check.selftest import run_self_test
@@ -60,23 +67,39 @@ def _check_traces(paths: List[str]) -> int:
     return status
 
 
+def _lint_file(engine: LintEngine, path: Path, rel: str) -> List[Finding]:
+    """Lint one file that sits at ``rel`` within the linted tree."""
+    source = path.read_text(encoding="utf-8")
+    return engine.run([ModuleContext(str(path), rel, source)])
+
+
+def _lint_tree(engine: LintEngine, root: Path) -> List[Finding]:
+    """Lint every ``*.py`` file under ``root``, in sorted path order, each
+    scoped by its path relative to ``root``."""
+    findings: List[Finding] = []
+    for path in sorted(root.rglob("*.py")):
+        findings.extend(_lint_file(engine, path, str(path.relative_to(root))))
+    return findings
+
+
 def _run_lint(paths: List[str]) -> int:
+    engine = LintEngine([get_rule(rule_id) for rule_id in DETERMINISM_RULE_IDS])
     findings = []
     if paths:
         for raw in paths:
             path = Path(raw)
             try:
                 if path.is_dir():
-                    findings.extend(lint_tree(path))
+                    findings.extend(_lint_tree(engine, path))
                 else:
-                    findings.extend(lint_file(path))
+                    findings.extend(_lint_file(engine, path, str(path)))
             except OSError as exc:
                 print(f"{path}: cannot lint: {exc}")
                 return EXIT_USAGE
     else:
         root = repro_source_root()
         print(f"linting {root}")
-        findings.extend(lint_tree(root))
+        findings.extend(_lint_tree(engine, root))
     for finding in findings:
         print(finding.format())
     print(f"determinism lint: {len(findings)} finding(s)")

@@ -23,6 +23,7 @@ from repro.check.lint.core import (
     errors_only,
     get_rule,
     register,
+    repro_source_root,
 )
 
 __all__ = [
@@ -38,5 +39,6 @@ __all__ = [
     "load_baseline",
     "register",
     "report_payload",
+    "repro_source_root",
     "save_baseline",
 ]

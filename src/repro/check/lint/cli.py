@@ -42,6 +42,7 @@ from repro.check.lint.core import (
     Rule,
     all_rules,
     errors_only,
+    repro_source_root,
 )
 
 EXIT_CLEAN = 0
@@ -121,8 +122,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         if args.paths:
             findings = engine.lint_paths(args.paths)
         else:
-            from repro.check.determinism import repro_source_root
-
             root = repro_source_root()
             print(f"linting {root}")
             findings = engine.lint_paths([root])

@@ -230,6 +230,13 @@ def module_rel_for(path: Path) -> str:
     return path.name
 
 
+def repro_source_root() -> Path:
+    """The installed location of the ``repro`` package sources."""
+    import repro
+
+    return Path(repro.__file__).resolve().parent
+
+
 def _collect_files(paths: Sequence[Union[str, Path]]) -> List[Path]:
     files: List[Path] = []
     for raw in paths:

@@ -1,9 +1,10 @@
-"""The four determinism rules, ported from the original PR-1 lint.
+"""The four determinism rules: wall clocks, unseeded ``random``, set
+iteration and float arithmetic on picosecond times.
 
-Rule ids, messages and golden outputs are unchanged from
-``repro.check.determinism``; that module is now a thin shim that runs
-exactly these rules.  Each rule keeps the legacy ``# det: allow``
-suppression marker working alongside ``# repro: ignore[rule-id]``.
+``python -m repro.check --lint`` runs exactly these (:data:`RULE_IDS`);
+``python -m repro.check lint`` runs them with every other rule.  Each rule
+keeps the legacy ``# det: allow`` suppression marker working alongside
+``# repro: ignore[rule-id]``.
 """
 
 from __future__ import annotations
@@ -265,3 +266,9 @@ class FloatTimeRule(_DeterminismRule):
         if not ctx.in_packages(*_HOT_PACKAGES):
             return ()
         return super().check_module(ctx)
+
+
+#: The four rule ids, in registration order.
+RULE_IDS = tuple(rule.id for rule in (
+    WallClockRule, UnseededRandomRule, SetIterationRule, FloatTimeRule,
+))

@@ -158,7 +158,8 @@ class AmbPrefetchConfig:
         replacement: AMB-cache replacement policy (paper default FIFO).
         full_latency_hits: The FBD-APFL variant of Figure 9 - an AMB-cache
             hit pays the full DRAM-access idle latency but performs no bank
-            activity, isolating the bandwidth-utilisation gain.
+            activity, isolating the bandwidth-utilisation gain.  Only
+            meaningful with ``location=AMB``.
         location: Buffer placement - the paper's AMB cache, or a
             controller-side buffer for comparison (see PrefetchLocation).
         policy: Registered :mod:`repro.prefetch.policy` name deciding which
@@ -196,6 +197,11 @@ class AmbPrefetchConfig:
             raise ValueError(
                 f"cache_entries={self.cache_entries} not divisible by "
                 f"ways={self.associativity.ways(self.cache_entries)}"
+            )
+        if self.full_latency_hits and self.location is not PrefetchLocation.AMB:
+            raise ValueError(
+                "full_latency_hits=True models an AMB-cache hit (FBD-APFL) "
+                f"and requires location=AMB, not location={self.location.name}"
             )
         # Late import: the policy registry imports this module for typing.
         from repro.prefetch.policy import policy_names

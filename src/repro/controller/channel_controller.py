@@ -35,7 +35,7 @@ from repro.channel.ddr2_bus import Ddr2Dimm
 from repro.channel.fbdimm_link import FbdimmLinks
 from repro.config import FaultConfig, MemoryConfig, PrefetchLocation
 from repro.faults.retry import ChannelFaults
-from repro.controller.prefetch_table import PrefetchTable
+from repro.controller.prefetch_buffer import PrefetchBuffer
 from repro.controller.scheduler import HitFirstScheduler
 from repro.controller.transaction import MemoryRequest, RequestKind
 from repro.dram.resources import BusResource, TaggedBusResource
@@ -102,6 +102,9 @@ class ChannelControllerBase:
         #: The channel's DIMMs (DDR2 DIMMs or AMBs), indexed by
         #: ``mapped.dimm``; each subclass fills it in.
         self._dimms: "Sequence[Union[Ddr2Dimm, Amb]]" = ()
+        #: The channel's distinct prefetch buffers (none without
+        #: prefetching); their counters fold into the device counters.
+        self.prefetch_buffers: "Sequence[PrefetchBuffer]" = ()
         self.scheduler = HitFirstScheduler(config.write_drain_threshold)
         # Cached bound methods for the kick loop: building the bound-method
         # objects anew on every select call is measurable at this call rate.
@@ -321,14 +324,6 @@ class ChannelControllerBase:
         """Occupancy of the channel's buses/links, by resource name."""
         raise NotImplementedError
 
-    def _prefetched_lines(self) -> int:
-        """Lines written into this channel's prefetch buffers."""
-        return 0
-
-    def _tag_stores(self) -> "Sequence[PrefetchTable]":
-        """Tag stores whose counters fold into the pf_table_* counters."""
-        return ()
-
     # -- device counters ---------------------------------------------------
 
     def collect_device_counters(self) -> Dict[str, int]:
@@ -338,8 +333,12 @@ class ChannelControllerBase:
             bank.stats for dimm in self._dimms for bank in dimm.banks
         ))
         counters["column_accesses"] = counters["column_reads"] + counters["column_writes"]
-        counters["prefetched_lines"] = self._prefetched_lines()
-        counters.update(_fold(TABLE_FOLD, (t.stats for t in self._tag_stores())))
+        buffers = self.prefetch_buffers
+        counters["prefetched_lines"] = sum(b.prefetched_lines for b in buffers)
+        # Tag-store counters fold only under lifecycle observability,
+        # keeping default-run stats (and their digests) untouched.
+        observed = buffers if self.lifecycle is not None else ()
+        counters.update(_fold(TABLE_FOLD, (b.table.stats for b in observed)))
         return counters
 
 
@@ -409,8 +408,8 @@ class FbdimmChannelController(ChannelControllerBase):
     """One FB-DIMM physical channel with daisy-chained AMBs.
 
     With ``config.prefetch.enabled`` the controller consults the prefetch
-    information table before issuing: hits are served straight from the AMB
-    cache (Section 3.2), misses become group fetches that fill it.
+    buffer of the read's DIMM before issuing: hits are served from it
+    (Section 3.2), misses become group fetches that fill it.
     """
 
     # The links and the AMB buses only ever take reservations at or after
@@ -451,29 +450,28 @@ class FbdimmChannelController(ChannelControllerBase):
             self.faults = ChannelFaults(faults, config.frame_ps, channel_id, stats)
             self.faults.on_retry = self._on_fault_retry
             self.links.faults = self.faults
-            for amb in self.ambs:
-                amb.faults = self.faults
         # FBD-APFL (Figure 9): hits pay the full DRAM idle latency
         # (tRCD + tCL) but keep the bank idle.
         self.hit_extra_ps = (
             timing.tRCD + timing.tCL if self.prefetch.full_latency_hits else 0
         )
-        # Controller-side buffering (PrefetchLocation.CONTROLLER): one tag
-        # store per channel at the memory controller, with the same total
-        # capacity as this channel's AMB caches would have had.
-        self.mc_table: Optional[PrefetchTable] = None
-        self.mc_pending: "dict[int, dict[int, int]]" = {}
-        self.mc_prefetched_lines = 0
-        if (
-            self.prefetch.enabled
-            and self.prefetch.location is PrefetchLocation.CONTROLLER
-        ):
-            scaled = dataclasses.replace(
-                self.prefetch,
-                cache_entries=self.prefetch.cache_entries
-                * config.dimms_per_channel,
-            )
-            self.mc_table = PrefetchTable(scaled)
+        #: The prefetch buffer serving each DIMM's reads (empty without
+        #: prefetching).  Under PrefetchLocation.AMB each DIMM has its own,
+        #: parity-checked under fault injection; under CONTROLLER every
+        #: slot holds one channel buffer with all the AMB caches' capacity.
+        dimms = config.dimms_per_channel
+        self.buffers: "list[PrefetchBuffer]" = []
+        self._buffer_at_amb = self.prefetch.location is PrefetchLocation.AMB
+        if self._pf_enabled and self._buffer_at_amb:
+            self.buffers = [PrefetchBuffer(self.prefetch, self.faults)
+                            for _ in range(dimms)]
+            self.prefetch_buffers = self.buffers
+        elif self._pf_enabled:
+            shared = PrefetchBuffer(dataclasses.replace(
+                self.prefetch, cache_entries=self.prefetch.cache_entries * dimms
+            ))
+            self.buffers = [shared] * dimms
+            self.prefetch_buffers = (shared,)
         # Prune bounds: how many entries the in-flight caps can keep booked
         # at once.  A read books one command slot and returns one line
         # north (its whole group under controller-side buffering); a
@@ -482,7 +480,7 @@ class FbdimmChannelController(ChannelControllerBase):
         # DIMM's share, and its gap search scans expired entries too, so
         # its bound is that even share.
         group = self._region_lines if self._pf_enabled else 1
-        north_lines = group if self.mc_table is not None else 1
+        north_lines = 1 if self._buffer_at_amb else group
         reads, writes = self.max_read_inflight, self.max_write_inflight
         self._north_bound = reads * north_lines * self.links.read_frames
         self._south_bound = reads + writes * self.links.write_frames
@@ -492,35 +490,22 @@ class FbdimmChannelController(ChannelControllerBase):
         """Arm per-prefetch lifecycle tracking on this channel.
 
         The tracker is shared across channels (one stats object); it hooks
-        the controller's completion path, every AMB's fetch/fill path and
-        each tag store's eviction path.
+        the controller's completion path and every prefetch buffer.
         """
         self.lifecycle = lifecycle
-        for amb in self.ambs:
-            amb.lifecycle = lifecycle
-            if amb.table is not None:
-                amb.table.lifecycle = lifecycle
-        if self.mc_table is not None:
-            self.mc_table.lifecycle = lifecycle
+        for buffer in self.prefetch_buffers:
+            buffer.attach_lifecycle(lifecycle)
 
     def submit(self, req: MemoryRequest) -> None:
-        if req.kind is not RequestKind.WRITE:
-            # Bind the prefetch buffer's tag-store set and pending-fill map
-            # (stable objects) so the probe needs no lookups of its own.
-            if self.mc_table is not None:
-                req.tag_set = self.mc_table.set_for(req.line_addr)
-                req.pending_fills = self.mc_pending
-            else:
-                amb = self.ambs[req.mapped.dimm]
-                if amb.table is not None:
-                    req.tag_set = amb.table.set_for(req.line_addr)
-                    req.pending_fills = amb.pending_fills
+        if req.kind is not RequestKind.WRITE and self.buffers:
+            # Bind the buffer's tag-store set and pending-fill map (stable
+            # objects) so the probe needs no lookups of its own.
+            buffer = self.buffers[req.mapped.dimm]
+            req.tag_set = buffer.table.set_for(req.line_addr)
+            req.pending_fills = buffer.pending
         super().submit(req)
 
     # -- scheduling probe ------------------------------------------------
-
-    def _amb_for(self, req: MemoryRequest) -> Amb:
-        return self.ambs[req.mapped.dimm]
 
     def _prefetch_active(self) -> bool:
         """Prefetching is configured and the channel has not degraded.
@@ -585,27 +570,19 @@ class FbdimmChannelController(ChannelControllerBase):
             bus.prune_before(now)
 
     def _issue_write(self, req: MemoryRequest) -> None:
-        amb = self._amb_for(req)
-        amb.invalidate(req.line_addr)
-        if self.mc_table is not None:
-            self.mc_table.invalidate(req.line_addr)
-            region = req.line_addr // self.prefetch.region_cachelines
-            pending = self.mc_pending.get(region)
-            if pending is not None:
-                pending.pop(req.line_addr, None)
-            if self.lifecycle is not None:
-                self.lifecycle.on_invalidate(req.line_addr)
-        arrival = self.links.send_write_ps(self.sim.now, req.mapped.dimm)
-        result = amb.write_line(arrival, req.mapped)
+        dimm = req.mapped.dimm
+        if self.buffers:
+            self.buffers[dimm].invalidate(req.line_addr)
+        arrival = self.links.send_write_ps(self.sim.now, dimm)
+        result = self.ambs[dimm].write_line(arrival, req.mapped)
         req.row_hit = result.row_hit
         if self.tracer is not None:
             self.tracer.on_data(req, result.data_starts[0])
         self._finish_at(req, result.data_times[0])
 
     def _issue_read_plain(self, req: MemoryRequest) -> None:
-        amb = self._amb_for(req)
         arrival = self.links.send_command_ps(self.sim.now)
-        result = amb.read_line(arrival, req.mapped)
+        result = self.ambs[req.mapped.dimm].read_line(arrival, req.mapped)
         req.row_hit = result.row_hit
         if self.tracer is not None:
             self.tracer.on_data(req, result.data_starts[0])
@@ -613,94 +590,71 @@ class FbdimmChannelController(ChannelControllerBase):
         self._finish_at(req, ret.critical_at_mc)
 
     def _issue_read_prefetching(self, req: MemoryRequest) -> None:
-        if self.mc_table is not None:
-            self._issue_read_mc_prefetching(req)
-            return
-        amb = self._amb_for(req)
-        available = amb.cache_lookup(req.line_addr)
-        arrival = self.links.send_command_ps(self.sim.now)
-        if available is not None:
-            req.amb_hit = True
-            # FBD-APFL charges the hit the tRCD + tCL a miss would pay; it
-            # is not additive with an in-flight fill's completion time.
-            ready = max(arrival + self.hit_extra_ps, available)
-            if self.tracer is not None:
-                self.tracer.on_data(req, ready)
-            ret = self.links.return_read(ready, req.mapped.dimm)
+        """Serve a read from its DIMM's prefetch buffer, or group-fetch it.
+
+        The placement decides where the lines cross the channel.  At the
+        AMB every read sends its command south and only the demanded line
+        comes north; the companions fill the AMB cache.  At the controller
+        a hit needs no channel at all, and a miss brings the whole group
+        north - the channel-bandwidth cost the paper's AMB placement avoids.
+        """
+        dimm = req.mapped.dimm
+        buffer = self.buffers[dimm]
+        line = req.line_addr
+        now = self.sim.now
+        # Under AMB placement the lookup's parity draw precedes the send.
+        available = buffer.lookup(line)
+        tracer = self.tracer
+        links = self.links
+        region = line // self._region_lines
+        if self._buffer_at_amb:
+            arrival = links.send_command_ps(now)
+            if available is not None:
+                req.amb_hit = True
+                # FBD-APFL charges the hit the tRCD + tCL a miss would pay;
+                # it is not additive with an in-flight fill's completion.
+                ready = max(arrival + self.hit_extra_ps, available)
+                if tracer is not None:
+                    tracer.on_data(req, ready)
+                self._finish_at(req, links.return_read(ready, dimm).critical_at_mc)
+                return
+            order = buffer.miss(line)
+            result = self.ambs[dimm].group_read(arrival, req.mapped, len(order))
+            buffer.start_fills(region, dict(zip(order[1:], result.data_times[1:])))
+            demanded = result.data_starts[0]
+            if tracer is not None:
+                tracer.on_data(req, demanded)
+            ret = links.return_read(demanded, dimm)
+            # Scheduled even for a group with no companions: a no-op commit.
+            self.sim.schedule_fire(result.data_times[-1],
+                                   partial(buffer.commit, region))
             self._finish_at(req, ret.critical_at_mc)
             return
-        group = amb.group_fetch(arrival, req.mapped, req.line_addr)
-        if self.tracer is not None:
-            self.tracer.on_data(req, group.demanded_start)
-        ret = self.links.return_read(group.demanded_start, req.mapped.dimm)
-        region = req.line_addr // self.prefetch.region_cachelines
-        self.sim.schedule_fire(group.last_fill, partial(amb.commit_fills, region))
-        self._finish_at(req, ret.critical_at_mc)
-
-    def _issue_read_mc_prefetching(self, req: MemoryRequest) -> None:
-        """PrefetchLocation.CONTROLLER: the whole region crosses the channel.
-
-        Hits are served from the controller buffer with no channel activity
-        at all; misses pay K northbound line transfers instead of one -
-        exactly the channel-bandwidth cost the paper's AMB placement avoids.
-        """
-        assert self.mc_table is not None
-        region = req.line_addr // self.prefetch.region_cachelines
-        if self.mc_table.lookup(req.line_addr):
+        if available is not None:
             req.amb_hit = True
-            if self.lifecycle is not None:
-                self.lifecycle.on_hit(req.line_addr)
-            amb = self._amb_for(req)
-            if amb.policy is not None:
-                amb.policy.observe_hit(req.line_addr)
-            if self.tracer is not None:
-                self.tracer.on_data(req, self.sim.now)
-            self._finish_at(req, self.sim.now)
-            return
-        pending = self.mc_pending.get(region)
-        if pending is not None and req.line_addr in pending:
-            self.mc_table.stats.hits += 1
-            req.amb_hit = True
-            if self.lifecycle is not None:
-                self.lifecycle.on_late(req.line_addr)
-            ready = max(self.sim.now, pending[req.line_addr])
-            if self.tracer is not None:
-                self.tracer.on_data(req, ready)
+            ready = max(now, available)
+            if tracer is not None:
+                tracer.on_data(req, ready)
             self._finish_at(req, ready)
             return
-
-        amb = self._amb_for(req)
-        arrival = self.links.send_command_ps(self.sim.now)
-        if amb.policy is not None:
-            amb.policy.observe_miss(req.line_addr)
-        order = amb.group_order(req.line_addr)
-        result = amb.group_read(arrival, req.mapped, order)
-        if self.tracer is not None:
-            self.tracer.on_data(req, result.data_starts[0])
+        arrival = links.send_command_ps(now)
+        order = buffer.miss(line)
+        result = self.ambs[dimm].group_read(arrival, req.mapped, len(order))
+        if tracer is not None:
+            tracer.on_data(req, result.data_starts[0])
         fills: "dict[int, int]" = {}
         demanded_finish = 0
-        for line, start in zip(order, result.data_starts):
-            ret = self.links.return_read(start, req.mapped.dimm)
-            if line == req.line_addr:
+        for fetched, start in zip(order, result.data_starts):
+            ret = links.return_read(start, dimm)
+            if fetched == line:
                 demanded_finish = ret.critical_at_mc
             else:
-                fills[line] = ret.full_at_mc
+                fills[fetched] = ret.full_at_mc
                 self.stats.bytes_read += self.config.cacheline_bytes
-        self.mc_prefetched_lines += len(fills)
+        buffer.start_fills(region, fills)
         if fills:
-            self.mc_pending[region] = fills
-            if self.lifecycle is not None:
-                self.lifecycle.on_issue(fills)
-            last_fill = max(fills.values())
-
-            def commit(r: int = region) -> None:
-                done = self.mc_pending.pop(r, None)
-                if done:
-                    if self.lifecycle is not None:
-                        self.lifecycle.on_fill(done)
-                    self.mc_table.insert(done.keys())
-
-            self.sim.schedule_fire(last_fill, commit)
+            self.sim.schedule_fire(max(fills.values()),
+                                   partial(buffer.commit, region))
         self._finish_at(req, demanded_finish)
 
     def enable_protocol_trace(self) -> None:
@@ -732,16 +686,3 @@ class FbdimmChannelController(ChannelControllerBase):
     def busy_ps(self) -> Dict[str, int]:
         north, south = self.links.north, self.links.south
         return {north.name: north.busy_ps, south.name: south.busy_ps}
-
-    def _prefetched_lines(self) -> int:
-        return self.mc_prefetched_lines + sum(amb.prefetched_lines for amb in self.ambs)
-
-    def _tag_stores(self) -> "Sequence[PrefetchTable]":
-        if self.lifecycle is None:
-            # Tag-store counters fold only under lifecycle observability,
-            # keeping default-run stats (and their digests) untouched.
-            return ()
-        tables = [amb.table for amb in self.ambs if amb.table is not None]
-        if self.mc_table is not None:
-            tables.append(self.mc_table)
-        return tables

@@ -59,9 +59,8 @@ def run(ctx: ExperimentContext) -> ResultTable:
                     fbdimm_amb_prefetch(num_cores=cores, prefetch=prefetch), programs
                 )
                 # The per-command accountant (RD/WR split + refreshes)
-                # reduces exactly to the old aggregate PowerModel on
-                # refresh-free runs, so the figure's numbers are
-                # unchanged — pinned by tests/test_timeline.py.
+                # reduces exactly to the paper's 4 x ACT + CAS on
+                # refresh-free runs — pinned by tests/test_timeline.py.
                 powers.append(
                     relative_dynamic_power_from_commands(ap.mem, base.mem)
                 )

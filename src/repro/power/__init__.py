@@ -1,10 +1,6 @@
 """DRAM power estimation (Section 5.5)."""
 
-from repro.power.ddr2_power import (
-    MicronPowerCalculator,
-    PowerModel,
-    relative_dynamic_power,
-)
+from repro.power.ddr2_power import MicronPowerCalculator
 from repro.power.energy import (
     CommandEnergyModel,
     EnergyAccountant,
@@ -14,8 +10,6 @@ from repro.power.energy import (
 
 __all__ = [
     "MicronPowerCalculator",
-    "PowerModel",
-    "relative_dynamic_power",
     "CommandEnergyModel",
     "EnergyAccountant",
     "EnergyBreakdown",

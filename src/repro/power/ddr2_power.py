@@ -6,14 +6,13 @@ energy per column access — "roughly 4:1" for DDR2-667 at 70 % bandwidth
 utilisation under close-page — and then scales by the simulator's ACT/PRE
 and column-access counts.  We do both: :class:`MicronPowerCalculator`
 re-derives the ratio from typical DDR2-667 IDD datasheet values, and
-:class:`PowerModel` applies a ratio to operation counts.
+:class:`~repro.power.energy.CommandEnergyModel` applies it to the
+per-command counts.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-from repro.stats.collector import MemSystemStats
 
 
 @dataclass(frozen=True)
@@ -80,42 +79,3 @@ class MicronPowerCalculator:
     def powerdown_power_w(self) -> float:
         """Background power of one rank in precharge power-down (CKE low)."""
         return self.idd2p * self.vdd * self.chips_per_rank / 1000.0
-
-
-@dataclass(frozen=True)
-class PowerModel:
-    """Relative dynamic DRAM power from operation counts.
-
-    ``act_pre_weight`` is the energy of one activate/precharge pair in
-    units of one column access (the paper's 4:1).
-    """
-
-    act_pre_weight: float = 4.0
-    static_fraction: float = 0.175  # of total power, per the calculator
-
-    def dynamic_energy_units(self, activates: int, column_accesses: int) -> float:
-        """Total dynamic energy in column-access units."""
-        if activates < 0 or column_accesses < 0:
-            raise ValueError("operation counts must be non-negative")
-        return self.act_pre_weight * activates + column_accesses
-
-    def energy_of(self, stats: MemSystemStats) -> float:
-        """Dynamic energy of one run, from its device-operation counters."""
-        return self.dynamic_energy_units(stats.activates, stats.column_accesses)
-
-
-def relative_dynamic_power(
-    stats: MemSystemStats,
-    baseline: MemSystemStats,
-    model: PowerModel = PowerModel(),
-) -> float:
-    """Dynamic DRAM power of ``stats`` relative to ``baseline`` (Figure 13).
-
-    Both runs execute the same instruction work, so the ratio of dynamic
-    energies is the paper's normalised power-consumption metric.  Values
-    below 1.0 are savings.
-    """
-    base_energy = model.energy_of(baseline)
-    if base_energy <= 0:
-        raise ValueError("baseline run performed no DRAM operations")
-    return model.energy_of(stats) / base_energy

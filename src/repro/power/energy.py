@@ -1,10 +1,10 @@
-"""Per-command DRAM energy accounting.
+"""Per-command DRAM energy accounting (Section 5.5, Figure 13).
 
-:class:`~repro.power.ddr2_power.PowerModel` reduces a whole run to one
-number (``4 x activates + column_accesses``); that is enough for Figure
-13's end-of-run ratio but cannot say *when* the energy was spent or what
-the background (standby / power-down) share is.  This module splits the
-same accounting by command class:
+The paper reduces a whole run to one number, ``4 x activates +
+column_accesses``; that is enough for Figure 13's end-of-run ratio but
+cannot say *when* the energy was spent or what the background
+(standby / power-down) share is.  This module splits the same accounting
+by command class:
 
 * **dynamic** energy per ACT/PRE pair, column read, column write and
   refresh — in column-access *units* (:class:`CommandEnergyModel`, the
@@ -14,10 +14,11 @@ same accounting by command class:
   power-down residency, which the idle-gap tracker in the memory
   controller measures when the timeline is enabled.
 
-Compatibility contract (pinned by tests): with the default weights,
-:func:`relative_dynamic_power_from_commands` reproduces
-:func:`~repro.power.ddr2_power.relative_dynamic_power` exactly on any
-refresh-free run, because ``read_units == write_units == 1.0`` makes
+Compatibility contract (pinned by ``tests/test_timeline.py`` against a
+frozen copy of the aggregate model): with the default weights,
+:func:`relative_dynamic_power_from_commands` reproduces the paper's
+``4 x ACT + column_accesses`` ratio exactly on any refresh-free run,
+because ``read_units == write_units == 1.0`` makes
 ``act_pre_units x ACT + RD + WR`` equal ``4 x ACT + column_accesses``.
 Figure 13 is computed through this module.
 """
@@ -96,10 +97,11 @@ def relative_dynamic_power_from_commands(
 ) -> float:
     """Figure 13's normalised dynamic power, from per-command counts.
 
-    Identical to :func:`~repro.power.ddr2_power.relative_dynamic_power`
-    for the default weights on refresh-free runs (the compatibility
+    Identical to the paper's aggregate ``4 x ACT + column_accesses``
+    ratio for the default weights on refresh-free runs (the compatibility
     contract above), but built on the split ACT/RD/WR/refresh accounting
-    so timeline windows and figures share one energy model.
+    so timeline windows and figures share one energy model.  Values below
+    1.0 are savings.
     """
     base_energy = model.energy_of(baseline)
     if base_energy <= 0:

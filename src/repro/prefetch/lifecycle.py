@@ -105,7 +105,7 @@ class PrefetchLifecycle:
         if trace is not None:
             trace.close(outcome, self._now())
 
-    # -- event hooks (called from the AMB / channel controller) ----------
+    # -- event hooks (called from the prefetch buffer / channel controller)
 
     def on_issue(self, line_addrs: Iterable[int]) -> None:
         """A group fetch booked fills for these lines.

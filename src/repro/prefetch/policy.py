@@ -1,7 +1,8 @@
 """The prefetch-policy interface at the AMB/controller boundary.
 
-A policy decides *which* lines accompany a demand miss; the AMB and the
-channel controller own *how* they are fetched, buffered and accounted.
+A policy decides *which* lines accompany a demand miss; the prefetch
+buffer that owns it (:mod:`repro.controller.prefetch_buffer`) and the
+channel controller decide *how* they are fetched, buffered and accounted.
 The split mirrors the demand-vs-prefetch queue separation of DRAMSim-class
 models: the policy sees the demand stream (miss/hit training hooks) and
 answers one question — given this demanded line, which other lines should
@@ -57,8 +58,7 @@ class RegionPrefetchPolicy(PrefetchPolicy):
     """The paper's region prefetcher (Section 3.2), behind the interface.
 
     A miss to line L fetches the remaining lines of L's aligned K-line
-    region in ascending address order.  This reproduces the hard-wired
-    ``Amb.group_order`` behaviour exactly: the group fetch order is
+    region in ascending address order, so the group fetch order is
     ``[demanded] + [other region lines by address]``.
     """
 

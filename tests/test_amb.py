@@ -1,27 +1,46 @@
-"""AMB tests: group fetch, pending fills, cache lookups, invalidation."""
+"""AMB tests: group fetch, pending fills, cache lookups, invalidation.
+
+The AMB cache is the AMB placement's :class:`PrefetchBuffer`: these cases
+drive one channel's first DIMM and its buffer directly, composing a group
+fetch the way the channel controller does.
+"""
 
 
 from repro.config import (
     AmbPrefetchConfig,
     InterleaveScheme,
     MemoryConfig,
+    MemoryKind,
 )
-from repro.channel.amb import Amb
+from repro.controller.channel_controller import FbdimmChannelController
 from repro.controller.mapping import AddressMapper
+from repro.controller.transaction import MemoryRequest, RequestKind
 from repro.dram.timing import TimingPs
+from repro.engine.simulator import Simulator
+from repro.stats.collector import MemSystemStats
 
 
-def make_amb(k=4, entries=64):
+def make_channel(k=4, entries=64, enabled=True):
     config = MemoryConfig(
+        kind=MemoryKind.FBDIMM,
         interleave=InterleaveScheme.MULTI_CACHELINE,
-        prefetch=AmbPrefetchConfig(region_cachelines=k, cache_entries=entries),
+        prefetch=AmbPrefetchConfig(
+            enabled=enabled, region_cachelines=k, cache_entries=entries
+        ),
     )
     timing = TimingPs.from_config(
         config.timings, config.dram_clock_ps, config.burst_clocks
     )
-    amb = Amb(config, timing, channel_id=0, dimm_id=0)
-    mapper = AddressMapper(config)
-    return amb, mapper, timing
+    channel = FbdimmChannelController(
+        Simulator(), config, timing, 0, MemSystemStats()
+    )
+    return channel, AddressMapper(config), timing
+
+
+def make_amb(k=4, entries=64):
+    """DIMM 0 of channel 0, its AMB cache, the mapper and the timing."""
+    channel, mapper, timing = make_channel(k, entries)
+    return channel.ambs[0], channel.buffers[0], mapper, timing
 
 
 def line_on_dimm0(mapper, region_index=0):
@@ -31,112 +50,118 @@ def line_on_dimm0(mapper, region_index=0):
     return region * mapper.region_lines
 
 
+def group_fetch(amb, buffer, line, mapper):
+    """Fetch ``line`` and its companions into the AMB cache at time 0;
+    returns the group read and the booked ``{line: fill time}``."""
+    order = buffer.miss(line)
+    result = amb.group_read(0, mapper.map(line), len(order))
+    fills = dict(zip(order[1:], result.data_times[1:]))
+    buffer.start_fills(line // mapper.region_lines, fills)
+    return result, fills
+
+
 class TestGroupFetch:
     def test_demanded_line_comes_first(self):
-        amb, mapper, timing = make_amb()
-        base = line_on_dimm0(mapper)
-        demanded = base + 2
-        mapped = mapper.map(demanded)
-        group = amb.group_fetch(0, mapped, demanded)
+        amb, buffer, mapper, timing = make_amb()
+        demanded = line_on_dimm0(mapper) + 2
+        result, fills = group_fetch(amb, buffer, demanded, mapper)
         # The demanded line's burst starts at tRCD + tCL; fills trail it.
-        assert group.demanded_start == timing.tRCD + timing.tCL
-        assert all(t > group.demanded_start for t in group.fills.values())
+        demanded_start = result.data_starts[0]
+        assert demanded_start == timing.tRCD + timing.tCL
+        assert all(t > demanded_start for t in fills.values())
 
     def test_fills_cover_rest_of_region(self):
-        amb, mapper, _ = make_amb()
+        amb, buffer, mapper, _ = make_amb()
         base = line_on_dimm0(mapper)
-        demanded = base + 2
-        group = amb.group_fetch(0, mapper.map(demanded), demanded)
-        assert set(group.fills) == {base, base + 1, base + 3}
-        assert amb.prefetched_lines == 3
+        _, fills = group_fetch(amb, buffer, base + 2, mapper)
+        assert set(fills) == {base, base + 1, base + 3}
+        assert buffer.prefetched_lines == 3
 
     def test_one_activate_k_column_accesses(self):
-        amb, mapper, _ = make_amb()
+        channel, mapper, _ = make_channel()
         base = line_on_dimm0(mapper)
-        amb.group_fetch(0, mapper.map(base), base)
-        acts, cols = amb.bank_operation_counts()
-        assert acts == 1
-        assert cols == 4
+        group_fetch(channel.ambs[0], channel.buffers[0], base, mapper)
+        counters = channel.collect_device_counters()
+        assert counters["activates"] == 1
+        assert counters["column_accesses"] == 4
 
     def test_last_fill_is_max(self):
-        amb, mapper, _ = make_amb()
+        amb, buffer, mapper, _ = make_amb()
         base = line_on_dimm0(mapper)
-        group = amb.group_fetch(0, mapper.map(base), base)
-        assert group.last_fill == max(group.fills.values())
+        result, fills = group_fetch(amb, buffer, base, mapper)
+        assert result.data_times[-1] == max(fills.values())
 
 
 class TestCacheLookup:
     def test_miss_before_fetch(self):
-        amb, mapper, _ = make_amb()
-        assert amb.cache_lookup(0) is None
+        _, buffer, _, _ = make_amb()
+        assert buffer.lookup(0) is None
 
     def test_pending_fill_counts_as_hit_with_fill_time(self):
-        amb, mapper, _ = make_amb()
+        amb, buffer, mapper, _ = make_amb()
         base = line_on_dimm0(mapper)
-        group = amb.group_fetch(0, mapper.map(base), base)
-        avail = amb.cache_lookup(base + 1)
-        assert avail == group.fills[base + 1]
+        _, fills = group_fetch(amb, buffer, base, mapper)
+        assert buffer.lookup(base + 1) == fills[base + 1]
 
     def test_committed_fill_hits_immediately(self):
-        amb, mapper, _ = make_amb()
+        amb, buffer, mapper, _ = make_amb()
         base = line_on_dimm0(mapper)
-        amb.group_fetch(0, mapper.map(base), base)
-        amb.commit_fills(base // 4)
-        assert amb.cache_lookup(base + 1) == 0
-        assert not amb.pending_fills
+        group_fetch(amb, buffer, base, mapper)
+        buffer.commit(base // 4)
+        assert buffer.lookup(base + 1) == 0
+        assert not buffer.pending
 
     def test_demanded_line_itself_is_not_cached(self):
-        amb, mapper, _ = make_amb()
+        amb, buffer, mapper, _ = make_amb()
         base = line_on_dimm0(mapper)
-        amb.group_fetch(0, mapper.map(base), base)
-        amb.commit_fills(base // 4)
-        assert amb.cache_lookup(base) is None
+        group_fetch(amb, buffer, base, mapper)
+        buffer.commit(base // 4)
+        assert buffer.lookup(base) is None
 
     def test_lookup_counts_stats(self):
-        amb, mapper, _ = make_amb()
-        base = line_on_dimm0(mapper)
-        amb.cache_lookup(base)
-        assert amb.table.stats.lookups == 1
+        _, buffer, mapper, _ = make_amb()
+        buffer.lookup(line_on_dimm0(mapper))
+        assert buffer.table.stats.lookups == 1
 
 
 class TestInvalidate:
     def test_write_invalidates_committed_line(self):
-        amb, mapper, _ = make_amb()
+        amb, buffer, mapper, _ = make_amb()
         base = line_on_dimm0(mapper)
-        amb.group_fetch(0, mapper.map(base), base)
-        amb.commit_fills(base // 4)
-        amb.invalidate(base + 1)
-        assert amb.cache_lookup(base + 1) is None
+        group_fetch(amb, buffer, base, mapper)
+        buffer.commit(base // 4)
+        buffer.invalidate(base + 1)
+        assert buffer.lookup(base + 1) is None
 
     def test_write_invalidates_pending_fill(self):
-        amb, mapper, _ = make_amb()
+        amb, buffer, mapper, _ = make_amb()
         base = line_on_dimm0(mapper)
-        amb.group_fetch(0, mapper.map(base), base)
-        amb.invalidate(base + 1)
-        assert amb.cache_lookup(base + 1) is None
+        group_fetch(amb, buffer, base, mapper)
+        buffer.invalidate(base + 1)
+        assert buffer.lookup(base + 1) is None
         # Other pending lines survive.
-        assert amb.cache_lookup(base + 2) is not None
+        assert buffer.lookup(base + 2) is not None
 
     def test_invalidate_without_prefetch_is_noop(self):
-        config = MemoryConfig()  # prefetch disabled
-        timing = TimingPs.from_config(
-            config.timings, config.dram_clock_ps, config.burst_clocks
-        )
-        amb = Amb(config, timing, 0, 0)
-        amb.invalidate(0)  # must not raise
-        assert amb.table is None
+        channel, mapper, _ = make_channel(enabled=False)
+        assert channel.buffers == [] and channel.prefetch_buffers == ()
+        write = MemoryRequest(RequestKind.WRITE, 0, 0, 0)
+        write.mapped = mapper.map(0)
+        channel.submit(write)  # must not raise
+        channel.sim.run(max_events=1_000)
+        assert write.finish_time > 0
 
 
 class TestPlainAccess:
     def test_read_line_uses_bank(self):
-        amb, mapper, timing = make_amb()
+        amb, _, mapper, timing = make_amb()
         base = line_on_dimm0(mapper)
         result = amb.read_line(0, mapper.map(base))
         assert result.data_starts[0] == timing.tRCD + timing.tCL
 
     def test_write_line_counts(self):
-        amb, mapper, _ = make_amb()
-        base = line_on_dimm0(mapper)
-        amb.write_line(0, mapper.map(base))
-        acts, cols = amb.bank_operation_counts()
-        assert (acts, cols) == (1, 1)
+        channel, mapper, _ = make_channel()
+        amb = channel.ambs[0]
+        amb.write_line(0, mapper.map(line_on_dimm0(mapper)))
+        counters = channel.collect_device_counters()
+        assert (counters["activates"], counters["column_accesses"]) == (1, 1)

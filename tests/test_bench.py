@@ -404,10 +404,9 @@ class TestCli:
 
 class TestClockIsolation:
     def test_bench_package_passes_determinism_lint(self):
-        from pathlib import Path
+        from repro.check.lint import LintEngine, get_rule, repro_source_root
+        from repro.check.lint.rules.determinism import RULE_IDS
 
-        from repro.check.determinism import lint_tree
-
-        root = Path(__file__).resolve().parents[1] / "src" / "repro" / "bench"
-        findings = lint_tree(root)
+        engine = LintEngine([get_rule(rule_id) for rule_id in RULE_IDS])
+        findings = engine.lint_paths([repro_source_root() / "bench"])
         assert findings == [], [f.format() for f in findings]

@@ -135,10 +135,11 @@ class TestSchedulerProbe:
         h = Harness(fbdimm_amb_prefetch().memory)
         channel, req = self.bound_read(h, 0)
         amb = channel.ambs[req.mapped.dimm]
+        buffer = channel.buffers[req.mapped.dimm]
         assert req.bank is amb.bank_of(req.mapped)
         assert req.rank_timer is amb.timer_of(req.mapped)
-        assert req.tag_set is amb.table.set_for(0)
-        assert req.pending_fills is amb.pending_fills
+        assert req.tag_set is buffer.table.set_for(0)
+        assert req.pending_fills is buffer.pending
 
     def test_writes_and_plain_fbd_reads_bind_no_tag_set(self):
         h = Harness(fbdimm_baseline().memory)

@@ -1,15 +1,20 @@
 """Determinism lint: rule coverage, suppression, and tree cleanliness."""
 
-from repro.check.determinism import (
-    SUPPRESS_MARK,
-    lint_source,
-    lint_tree,
-    repro_source_root,
-)
+from repro.check.lint import LintEngine, get_rule, repro_source_root
+from repro.check.lint.rules.determinism import RULE_IDS, SUPPRESS_MARK
+
+
+def engine():
+    """The determinism rules alone, as ``python -m repro.check --lint``."""
+    return LintEngine([get_rule(rule_id) for rule_id in RULE_IDS])
+
+
+def lint_source(source, module_rel):
+    return engine().lint_sources([(module_rel, source)])
 
 
 def rules_of(source, module_rel="engine/mod.py"):
-    return [f.rule for f in lint_source(source, "mod.py", module_rel)]
+    return [f.rule for f in lint_source(source, module_rel)]
 
 
 class TestWallClock:
@@ -45,7 +50,7 @@ class TestUnseededRandom:
     def test_workloads_package_exempt(self):
         src = "import random\nx = random.shuffle([1])\n"
         assert rules_of(src) == ["unseeded-random"]
-        assert lint_source(src, "gen.py", "workloads/gen.py") == []
+        assert lint_source(src, "workloads/gen.py") == []
 
 
 class TestSetIteration:
@@ -78,17 +83,17 @@ class TestFloatTime:
 
     def test_cold_path_not_checked(self):
         src = "y = delay_ps / 2\n"
-        assert lint_source(src, "m.py", "experiments/m.py") == []
+        assert lint_source(src, "experiments/m.py") == []
 
 
 class TestTree:
     def test_repro_tree_is_clean(self):
         """The shipped sources must stay lint-clean (CI enforces this)."""
-        findings = lint_tree(repro_source_root())
+        findings = engine().lint_paths([repro_source_root()])
         assert findings == [], "\n".join(f.format() for f in findings)
 
     def test_lint_tree_deterministic_order(self, tmp_path):
         (tmp_path / "b.py").write_text("import time\nx = time.time()\n")
         (tmp_path / "a.py").write_text("import time\ny = time.time()\n")
-        paths = [f.path for f in lint_tree(tmp_path)]
+        paths = [f.path for f in engine().lint_paths([tmp_path])]
         assert paths == sorted(paths)

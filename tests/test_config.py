@@ -14,6 +14,7 @@ from repro.config import (
     MemoryConfig,
     MemoryKind,
     PagePolicy,
+    PrefetchLocation,
     SystemConfig,
     ddr2_baseline,
     fbdimm_amb_prefetch,
@@ -129,6 +130,20 @@ class TestValidation:
     def test_cache_entries_divisible_by_ways(self):
         with pytest.raises(ValueError):
             AmbPrefetchConfig(cache_entries=10, associativity=Associativity.FOUR_WAY)
+
+    def test_full_latency_hits_require_amb_placement(self):
+        with pytest.raises(ValueError, match="full_latency_hits.*location"):
+            AmbPrefetchConfig(full_latency_hits=True,
+                              location=PrefetchLocation.CONTROLLER)
+
+    def test_full_latency_hits_at_controller_rejected_on_load(self):
+        raw = fbdimm_amb_prefetch().to_dict()
+        raw["memory"]["prefetch"].update(full_latency_hits=True,
+                                         location="CONTROLLER")
+        with pytest.raises(ValueError, match="full_latency_hits.*location"):
+            SystemConfig.from_dict(raw)
+        raw["memory"]["prefetch"]["location"] = "AMB"
+        assert SystemConfig.from_dict(raw).memory.prefetch.full_latency_hits
 
     def test_cpu_needs_cores(self):
         with pytest.raises(ValueError):

@@ -15,6 +15,8 @@ Coverage:
   unique planned runs, normalised the way the experiments layer does;
 * the off-by-default subsystems that ride the hot path when enabled:
   a faulted run, a timeline-enabled run and a ``check_protocol=True`` run;
+* the prefetch-buffer paths no other case reaches: AMB-cache parity flips,
+  the controller-side buffer with lifecycle accounting, and K=1 groups;
 * every non-DDR2 device generation preset (``repro.dram.devices``)
   running the bench scenarios plus the fig05 plan, so refresh scheduling,
   tFAW enforcement and the per-generation timing/energy tables are pinned
@@ -39,6 +41,8 @@ import pytest
 
 from repro.bench.scenarios import _sweep_pairs
 from repro.config import (
+    AmbPrefetchConfig,
+    PrefetchLocation,
     SystemConfig,
     ddr2_baseline,
     fbdimm_amb_prefetch,
@@ -129,7 +133,8 @@ def _bench_cases() -> "dict[str, list]":
 
 
 def _variant_cases() -> "dict[str, list]":
-    """Off-by-default hot-path variants: faulted, timeline, checked."""
+    """Off-by-default hot-path variants: faulted, timeline, checked, and
+    the prefetch-buffer paths of :func:`_buffer_variants`."""
     faulted = fbdimm_amb_prefetch(num_cores=2, logic_channels=2).with_faults(
         error_rate=5e-2, max_retries=3
     )
@@ -145,6 +150,32 @@ def _variant_cases() -> "dict[str, list]":
         "variant:faulted": [(_budget(faulted), two)],
         "variant:timeline": [(_budget(timeline), two)],
         "variant:checked": [(_budget(checked), two)],
+        **{name: [(_budget(config), programs)]
+           for name, (config, programs) in _buffer_variants().items()},
+    }
+
+
+def _buffer_variants() -> "dict[str, tuple]":
+    """Prefetch-buffer paths no other case reaches: AMB-cache parity flips
+    with lifecycle accounting, the controller-side buffer with lifecycle
+    and faults, and K=1 groups (a fetch with no companion lines)."""
+    parity = fbdimm_amb_prefetch(
+        num_cores=2, logic_channels=2,
+        prefetch=AmbPrefetchConfig(lifecycle=True, cache_entries=16),
+    ).with_faults(error_rate=1e-2, amb_bitflip_rate=0.25)
+    controller = fbdimm_amb_prefetch(
+        num_cores=2, logic_channels=2,
+        prefetch=AmbPrefetchConfig(location=PrefetchLocation.CONTROLLER,
+                                   cache_entries=4, lifecycle=True),
+    ).with_faults(error_rate=1e-2)
+    k1 = fbdimm_amb_prefetch(
+        num_cores=2, logic_channels=2,
+        prefetch=AmbPrefetchConfig(region_cachelines=1),
+    )
+    return {
+        "variant:lifecycle-amb-parity": (parity, ("wupwise", "swim")),
+        "variant:lifecycle-controller": (controller, ("swim", "mgrid")),
+        "variant:amb-k1": (k1, ("wupwise", "swim")),
     }
 
 
@@ -261,6 +292,21 @@ class TestConformance:
             f"{name}: simulated behaviour drifted from the pre-rewrite "
             "golden; if intentional, refresh the goldens and review the diff"
         )
+
+    def test_buffer_variants_reach_their_paths(self):
+        """Each buffer variant keeps exercising the path it pins: a digest
+        of a run that never takes the path would prove nothing."""
+        runs = {name: run_system(_budget(config), programs).mem
+                for name, (config, programs) in _buffer_variants().items()}
+        parity = runs["variant:lifecycle-amb-parity"]
+        assert parity.amb_parity_errors > 0
+        assert parity.pf_invalidated > 0
+        assert parity.pf_evicted_unused > 0
+        controller = runs["variant:lifecycle-controller"]
+        assert controller.pf_late_unused > 0
+        assert controller.pf_evicted_unused > 0
+        k1 = runs["variant:amb-k1"]
+        assert k1.demand_reads > 0 and k1.prefetched_lines == 0
 
     def test_ddr2_preset_reproduces_pre_refactor_digests(self, goldens):
         """The ddr2-667 preset is the identity on every bench config.

@@ -4,9 +4,12 @@
 from repro.channel.ddr2_bus import Ddr2Dimm
 from repro.channel.fbdimm_link import FbdimmLinks
 from repro.config import MemoryConfig, MemoryKind
+from repro.controller.channel_controller import Ddr2ChannelController
 from repro.controller.mapping import AddressMapper
 from repro.dram.resources import BusResource, TaggedBusResource
 from repro.dram.timing import TimingPs
+from repro.engine.simulator import Simulator
+from repro.stats.collector import MemSystemStats
 
 
 def fbd_config(**kw):
@@ -112,8 +115,16 @@ class TestDdr2Dimm:
         assert second.data_starts[0] >= first.data_times[0] + t.clock
 
     def test_bank_op_counts(self):
-        dimm, mapper, _, _ = self.make()
+        config = MemoryConfig(kind=MemoryKind.DDR2)
+        timing = TimingPs.from_config(
+            config.timings, config.dram_clock_ps, config.burst_clocks
+        )
+        channel = Ddr2ChannelController(
+            Simulator(), config, timing, 0, MemSystemStats()
+        )
+        dimm, mapper = channel.dimms[0], AddressMapper(config)
         line = self.dimm0_line(mapper)
         dimm.read_line(0, mapper.map(line))
         dimm.write_line(100_000, mapper.map(line + 64))
-        assert dimm.bank_operation_counts() == (2, 2)
+        counters = channel.collect_device_counters()
+        assert (counters["activates"], counters["column_accesses"]) == (2, 2)

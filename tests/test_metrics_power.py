@@ -2,10 +2,10 @@
 
 import pytest
 
-from repro.power.ddr2_power import (
+from repro.power import (
+    CommandEnergyModel,
     MicronPowerCalculator,
-    PowerModel,
-    relative_dynamic_power,
+    relative_dynamic_power_from_commands,
 )
 from repro.stats import metrics
 from repro.stats.collector import MemSystemStats
@@ -137,18 +137,18 @@ class TestMicronCalculator:
 
 class TestPowerModel:
     def test_weighting(self):
-        model = PowerModel(act_pre_weight=4.0)
-        assert model.dynamic_energy_units(10, 20) == pytest.approx(60.0)
+        model = CommandEnergyModel(act_pre_units=4.0)
+        assert model.dynamic_energy_units(10, 15, 5) == pytest.approx(60.0)
 
     def test_negative_counts_rejected(self):
         with pytest.raises(ValueError):
-            PowerModel().dynamic_energy_units(-1, 0)
+            CommandEnergyModel().dynamic_energy_units(-1, 0, 0)
 
     def test_relative_power_saving(self):
-        base = stats_with(activates=100, column_accesses=100)  # 500 units
-        ap = stats_with(activates=50, column_accesses=120)  # 320 units
-        assert relative_dynamic_power(ap, base) == pytest.approx(0.64)
+        base = stats_with(activates=100, column_reads=100)  # 500 units
+        ap = stats_with(activates=50, column_reads=90, column_writes=30)  # 320
+        assert relative_dynamic_power_from_commands(ap, base) == pytest.approx(0.64)
 
     def test_relative_power_zero_baseline(self):
         with pytest.raises(ValueError):
-            relative_dynamic_power(MemSystemStats(), MemSystemStats())
+            relative_dynamic_power_from_commands(MemSystemStats(), MemSystemStats())

@@ -56,8 +56,9 @@ class TestControllerBufferPaths:
     def test_amb_tables_absent(self):
         h = Harness(mc_memory())
         channel = h.controller.channels[0]
-        assert channel.mc_table is not None
-        assert all(amb.table is None for amb in channel.ambs)
+        # Every DIMM's reads go to the one channel buffer.
+        (shared,) = channel.prefetch_buffers
+        assert all(buffer is shared for buffer in channel.buffers)
 
     def test_miss_moves_whole_region_over_channel(self):
         h = Harness(mc_memory())
@@ -100,7 +101,7 @@ class TestControllerBufferPaths:
         channel = h.controller.channels[0]
         memory = mc_memory()
         expected = memory.prefetch.cache_entries * memory.dimms_per_channel
-        assert channel.mc_table.config.cache_entries == expected
+        assert channel.buffers[0].table.config.cache_entries == expected
 
 
 class TestEndToEndComparison:

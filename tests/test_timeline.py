@@ -2,7 +2,8 @@
 
 Covers the windowed telemetry layer end to end: golden Micron datasheet
 energies, the Figure 13 compatibility contract (per-command model ==
-aggregate PowerModel on refresh-free runs), window-edge semantics on a
+the frozen aggregate model in ``_legacy_power`` on refresh-free runs),
+window-edge semantics on a
 stub schedule, the conservation invariant and zero-overhead guard on
 real runs, JSONL/CSV round-trips, phase detection, diffing, the
 ``repro timeline`` CLI, and the WindowRecord counter-drift lint spec.
@@ -16,10 +17,7 @@ import pytest
 
 from repro.config import TimelineConfig, ddr2_baseline, fbdimm_amb_prefetch, fbdimm_baseline
 from repro.engine.simulator import Simulator
-from repro.power.ddr2_power import (
-    MicronPowerCalculator,
-    relative_dynamic_power,
-)
+from repro.power.ddr2_power import MicronPowerCalculator
 from repro.power.energy import (
     CommandEnergyModel,
     EnergyAccountant,
@@ -41,6 +39,7 @@ from repro.timeline.export import (
 from repro.timeline.phases import detect_phases
 from repro.timeline.records import TimelineResult, WindowRecord
 from repro.timeline.report import sparkline, timeline_report
+from tests._legacy_power import relative_dynamic_power
 
 INSTS = 5000
 PROGRAMS = ("wupwise", "swim")
