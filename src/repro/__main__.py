@@ -17,7 +17,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import sys
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, NoReturn, Optional, Tuple
 
 from repro.analysis.latency import LatencyDistribution
 from repro.analysis.report import run_report
@@ -49,32 +49,50 @@ ASSOCIATIVITIES = {
 }
 
 
+def _fail(message: str) -> NoReturn:
+    """Reject bad command-line input: one ``error:`` line, exit 2."""
+    print(f"error: {message}", file=sys.stderr)
+    raise SystemExit(2)
+
+
+def _programs(workload: str) -> List[str]:
+    """The programs of ``workload``, or a clean exit when it is unknown."""
+    try:
+        return workload_programs(workload)
+    except KeyError as exc:
+        _fail(f"{exc.args[0]}; 'python -m repro list' shows the names")
+
+
 def _build_config(args: argparse.Namespace, system: str) -> SystemConfig:
-    programs = workload_programs(args.workload)
-    cores = len(programs)
-    if system == "ddr2":
-        config = ddr2_baseline(num_cores=cores)
-    elif system == "fbd":
-        config = fbdimm_baseline(num_cores=cores)
-    else:
-        prefetch = AmbPrefetchConfig(
-            region_cachelines=args.k,
-            cache_entries=args.entries,
-            associativity=ASSOCIATIVITIES[args.assoc],
+    """The config the command-line knobs describe; a value a config
+    rejects (``ValueError`` from its ``__post_init__``) exits 2."""
+    cores = len(_programs(args.workload))
+    try:
+        if system == "ddr2":
+            config = ddr2_baseline(num_cores=cores)
+        elif system == "fbd":
+            config = fbdimm_baseline(num_cores=cores)
+        else:
+            prefetch = AmbPrefetchConfig(
+                region_cachelines=args.k,
+                cache_entries=args.entries,
+                associativity=ASSOCIATIVITIES[args.assoc],
+            )
+            config = fbdimm_amb_prefetch(num_cores=cores, prefetch=prefetch)
+        device = getattr(args, "device", None)
+        if device is not None and device != "ddr2-667":
+            config = config.with_device(device)
+        config = dataclasses.replace(
+            config,
+            instructions_per_core=args.insts,
+            seed=args.seed,
+            software_prefetch=not args.no_sw_prefetch,
         )
-        config = fbdimm_amb_prefetch(num_cores=cores, prefetch=prefetch)
-    device = getattr(args, "device", None)
-    if device is not None and device != "ddr2-667":
-        config = config.with_device(device)
-    config = dataclasses.replace(
-        config,
-        instructions_per_core=args.insts,
-        seed=args.seed,
-        software_prefetch=not args.no_sw_prefetch,
-    )
-    window_ns = getattr(args, "timeline_ns", None)
-    if window_ns is not None:
-        config = config.with_timeline(window_ns=window_ns)
+        window_ns = getattr(args, "timeline_ns", None)
+        if window_ns is not None:
+            config = config.with_timeline(window_ns=window_ns)
+    except ValueError as exc:
+        _fail(str(exc))
     return config
 
 
@@ -84,7 +102,7 @@ def _run_one(
     tracer: Optional[Tracer] = None,
     profiler: Optional[EventLoopProfiler] = None,
 ) -> Tuple[System, SimulationResult]:
-    programs = workload_programs(args.workload)
+    programs = _programs(args.workload)
     config = _build_config(args, system)
     machine = System(config, programs, tracer=tracer)
     if profiler is not None:
@@ -135,13 +153,14 @@ def _compare_results(args: argparse.Namespace) -> List[SimulationResult]:
     if args.jobs > 1 and not args.latency:
         from repro.experiments.parallel import execute_runs
 
-        programs = tuple(workload_programs(args.workload))
+        programs = tuple(_programs(args.workload))
         pairs = [(_build_config(args, system), programs) for system in SYSTEMS]
         return execute_runs(pairs, jobs=args.jobs)
     return [_run_one(args, system)[1] for system in SYSTEMS]
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
+    results = _compare_results(args)
     print(f"workload {args.workload}, {args.insts} instructions/core\n")
     header = (
         f"{'system':<8} {'sum IPC':>8} {'latency':>9} {'bandwidth':>10} "
@@ -150,7 +169,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
     print(header)
     print("-" * len(header))
     baseline_ipc: Optional[float] = None
-    for system, result in zip(SYSTEMS, _compare_results(args)):
+    for system, result in zip(SYSTEMS, results):
         total_ipc = sum(result.core_ipcs)
         if system == "ddr2":
             baseline_ipc = total_ipc
@@ -174,11 +193,17 @@ def cmd_list(_args: argparse.Namespace) -> int:
     return 0
 
 
+def _assoc_name(value: str) -> str:
+    if value not in ASSOCIATIVITIES:
+        raise ValueError(f"unknown value {value!r}; choices: {sorted(ASSOCIATIVITIES)}")
+    return value
+
+
 #: Sweepable axes for the ``sweep`` subcommand and how each value parses.
 SWEEP_AXES = {
     "k": int,
     "entries": int,
-    "assoc": str,
+    "assoc": _assoc_name,
     "rate": int,
     "channels": int,
     "device": str,
@@ -190,18 +215,19 @@ def _parse_axes(specs: List[str]) -> Dict[str, List[object]]:
     axes: Dict[str, List[object]] = {}
     for spec in specs:
         if "=" not in spec:
-            raise SystemExit(f"bad axis {spec!r}; expected name=v1,v2,...")
+            _fail(f"bad axis {spec!r}; expected name=v1,v2,...")
         name, _, values = spec.partition("=")
         if name not in SWEEP_AXES:
-            raise SystemExit(
-                f"unknown axis {name!r}; choices: {sorted(SWEEP_AXES)}"
-            )
+            _fail(f"unknown axis {name!r}; choices: {sorted(SWEEP_AXES)}")
         cast = SWEEP_AXES[name]
-        axes[name] = [cast(v) for v in values.split(",") if v]
+        try:
+            axes[name] = [cast(v) for v in values.split(",") if v]
+        except ValueError as exc:
+            _fail(f"axis {name!r}: {exc}")
         if not axes[name]:
-            raise SystemExit(f"axis {name!r} has no values")
+            _fail(f"axis {name!r} has no values")
     if not axes:
-        raise SystemExit("sweep needs at least one axis (e.g. k=2,4,8)")
+        _fail("sweep needs at least one axis (e.g. k=2,4,8)")
     return axes
 
 
@@ -211,29 +237,31 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     from repro.experiments.sweep import Sweep
 
     axes = _parse_axes(args.axes)
-    programs = workload_programs(args.workload)
-    cores = len(programs)
+    cores = len(_programs(args.workload))
 
     def build(k: int = 4, entries: int = 64, assoc: str = "full",
               rate: int = 667, channels: int = 2,
               device: str = "ddr2-667") -> SystemConfig:
-        prefetch = AmbPrefetchConfig(
-            region_cachelines=k,
-            cache_entries=entries,
-            associativity=ASSOCIATIVITIES[assoc],
-        )
-        config = fbdimm_amb_prefetch(
-            num_cores=cores,
-            prefetch=prefetch,
-            logic_channels=channels,
-        )
-        if device != "ddr2-667":
-            # The device preset fixes its own data rate; an explicit
-            # rate axis still overrides it below.
-            config = config.with_device(device)
-        if device == "ddr2-667" or "rate" in axes:
-            config = config.with_memory(data_rate_mts=rate)
-        return config
+        try:
+            prefetch = AmbPrefetchConfig(
+                region_cachelines=k,
+                cache_entries=entries,
+                associativity=ASSOCIATIVITIES[assoc],
+            )
+            config = fbdimm_amb_prefetch(
+                num_cores=cores,
+                prefetch=prefetch,
+                logic_channels=channels,
+            )
+            if device != "ddr2-667":
+                # The device preset fixes its own data rate; an explicit
+                # rate axis still overrides it below.
+                config = config.with_device(device)
+            if device == "ddr2-667" or "rate" in axes:
+                config = config.with_memory(data_rate_mts=rate)
+            return config
+        except ValueError as exc:
+            _fail(str(exc))
 
     sweep = Sweep(
         axes=axes, build=build, workload=args.workload, metric_name="sum_ipc"
@@ -258,15 +286,15 @@ def cmd_faults(args: argparse.Namespace) -> int:
     from repro.faults.sweep import fault_sweep, format_sweep
 
     if args.system == "ddr2":
-        raise SystemExit("fault injection models the FB-DIMM link layer; "
-                         "use --system fbd or fbd-ap")
+        _fail("fault injection models the FB-DIMM link layer; "
+              "use --system fbd or fbd-ap")
     try:
         rates = [float(v) for v in args.rates.split(",") if v]
     except ValueError as exc:
-        raise SystemExit(f"bad --rates value: {exc}") from exc
+        _fail(f"bad --rates value: {exc}")
     if not rates:
-        raise SystemExit("--rates needs at least one error rate")
-    programs = workload_programs(args.workload)
+        _fail("--rates needs at least one error rate")
+    programs = _programs(args.workload)
     config = _build_config(args, args.system)
     config = dataclasses.replace(
         config, faults=dataclasses.replace(config.faults, seed=args.fault_seed)
@@ -394,7 +422,7 @@ def build_parser() -> argparse.ArgumentParser:
     cache_p.set_defaults(func=cmd_cache)
 
     bench_p = sub.add_parser(
-        "bench", help="performance benchmarking (see docs/BENCHMARKING.md)"
+        "bench", help="profile the event loop (see docs/BENCHMARKING.md)"
     )
     from repro.bench.cli import configure_parser as configure_bench_parser
 

@@ -42,9 +42,8 @@ def _guarded(
 
 
 def cmd_report(args: argparse.Namespace) -> int:
-    from repro.__main__ import _build_config
+    from repro.__main__ import _build_config, _programs
     from repro.system import System
-    from repro.workloads.multiprog import workload_programs
 
     config = _build_config(args, "fbd-ap")
     config = dataclasses.replace(
@@ -61,7 +60,7 @@ def cmd_report(args: argparse.Namespace) -> int:
         from repro.telemetry import Tracer
 
         tracer = Tracer()
-    programs = workload_programs(args.workload)
+    programs = _programs(args.workload)
     machine = System(config, programs, tracer=tracer)
     result = machine.run()
     if tracer is not None:

@@ -32,7 +32,8 @@ from repro.timeline.report import timeline_report
 def _guarded(
     func: Callable[[argparse.Namespace], int],
 ) -> Callable[[argparse.Namespace], int]:
-    """I/O and schema errors exit 2 (same contract as repro.bench)."""
+    """I/O and schema errors exit 2 (same contract as repro.check and
+    repro.trace)."""
 
     def wrapper(args: argparse.Namespace) -> int:
         try:
@@ -45,14 +46,13 @@ def _guarded(
 
 
 def cmd_record(args: argparse.Namespace) -> int:
-    from repro.__main__ import _build_config
+    from repro.__main__ import _build_config, _programs
     from repro.system import run_system
-    from repro.workloads.multiprog import workload_programs
 
     config = _build_config(args, args.system).with_timeline(
         window_ns=args.window_ns
     )
-    result = run_system(config, workload_programs(args.workload))
+    result = run_system(config, _programs(args.workload))
     timeline = result.timeline
     assert timeline is not None  # with_timeline() always enables
     issues = validate_timeline(timeline)

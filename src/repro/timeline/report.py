@@ -14,7 +14,7 @@ from typing import List, Optional, Sequence
 from repro.timeline.phases import detect_phases
 from repro.timeline.records import TimelineResult, WindowRecord
 
-#: Sparkline glyph ramp (same ramp as the bench dashboard).
+#: Sparkline glyph ramp, lowest to highest.
 _BARS = " ▁▂▃▄▅▆▇█"
 
 

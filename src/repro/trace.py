@@ -59,14 +59,13 @@ def _add_run_args(parser: argparse.ArgumentParser) -> None:
 
 def record_capture(args: argparse.Namespace) -> TelemetryCapture:
     """Run one traced simulation and assemble its capture."""
-    from repro.__main__ import _build_config
+    from repro.__main__ import _build_config, _programs
     from repro.engine.profiler import EventLoopProfiler
     from repro.engine.simulator import ns
     from repro.stats.sampling import QueueSampler
     from repro.system import System
-    from repro.workloads.multiprog import workload_programs
 
-    programs = workload_programs(args.workload)
+    programs = _programs(args.workload)
     config = _build_config(args, args.system)
     tracer = Tracer(max_requests=args.max_requests)
     machine = System(config, programs, tracer=tracer)

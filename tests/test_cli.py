@@ -56,3 +56,34 @@ class TestCommands:
     def test_no_sw_prefetch_flag(self, capsys):
         assert main(["run", "--workload", "swim", "--insts", "4000",
                      "--no-sw-prefetch"]) == 0
+
+
+class TestInputErrors:
+    """Bad workloads and config values exit 2 with one ``error:`` line,
+    never a traceback."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run", "--workload", "nope"],
+            ["compare", "--workload", "nope"],
+            ["sweep", "k=2", "--workload", "nope", "--no-cache"],
+            ["faults", "--workload", "nope"],
+            ["bench", "profile", "--workload", "nope"],
+            ["run", "--k", "0"],
+            ["run", "--insts", "0"],
+            ["run", "--timeline-ns", "-1"],
+            ["sweep", "k=0", "--no-cache"],
+            ["sweep", "k=x", "--no-cache"],
+            ["sweep", "assoc=bogus", "--no-cache"],
+        ],
+        ids=lambda argv: " ".join(argv),
+    )
+    def test_exits_2_with_one_error_line(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.err and captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), lines

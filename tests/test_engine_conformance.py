@@ -9,8 +9,9 @@ only legal while every digest stays bit-identical.
 
 Coverage:
 
-* every ``repro bench`` scenario's system configuration (the sweep
-  scenarios share one 4-point prefetch sweep, digested serially);
+* the system configurations of the retired ``repro bench`` scenarios,
+  kept under their ``bench:*`` names (the two sweep scenarios shared one
+  4-point prefetch sweep, digested serially);
 * a deterministic slice of every figure module's ``plan(ctx)`` — all
   unique planned runs, normalised the way the experiments layer does;
 * the off-by-default subsystems that ride the hot path when enabled:
@@ -18,7 +19,7 @@ Coverage:
 * the prefetch-buffer paths no other case reaches: AMB-cache parity flips,
   the controller-side buffer with lifecycle accounting, and K=1 groups;
 * every non-DDR2 device generation preset (``repro.dram.devices``)
-  running the bench scenarios plus the fig05 plan, so refresh scheduling,
+  running the bench cases plus the fig05 plan, so refresh scheduling,
   tFAW enforcement and the per-generation timing/energy tables are pinned
   by digests of their own.  The DDR2 preset adds no cases: it must map
   every configuration onto itself (``test_ddr2_preset_reproduces_...``),
@@ -39,7 +40,6 @@ from pathlib import Path
 
 import pytest
 
-from repro.bench.scenarios import _sweep_pairs
 from repro.config import (
     AmbPrefetchConfig,
     PrefetchLocation,
@@ -101,8 +101,18 @@ def _budget(config: SystemConfig, instructions: int = BENCH_INSTS) -> SystemConf
     )
 
 
+def _sweep_pairs() -> "list[tuple]":
+    """A small prefetch-degree sweep, the shape every figure module has."""
+    return [
+        (_budget(fbdimm_amb_prefetch(num_cores=2).with_prefetch(
+            region_cachelines=k)), ("wupwise", "swim"))
+        for k in (1, 2, 4, 8)
+    ]
+
+
 def _bench_cases() -> "dict[str, list]":
-    """The bench scenarios' configurations as (config, programs) pairs."""
+    """The retired bench scenarios' configurations as (config, programs)
+    pairs."""
     two = ("wupwise", "swim")
     return {
         "bench:ddr2-1ch": [
@@ -128,7 +138,7 @@ def _bench_cases() -> "dict[str, list]":
                 .with_faults(error_rate=1e-2)
             ), _BENCH_PROGRAMS)
         ],
-        "bench:sweep": list(_sweep_pairs(BENCH_INSTS, SEED)),
+        "bench:sweep": _sweep_pairs(),
     }
 
 
@@ -186,7 +196,7 @@ _DEVICE_GENERATIONS = ("ddr3-1333", "ddr4-2400", "lpddr4-2400")
 
 
 def _device_cases() -> "dict[str, list]":
-    """Every bench scenario and the fig05 plan, per device generation."""
+    """Every bench case and the fig05 plan, per device generation."""
     cases = {}
     bench = _bench_cases()
     for device in _DEVICE_GENERATIONS:

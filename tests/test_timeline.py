@@ -949,9 +949,22 @@ class TestWindowRecordLintSpec:
         assert not any(f.rule.startswith("stat-") for f in findings)
 
 
-class TestBenchScenario:
-    def test_timeline_overhead_scenario_registered(self):
-        from repro.bench.scenarios import SCENARIOS
+class TestTimelineOverhead:
+    def test_collector_adds_under_five_percent_of_repro_calls(self):
+        """The collector's on-cost, as exact Python calls made in
+        ``src/repro`` with the timeline on vs off: a 4-channel AMB-prefetch
+        run must grow by less than 5% (+1.07% when this gate was set)."""
+        from tests.test_call_budget import measure
 
-        scenario = SCENARIOS["fbd-4ch-ap-timeline"]
-        assert "timeline" in scenario.description
+        base = dataclasses.replace(
+            fbdimm_amb_prefetch(num_cores=4, logic_channels=4),
+            instructions_per_core=20_000, seed=12345,
+        )
+        programs = ("wupwise", "swim", "mgrid", "applu")
+        off = sum(measure(base, programs).values())
+        on = sum(measure(base.with_timeline(window_ns=1000.0), programs).values())
+        overhead = on / off - 1.0
+        assert overhead < 0.05, (
+            f"timeline on costs {overhead:+.2%} repro calls "
+            f"({off} -> {on}); budget 5%"
+        )
