@@ -125,7 +125,7 @@ class ChannelControllerBase:
         self._pruned_at = -1  # last tick _prune ran (idempotent within one)
         self._banks_per_dimm = config.banks_per_dimm
         #: Optional request-lifecycle tracer (assigned by MemoryController);
-        #: every hook site is a no-op when this stays None.
+        #: its completion and retry hooks are skipped while this stays None.
         self.tracer: "Optional[Tracer]" = None
         #: Optional per-prefetch lifecycle tracker (repro.prefetch);
         #: attached via attach_lifecycle, None keeps every hook free.
@@ -207,8 +207,6 @@ class ChannelControllerBase:
                 self.read_q.remove(req)
                 self.inflight_reads += 1
             req.issue_time = now
-            if self.tracer is not None:
-                self.tracer.on_issue(req, now)
             self.stats.note_activity(now)
             self._issue(req)
 
@@ -241,8 +239,10 @@ class ChannelControllerBase:
 
             self.sim.schedule_fire(offset + interval, lambda b=banks: loop(b))
 
-    def _finish_at(self, req: MemoryRequest, finish_time: int) -> None:
-        """Schedule the completion event for an issued transaction."""
+    def _finish_at(self, req: MemoryRequest, data_at: int, finish_time: int) -> None:
+        """Record when the transaction's data moves and schedule its
+        completion event."""
+        req.data_at = data_at
         self.sim.schedule_fire(finish_time, partial(self._complete, req))
 
     def _complete(self, req: MemoryRequest) -> None:
@@ -264,10 +264,6 @@ class ChannelControllerBase:
                 line_bytes=self.config.cacheline_bytes,
                 core_id=req.core_id,
             )
-            if req.amb_hit and self.lifecycle is not None:
-                # Counted at completion, exactly like amb_hits, so the
-                # lifecycle-derived coverage matches the legacy figure.
-                self.lifecycle.on_hit_completion()
         if self.tracer is not None:
             self.tracer.on_complete(req, now)
         req.complete(now)
@@ -384,9 +380,7 @@ class Ddr2ChannelController(ChannelControllerBase):
                   if req.kind is RequestKind.WRITE
                   else dimm.read_line(self.sim.now, req.mapped))
         req.row_hit = result.row_hit
-        if self.tracer is not None:
-            self.tracer.on_data(req, result.data_starts[0])
-        self._finish_at(req, result.data_times[0])
+        self._finish_at(req, result.data_starts[0], result.data_times[0])
 
     def enable_protocol_trace(self) -> None:
         for dimm in self.dimms:
@@ -545,7 +539,7 @@ class FbdimmChannelController(ChannelControllerBase):
     def _on_fault_retry(self, kind: str, time_ps: int, attempt: int) -> None:
         """ChannelFaults.on_retry hook: surface replays to the tracer."""
         if self.tracer is not None and self._issuing is not None:
-            self.tracer.on_retry(self._issuing, time_ps)
+            self.tracer.on_retry(self._issuing, kind, time_ps)
 
     def _issue(self, req: MemoryRequest) -> None:
         self._issuing = req
@@ -576,18 +570,15 @@ class FbdimmChannelController(ChannelControllerBase):
         arrival = self.links.send_write_ps(self.sim.now, dimm)
         result = self.ambs[dimm].write_line(arrival, req.mapped)
         req.row_hit = result.row_hit
-        if self.tracer is not None:
-            self.tracer.on_data(req, result.data_starts[0])
-        self._finish_at(req, result.data_times[0])
+        self._finish_at(req, result.data_starts[0], result.data_times[0])
 
     def _issue_read_plain(self, req: MemoryRequest) -> None:
         arrival = self.links.send_command_ps(self.sim.now)
         result = self.ambs[req.mapped.dimm].read_line(arrival, req.mapped)
         req.row_hit = result.row_hit
-        if self.tracer is not None:
-            self.tracer.on_data(req, result.data_starts[0])
-        ret = self.links.return_read(result.data_starts[0], req.mapped.dimm)
-        self._finish_at(req, ret.critical_at_mc)
+        demanded = result.data_starts[0]
+        ret = self.links.return_read(demanded, req.mapped.dimm)
+        self._finish_at(req, demanded, ret.critical_at_mc)
 
     def _issue_read_prefetching(self, req: MemoryRequest) -> None:
         """Serve a read from its DIMM's prefetch buffer, or group-fetch it.
@@ -604,7 +595,6 @@ class FbdimmChannelController(ChannelControllerBase):
         now = self.sim.now
         # Under AMB placement the lookup's parity draw precedes the send.
         available = buffer.lookup(line)
-        tracer = self.tracer
         links = self.links
         region = line // self._region_lines
         if self._buffer_at_amb:
@@ -614,34 +604,26 @@ class FbdimmChannelController(ChannelControllerBase):
                 # FBD-APFL charges the hit the tRCD + tCL a miss would pay;
                 # it is not additive with an in-flight fill's completion.
                 ready = max(arrival + self.hit_extra_ps, available)
-                if tracer is not None:
-                    tracer.on_data(req, ready)
-                self._finish_at(req, links.return_read(ready, dimm).critical_at_mc)
+                self._finish_at(req, ready, links.return_read(ready, dimm).critical_at_mc)
                 return
             order = buffer.miss(line)
             result = self.ambs[dimm].group_read(arrival, req.mapped, len(order))
             buffer.start_fills(region, dict(zip(order[1:], result.data_times[1:])))
             demanded = result.data_starts[0]
-            if tracer is not None:
-                tracer.on_data(req, demanded)
             ret = links.return_read(demanded, dimm)
             # Scheduled even for a group with no companions: a no-op commit.
             self.sim.schedule_fire(result.data_times[-1],
                                    partial(buffer.commit, region))
-            self._finish_at(req, ret.critical_at_mc)
+            self._finish_at(req, demanded, ret.critical_at_mc)
             return
         if available is not None:
             req.amb_hit = True
             ready = max(now, available)
-            if tracer is not None:
-                tracer.on_data(req, ready)
-            self._finish_at(req, ready)
+            self._finish_at(req, ready, ready)
             return
         arrival = links.send_command_ps(now)
         order = buffer.miss(line)
         result = self.ambs[dimm].group_read(arrival, req.mapped, len(order))
-        if tracer is not None:
-            tracer.on_data(req, result.data_starts[0])
         fills: "dict[int, int]" = {}
         demanded_finish = 0
         for fetched, start in zip(order, result.data_starts):
@@ -655,7 +637,7 @@ class FbdimmChannelController(ChannelControllerBase):
         if fills:
             self.sim.schedule_fire(max(fills.values()),
                                    partial(buffer.commit, region))
-        self._finish_at(req, demanded_finish)
+        self._finish_at(req, result.data_starts[0], demanded_finish)
 
     def enable_protocol_trace(self) -> None:
         for amb in self.ambs:

@@ -119,11 +119,10 @@ class MemoryController:
         if self._idle_since is not None:
             self._close_idle_gap(self.sim.now)
         req.mapped = self.mapper.map(req.line_addr)
-        req.schedulable_at = req.arrival + self.overhead_ps
         self._chain_completion(req)
         admitted = self.active < self.capacity
         if self.tracer is not None:
-            self.tracer.on_arrival(req, self.sim.now, backlogged=not admitted)
+            self.tracer.on_arrival(req, backlogged=not admitted)
         if admitted:
             self._admit(req)
         else:
@@ -186,10 +185,8 @@ class MemoryController:
     def _admit(self, req: MemoryRequest) -> None:
         self.active += 1
         channel = self.channels[req.mapped.channel]
-        ready = max(req.schedulable_at, self.sim.now)
+        ready = max(req.arrival + self.overhead_ps, self.sim.now)
         req.schedulable_at = ready
-        if self.tracer is not None:
-            self.tracer.on_schedulable(req, ready)
         self.sim.schedule_fire(ready, partial(channel.submit, req))
 
     # ------------------------------------------------------------------

@@ -38,7 +38,9 @@ class MemoryRequest:
     """One cacheline-sized transaction travelling through the controller.
 
     Timestamps (all picoseconds, -1 until set) let the stats layer compute
-    queueing delay vs service time without re-deriving anything.
+    queueing delay vs service time without re-deriving anything, and are
+    the whole of a request's lifecycle span: the telemetry tracer reads
+    them after the run instead of being called at each phase.
 
     Identity semantics: ``req_id`` is unique per request, so equality is
     identity — which keeps the controllers' ``deque.remove`` calls at
@@ -52,7 +54,7 @@ class MemoryRequest:
 
     __slots__ = (
         "kind", "line_addr", "core_id", "arrival", "mapped", "on_complete",
-        "req_id", "schedulable_at", "issue_time", "finish_time",
+        "req_id", "schedulable_at", "issue_time", "data_at", "finish_time",
         "amb_hit", "row_hit",
         "bank", "rank_timer", "tag_set", "pending_fills",
     )
@@ -74,8 +76,9 @@ class MemoryRequest:
         self.mapped = mapped
         self.on_complete = on_complete
         self.req_id = next(_request_ids) if req_id is None else req_id
-        self.schedulable_at = -1  # arrival + controller overhead
+        self.schedulable_at = -1  # admitted: arrival + controller overhead
         self.issue_time = -1  # first DRAM/AMB command for this request
+        self.data_at = -1  # first beat of its data burst (cut-through for hits)
         self.finish_time = -1  # critical data at the controller / write retired
         self.amb_hit = False  # served from the AMB cache
         self.row_hit = False  # open-page row-buffer hit

@@ -77,8 +77,9 @@ def lifecycle_crosscheck(ctx: ExperimentContext) -> List[str]:
     checks, per run, that (a) the conservation invariant holds and
     (b) :func:`repro.stats.metrics.lifecycle_coverage` — coverage rebuilt
     from the per-prefetch outcome counters — equals the legacy
-    ``prefetch_coverage`` *exactly* (both count hits at read completion,
-    so any drift is a lifecycle-accounting bug, not noise).
+    ``prefetch_coverage`` *exactly* (``pf_hits`` is set from
+    ``amb_hits`` at finalize, so any drift is a lifecycle-accounting bug,
+    not noise).
 
     Returns human-readable mismatches; empty means the cross-check
     passed.  Deliberately separate from :func:`plan`/:func:`run`, whose

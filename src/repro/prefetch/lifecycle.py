@@ -166,15 +166,6 @@ class PrefetchLifecycle:
             self.stats.pf_invalidated += 1
             self._trace_close(line_addr, "invalidated")
 
-    def on_hit_completion(self) -> None:
-        """A read served from a prefetch buffer completed.
-
-        Counted at the same point as ``MemSystemStats.amb_hits`` so the
-        lifecycle-derived coverage reproduces the legacy figure exactly
-        (including warm-up discard semantics).
-        """
-        self.stats.pf_hits += 1
-
     # -- run boundaries ---------------------------------------------------
 
     def on_measurement_reset(self) -> None:
@@ -188,7 +179,13 @@ class PrefetchLifecycle:
         self.stats.pf_issued += len(self._open)
 
     def finalize(self) -> None:
-        """Close the run: every still-open instance is ``resident_at_end``."""
+        """Close the run: every still-open instance is ``resident_at_end``.
+
+        ``pf_hits`` is set here from ``amb_hits``: both count the reads
+        served from a prefetch buffer, at completion, over the measured
+        window, so a per-completion hook would only recount it.
+        """
+        self.stats.pf_hits = self.stats.amb_hits
         remaining = len(self._open)
         if remaining:
             self.stats.pf_resident_at_end += remaining

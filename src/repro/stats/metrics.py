@@ -98,10 +98,10 @@ def prefetch_timeliness(stats: MemSystemStats) -> float:
 def lifecycle_coverage(stats: MemSystemStats) -> float:
     """coverage recomputed from the lifecycle path: pf_hits / #read.
 
-    ``pf_hits`` is counted at read completion exactly like ``amb_hits``,
-    so with lifecycle tracking on this reproduces
-    :func:`prefetch_coverage` identically (pinned by a regression test on
-    the fig08 experiment).
+    ``PrefetchLifecycle.finalize`` sets ``pf_hits`` from ``amb_hits``, so
+    with lifecycle tracking on this reproduces :func:`prefetch_coverage`
+    identically (pinned by a regression test on the fig08 experiment);
+    with it off ``pf_hits`` stays 0.
     """
     if stats.total_reads == 0:
         return 0.0

@@ -5,7 +5,7 @@ Two output formats:
 * **capture JSONL** — the raw recording: a header line (version, run
   metadata, final metrics snapshot) followed by one record per request
   trace, DRAM/frame command (same short field codes as the
-  :mod:`repro.check.trace` files), queue sample and profiler site.
+  :mod:`repro.check.trace` files), profiler site and timeline window.
 * **Chrome trace-event JSON** — ``{"traceEvents": [...]}``, loadable in
   Perfetto / ``chrome://tracing``: one process per channel/DIMM with a
   thread per bank (command and burst spans), one process per channel's
@@ -56,7 +56,6 @@ class TelemetryCapture:
     requests: List[RequestTrace] = field(default_factory=list)
     prefetches: List[PrefetchTrace] = field(default_factory=list)
     commands: List[CheckEvent] = field(default_factory=list)
-    samples: List[Dict[str, object]] = field(default_factory=list)
     profile: List[Dict[str, object]] = field(default_factory=list)
     #: Encoded WindowRecord dicts from a timeline-enabled run.
     timeline: List[Dict[str, object]] = field(default_factory=list)
@@ -99,7 +98,6 @@ def build_capture(
     result: "SimulationResult",
     tracer: Tracer,
     check_events: Optional[List[CheckEvent]] = None,
-    samples: Optional[List[Dict[str, object]]] = None,
     profile: Optional[List[Dict[str, object]]] = None,
 ) -> TelemetryCapture:
     """Assemble a capture from a finished traced run.
@@ -127,7 +125,6 @@ def build_capture(
         requests=tracer.traces(),
         prefetches=list(tracer.prefetches),
         commands=sorted(check_events or [], key=lambda e: e.time_ps),
-        samples=list(samples or []),
         profile=list(profile or []),
         timeline=timeline,
     )
@@ -161,9 +158,6 @@ def save_capture(path: Union[str, Path], capture: TelemetryCapture) -> int:
             record.update(event_to_record(event))
             handle.write(json.dumps(record) + "\n")
             count += 1
-        for sample in capture.samples:
-            handle.write(json.dumps({"type": "sample", **sample}) + "\n")
-            count += 1
         for site in capture.profile:
             handle.write(json.dumps({"type": "profile", **site}) + "\n")
             count += 1
@@ -173,11 +167,29 @@ def save_capture(path: Union[str, Path], capture: TelemetryCapture) -> int:
     return count
 
 
+def _json_object(path: Path, line_no: int, line: str) -> Dict[str, object]:
+    """One capture line as a JSON object; anything else is a ValueError
+    naming ``path:line``."""
+    try:
+        record = json.loads(line)
+    except ValueError as exc:
+        raise ValueError(f"{path}:{line_no}: not JSON ({exc})") from exc
+    if not isinstance(record, dict):
+        raise ValueError(
+            f"{path}:{line_no}: expected a JSON object, got {type(record).__name__}"
+        )
+    return record
+
+
 def load_capture(path: Union[str, Path]) -> TelemetryCapture:
-    """Load a capture written by :func:`save_capture`."""
+    """Load a capture written by :func:`save_capture`.
+
+    A malformed file raises ``ValueError`` naming the offending
+    ``path:line``.
+    """
     path = Path(path)
     with path.open("r", encoding="utf-8") as handle:
-        header = json.loads(handle.readline())
+        header = _json_object(path, 1, handle.readline())
         if header.get("format") != CAPTURE_FORMAT:
             raise ValueError(f"{path}: not a telemetry capture")
         if header.get("version") != CAPTURE_VERSION:
@@ -190,7 +202,7 @@ def load_capture(path: Union[str, Path]) -> TelemetryCapture:
         for line_no, line in enumerate(handle, start=2):
             if not line.strip():
                 continue
-            record = json.loads(line)
+            record = _json_object(path, line_no, line)
             kind = record.pop("type", None)
             try:
                 if kind == "req":
@@ -199,8 +211,6 @@ def load_capture(path: Union[str, Path]) -> TelemetryCapture:
                     capture.prefetches.append(PrefetchTrace.from_record(record))
                 elif kind == "cmd":
                     capture.commands.append(record_to_event(record))
-                elif kind == "sample":
-                    capture.samples.append(record)
                 elif kind == "profile":
                     capture.profile.append(record)
                 elif kind == "window":
@@ -588,11 +598,11 @@ def summarize_capture(capture: TelemetryCapture, top_sites: int = 10) -> str:
             line += f", mean fill latency {fill_sum / filled / 1000:.1f} ns"
         lines.append(line)
 
-    if capture.samples:
-        depths = [int(s.get("queued_requests", 0)) for s in capture.samples]
+    if capture.timeline:
+        depths = [int(w.get("queue_depth", 0)) for w in capture.timeline]
         lines.append(
-            f"queue samples: {len(depths)}, mean depth "
-            f"{sum(depths) / len(depths):.2f}, peak {max(depths)}"
+            f"queue depth over {len(depths)} timeline windows: "
+            f"mean {sum(depths) / len(depths):.2f}, peak {max(depths)}"
         )
 
     if capture.metrics:

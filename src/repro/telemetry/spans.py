@@ -1,11 +1,16 @@
 """Request-lifecycle tracing: one timestamped span per memory request.
 
 A :class:`Tracer` is attached to a run (``System(config, programs,
-tracer=Tracer())`` or ``run_system(..., tracer=...)``).  The controller and
-channel engines call its hooks at each phase transition; every hook site is
-guarded by ``if tracer is not None`` so an untraced run executes exactly
-the seed instruction stream — tracing never schedules simulator events and
-never touches the statistics counters.
+tracer=Tracer())`` or ``run_system(..., tracer=...)``).  A request already
+carries its own timestamps (:class:`~repro.controller.transaction.
+MemoryRequest`), so the tracer keeps the request and builds its span from
+those fields when :meth:`Tracer.traces` is called.  Only three facts are
+not on the request, so only three hooks remain, each guarded by ``if
+tracer is not None``: :meth:`~Tracer.on_arrival` (whether it was
+backlogged, and the recording bound), :meth:`~Tracer.on_retry` (CRC
+replays) and :meth:`~Tracer.on_complete` (the latency histograms).
+Tracing never schedules simulator events and never touches the
+statistics counters.
 
 Phases of one request (all times integer picoseconds):
 
@@ -21,8 +26,9 @@ Phases of one request (all times integer picoseconds):
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
+from repro.faults.retry import NB_LINE
 from repro.telemetry.registry import MetricsRegistry
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -204,19 +210,71 @@ class RequestTrace:
         return trace
 
 
+def request_trace(
+    req: "MemoryRequest", backlogged: bool, retries: Sequence[Tuple[str, int]] = ()
+) -> RequestTrace:
+    """The span of one request, read off its timestamps.
+
+    ``retries`` are its ``(transfer kind, time)`` CRC replays in booking
+    order.  Southbound sends precede the DRAM access and northbound
+    returns follow it, so the ``SB_*`` replays go before ``data`` and the
+    ``NB_LINE`` ones after it.  A timestamp still at -1 (never admitted,
+    issued or completed) records no phase.
+    """
+    phases = [("arrival", req.arrival)]
+    if backlogged:
+        phases.append(("queued", req.arrival))
+    if req.schedulable_at >= 0:
+        phases.append(("schedulable", req.schedulable_at))
+    if req.issue_time >= 0:
+        phases.append(("issue", req.issue_time))
+    for kind, time_ps in retries:
+        if kind != NB_LINE:
+            phases.append(("retry", time_ps))
+    if req.data_at >= 0:
+        phases.append(("data", req.data_at))
+    for kind, time_ps in retries:
+        if kind == NB_LINE:
+            phases.append(("retry", time_ps))
+    finished = req.finish_time >= 0
+    if finished:
+        phases.append(("complete", req.finish_time))
+    trace = RequestTrace(
+        req_id=req.req_id,
+        kind=req.kind.value,
+        core_id=req.core_id,
+        line_addr=req.line_addr,
+        amb_hit=finished and req.amb_hit,
+        row_hit=finished and req.row_hit,
+        phases=phases,
+    )
+    mapped = req.mapped
+    if mapped is not None:
+        trace.channel = mapped.channel
+        trace.dimm = mapped.dimm
+        trace.rank = mapped.rank
+        trace.bank = mapped.bank
+    return trace
+
+
 class Tracer:
     """Collects request traces and per-phase latency histograms.
 
-    Memory is bounded: once ``max_requests`` traces exist, further requests
-    are counted in ``dropped`` but not recorded (the histograms still see
-    every completion, so aggregate numbers stay exact).
+    Memory is bounded: once ``max_requests`` requests are recorded,
+    further requests are counted in ``dropped`` but not recorded (the
+    histograms still see every completion, so aggregate numbers stay
+    exact).
     """
 
     def __init__(
         self, max_requests: int = 200_000, max_prefetches: int = 200_000
     ) -> None:
         self.max_requests = max_requests
-        self.requests: Dict[int, RequestTrace] = {}
+        #: req_id -> (request, was it backlogged), in arrival order.
+        self.requests: "Dict[int, Tuple[MemoryRequest, bool]]" = {}
+        #: req_id -> its (transfer kind, time) CRC replays, recorded
+        #: requests only.
+        self._retries: Dict[int, List[Tuple[str, int]]] = {}
         self.dropped = 0
         #: Prefetch lifecycle spans, in issue order (fed by the
         #: PrefetchLifecycle tracker when both it and tracing are on).
@@ -242,48 +300,19 @@ class Tracer:
 
     # -- hooks (called by the controller layer) -------------------------
 
-    def on_arrival(self, req: "MemoryRequest", now: int, backlogged: bool) -> None:
-        """Request entered the controller; mapped address is known."""
+    def on_arrival(self, req: "MemoryRequest", backlogged: bool) -> None:
+        """Request entered the controller, parked in the admission FIFO
+        when ``backlogged``."""
         if len(self.requests) >= self.max_requests:
             self.dropped += 1
             return
-        trace = RequestTrace(
-            req_id=req.req_id,
-            kind=req.kind.value,
-            core_id=req.core_id,
-            line_addr=req.line_addr,
-        )
-        if req.mapped is not None:
-            trace.channel = req.mapped.channel
-            trace.dimm = req.mapped.dimm
-            trace.rank = req.mapped.rank
-            trace.bank = req.mapped.bank
-        trace.mark("arrival", now)
-        if backlogged:
-            trace.mark("queued", now)
-        self.requests[req.req_id] = trace
+        self.requests[req.req_id] = (req, backlogged)
 
-    def on_schedulable(self, req: "MemoryRequest", time_ps: int) -> None:
-        trace = self.requests.get(req.req_id)
-        if trace is not None:
-            trace.mark("schedulable", time_ps)
-
-    def on_issue(self, req: "MemoryRequest", now: int) -> None:
-        trace = self.requests.get(req.req_id)
-        if trace is not None:
-            trace.mark("issue", now)
-
-    def on_retry(self, req: "MemoryRequest", time_ps: int) -> None:
-        """A fault-injection replay was booked for this request."""
+    def on_retry(self, req: "MemoryRequest", kind: str, time_ps: int) -> None:
+        """A fault-injection replay of a ``kind`` transfer was booked."""
         self._c_retries.inc()
-        trace = self.requests.get(req.req_id)
-        if trace is not None:
-            trace.mark("retry", time_ps)
-
-    def on_data(self, req: "MemoryRequest", time_ps: int) -> None:
-        trace = self.requests.get(req.req_id)
-        if trace is not None:
-            trace.mark("data", time_ps)
+        if req.req_id in self.requests:
+            self._retries.setdefault(req.req_id, []).append((kind, time_ps))
 
     def on_complete(self, req: "MemoryRequest", now: int) -> None:
         self._h_latency.observe(max(0, now - req.arrival))
@@ -293,11 +322,6 @@ class Tracer:
             self._c_stalled.inc()
         if req.issue_time >= 0:
             self._h_service.observe(max(0, now - req.issue_time))
-        trace = self.requests.get(req.req_id)
-        if trace is not None:
-            trace.mark("complete", now)
-            trace.amb_hit = req.amb_hit
-            trace.row_hit = req.row_hit
 
     # -- prefetch lifecycle spans ---------------------------------------
 
@@ -318,8 +342,12 @@ class Tracer:
     # -- results --------------------------------------------------------
 
     def traces(self) -> List[RequestTrace]:
-        """All recorded traces, in arrival order."""
-        return list(self.requests.values())
+        """All recorded traces, in arrival order, as the requests stand now."""
+        retries = self._retries
+        return [
+            request_trace(req, backlogged, retries.get(req_id, ()))
+            for req_id, (req, backlogged) in self.requests.items()
+        ]
 
     def completed_traces(self) -> List[RequestTrace]:
-        return [t for t in self.requests.values() if t.completed]
+        return [t for t in self.traces() if t.completed]

@@ -9,7 +9,7 @@ Usage::
 
 ``record`` runs one simulation with a :class:`repro.telemetry.Tracer`
 attached and writes the capture JSONL (request lifecycles, DRAM/frame
-commands, metrics snapshot, optional queue samples and event-loop
+commands, metrics snapshot, optional timeline windows and event-loop
 profile).  ``export`` renders a capture as Chrome trace-event JSON —
 open it in Perfetto or ``chrome://tracing`` — and schema-validates the
 result; given no capture file it records one first using the same run
@@ -53,16 +53,16 @@ def _add_run_args(parser: argparse.ArgumentParser) -> None:
                         help="request-trace recording bound")
     parser.add_argument("--profile", action="store_true",
                         help="also profile the event loop by callback site")
-    parser.add_argument("--sample-ns", type=float, default=0.0,
-                        help="sample queue depths every N ns (0 = off)")
+    parser.add_argument("--timeline-ns", type=float, default=None,
+                        metavar="NS",
+                        help="also record the windowed timeline, queue "
+                             "depth included (window length in sim-time ns)")
 
 
 def record_capture(args: argparse.Namespace) -> TelemetryCapture:
     """Run one traced simulation and assemble its capture."""
     from repro.__main__ import _build_config, _programs
     from repro.engine.profiler import EventLoopProfiler
-    from repro.engine.simulator import ns
-    from repro.stats.sampling import QueueSampler
     from repro.system import System
 
     programs = _programs(args.workload)
@@ -73,19 +73,11 @@ def record_capture(args: argparse.Namespace) -> TelemetryCapture:
     if args.profile:
         profiler = EventLoopProfiler()
         machine.sim.profiler = profiler
-    sampler: Optional[QueueSampler] = None
-    if args.sample_ns > 0:
-        sampler = QueueSampler(period_ps=ns(args.sample_ns))
-        sampler.attach(machine.sim, machine.controller)
     result = machine.run()
-    if sampler is not None:
-        sampler.detach()
-        sampler.observe_into(tracer.registry)
     return build_capture(
         result,
         tracer,
         check_events=machine.controller.collect_check_events(),
-        samples=sampler.to_records() if sampler is not None else None,
         profile=(
             profiler.to_records() + profiler.stack_records()
             if profiler is not None else None

@@ -1,5 +1,5 @@
-"""Analysis-package tests: latency distributions, utilisation, sampling,
-and run reports."""
+"""Analysis-package tests: latency distributions, utilisation and run
+reports."""
 
 import dataclasses
 
@@ -15,20 +15,16 @@ from repro.config import (
     fbdimm_baseline,
 )
 from repro.stats.collector import MemSystemStats
-from repro.stats.sampling import QueueSampler
 from repro.system import System
 
 
-def small_run(config=None, insts=8_000, programs=("swim",), capture=False,
-              sampler=None):
+def small_run(config=None, insts=8_000, programs=("swim",), capture=False):
     config = dataclasses.replace(
         config or fbdimm_baseline(len(programs)), instructions_per_core=insts
     )
     system = System(config, list(programs))
     if capture:
         system.controller.stats.enable_latency_capture()
-    if sampler is not None:
-        sampler.attach(system.sim, system.controller)
     return system.run()
 
 
@@ -96,34 +92,6 @@ class TestUtilisation:
 
     def test_empty_stats(self):
         assert channel_utilisation_report(MemSystemStats()) == []
-
-
-class TestQueueSampler:
-    def test_collects_samples(self):
-        sampler = QueueSampler(period_ps=50_000)
-        small_run(sampler=sampler)
-        assert len(sampler.samples) > 10
-        assert sampler.mean_inflight() > 0
-
-    def test_aggregates_on_empty(self):
-        sampler = QueueSampler()
-        assert sampler.mean_queue_depth() == 0.0
-        assert sampler.peak_queue_depth() == 0
-        assert sampler.backlog_fraction() == 0.0
-
-    def test_period_validation(self):
-        sampler = QueueSampler(period_ps=0)
-        with pytest.raises(ValueError):
-            sampler.attach(None, None)
-
-    def test_loaded_system_queues(self):
-        sampler = QueueSampler(period_ps=50_000)
-        small_run(
-            config=fbdimm_baseline(4),
-            programs=("swim", "mgrid", "applu", "equake"),
-            sampler=sampler,
-        )
-        assert sampler.peak_queue_depth() > 0
 
 
 class TestRunReport:

@@ -5,9 +5,12 @@ events a run makes is exact, so a change to it is a change to the code,
 never to the host.  This test pins, per workload, the calls each
 top-level ``src/repro`` entry (``controller``, ``engine``,
 ``system.py``, ...) makes during one ``run_system``; stdlib and
-builtins are not counted.  The three workloads are the single-run
-workloads of ``perfbench/`` at a small size: ``fbd-ap-8c``, ``ddr2-4c``
-and ``fbd-ap-observed`` at 20 000 insts/core, seed 12345.
+builtins are not counted.  Three workloads are the single-run workloads
+of ``perfbench/`` at a small size: ``fbd-ap-8c``, ``ddr2-4c`` and
+``fbd-ap-observed`` at 20 000 insts/core, seed 12345.  The fourth,
+``fbd-ap-traced``, is ``fbd-ap-8c`` with a request ``Tracer`` attached
+and ``tracer.traces()`` built inside the counted window, so it pins the
+tracer's on-cost.
 
 Counting procedure, per workload: one untraced run first (a cold run
 adds the calls of first-use caches and lazy imports), then
@@ -38,6 +41,7 @@ import pytest
 import repro
 from repro import config as presets
 from repro.system import run_system
+from repro.telemetry import Tracer
 from repro.workloads.multiprog import workload_programs
 
 GOLDEN_PATH = Path(__file__).parent / "goldens" / "call_budget.json"
@@ -45,11 +49,13 @@ PINNED_PYTHON = (3, 11)
 INSTS = 20_000
 SEED = 12345
 
-#: name -> (preset builder in repro.config, Table 3 mix, every observer on)
-WORKLOADS: Dict[str, Tuple[str, str, bool]] = {
-    "fbd-ap-8c": ("fbdimm_amb_prefetch", "8C-1", False),
-    "ddr2-4c": ("ddr2_baseline", "4C-1", False),
-    "fbd-ap-observed": ("fbdimm_amb_prefetch", "8C-1", True),
+#: name -> (preset builder in repro.config, Table 3 mix, every observer
+#: on, request tracer attached)
+WORKLOADS: Dict[str, Tuple[str, str, bool, bool]] = {
+    "fbd-ap-8c": ("fbdimm_amb_prefetch", "8C-1", False, False),
+    "ddr2-4c": ("ddr2_baseline", "4C-1", False, False),
+    "fbd-ap-observed": ("fbdimm_amb_prefetch", "8C-1", True, False),
+    "fbd-ap-traced": ("fbdimm_amb_prefetch", "8C-1", False, True),
 }
 
 REPRO_ROOT = Path(repro.__file__).resolve().parent
@@ -57,7 +63,7 @@ REPRO_ROOT = Path(repro.__file__).resolve().parent
 
 def build(name: str):
     """The workload's config and programs, as ``perfbench`` builds them."""
-    preset, mix, observed = WORKLOADS[name]
+    preset, mix, observed, _ = WORKLOADS[name]
     programs = workload_programs(mix)
     config = getattr(presets, preset)(num_cores=len(programs))
     if observed:
@@ -101,11 +107,19 @@ def count_calls(fn: Callable[[], object]) -> Dict[str, int]:
     return dict(sorted(counts.items()))
 
 
-def measure(config, programs) -> Dict[str, int]:
-    """Warm, collect, then count one ``run_system(config, programs)``."""
-    run_system(config, programs)
+def measure(config, programs, traced: bool = False) -> Dict[str, int]:
+    """Warm, collect, then count one ``run_system(config, programs)``,
+    with a ``Tracer`` attached and its traces built when ``traced``."""
+
+    def run() -> None:
+        tracer = Tracer() if traced else None
+        run_system(config, programs, tracer=tracer)
+        if tracer is not None:
+            tracer.traces()
+
+    run()
     gc.collect()
-    return count_calls(lambda: run_system(config, programs))
+    return count_calls(run)
 
 
 def drift(golden: Dict[str, int], actual: Dict[str, int]) -> List[str]:
@@ -136,7 +150,7 @@ class TestCallBudget:
     @pytest.mark.parametrize("name", list(WORKLOADS))
     def test_calls_match_golden(self, name):
         golden = load_golden()["workloads"][name]
-        lines = drift(golden, measure(*build(name)))
+        lines = drift(golden, measure(*build(name), traced=WORKLOADS[name][3]))
         assert not lines, (
             f"{name}: Python calls per layer changed. 'up' is a regression; "
             "'down' is a saving to re-pin with "
@@ -172,7 +186,7 @@ def refresh() -> None:
         "workloads": {},
     }
     for name in WORKLOADS:
-        counts = measure(*build(name))
+        counts = measure(*build(name), traced=WORKLOADS[name][3])
         golden["workloads"][name] = counts
         print(f"{name}: {sum(counts.values())} calls")
     GOLDEN_PATH.write_text(json.dumps(golden, indent=1, sort_keys=True) + "\n")

@@ -1,17 +1,35 @@
 """Telemetry tests: metrics registry, span lifecycle, capture round-trip,
-Chrome-trace schema, event-loop profiler, and the zero-overhead guard."""
+Chrome-trace schema, event-loop profiler, the zero-overhead guard, and the
+trace-capture golden.
+
+``tests/goldens/trace_capture.json`` pins, per workload, the sha256 of
+every request trace plus the tracer's metrics snapshot, so an observer
+rewrite must record exactly what it recorded before.  Regenerate it after
+an *intentional* change with::
+
+    PYTHONPATH=src python tests/test_telemetry.py --refresh
+"""
 
 import dataclasses
+import hashlib
 import json
+import sys
+from pathlib import Path
 
 import pytest
 
-from repro.config import fbdimm_amb_prefetch, fbdimm_baseline
+from repro.config import (
+    PrefetchLocation,
+    ddr2_baseline,
+    fbdimm_amb_prefetch,
+    fbdimm_baseline,
+)
 from repro.controller.transaction import MemoryRequest, RequestKind
 from repro.engine.profiler import EventLoopProfiler, callback_site
 from repro.engine.simulator import Simulator
+from repro.serialize import canonical_dumps
 from repro.stats.collector import MemSystemStats
-from repro.system import System
+from repro.system import System, run_system
 from repro.telemetry import (
     Counter,
     Gauge,
@@ -28,6 +46,7 @@ from repro.telemetry import (
     validate_chrome_trace,
     write_chrome_trace,
 )
+from repro.workloads.multiprog import workload_programs
 
 
 def traced_run(programs=("swim",), insts=6_000, config=None, profile=False,
@@ -173,19 +192,28 @@ class TestRequestTrace:
 
 
 class TestTracerLifecycle:
-    def test_hooks_build_a_full_span(self):
-        tracer = Tracer()
+    """The tracer records arrival, retries and completion; every other
+    phase is read off the request's own timestamps."""
+
+    def _issued(self, tracer):
         req = _request()
-        tracer.on_arrival(req, 0, backlogged=False)
+        req.arrival = 100
+        tracer.on_arrival(req, backlogged=False)
         req.schedulable_at = 12_000
-        tracer.on_schedulable(req, 12_000)
         req.issue_time = 20_000
-        tracer.on_issue(req, 20_000)
-        tracer.on_data(req, 55_000)
+        req.data_at = 55_000
+        return req
+
+    def test_hooks_build_a_full_span(self):
+        """Three hooks plus the request's own timestamps give every phase."""
+        tracer = Tracer()
+        req = self._issued(tracer)
         tracer.on_complete(req, 63_000)
+        req.complete(63_000)
         [trace] = tracer.completed_traces()
-        assert [name for name, _ in trace.phases] == [
-            "arrival", "schedulable", "issue", "data", "complete"
+        assert trace.phases == [
+            ("arrival", 100), ("schedulable", 12_000), ("issue", 20_000),
+            ("data", 55_000), ("complete", 63_000),
         ]
         snap = tracer.registry.snapshot()
         assert snap["trace.latency_ps"]["count"] == 1
@@ -195,21 +223,55 @@ class TestTracerLifecycle:
     def test_backlogged_request_gets_queued_phase(self):
         tracer = Tracer()
         req = _request()
-        tracer.on_arrival(req, 5, backlogged=True)
-        assert tracer.traces()[0].phase_time("queued") == 5
+        tracer.on_arrival(req, backlogged=True)
+        [trace] = tracer.traces()
+        # Never admitted: no schedulable phase, only arrival and queued.
+        assert trace.phases == [("arrival", 0), ("queued", 0)]
+        assert not trace.completed
+        req.schedulable_at = 40_000
+        assert tracer.traces()[0].phase_time("schedulable") == 40_000
+
+    def test_retries_straddle_the_data_phase(self):
+        tracer = Tracer()
+        req = self._issued(tracer)
+        tracer.on_retry(req, "SB_CMD", 30_000)
+        tracer.on_retry(req, "NB_LINE", 60_000)
+        tracer.on_retry(req, "SB_DATA", 35_000)
+        [trace] = tracer.traces()
+        assert [name for name, _ in trace.phases] == [
+            "arrival", "schedulable", "issue", "retry", "retry", "data", "retry",
+        ]
+        assert [t for name, t in trace.phases if name == "retry"] == [
+            30_000, 35_000, 60_000,
+        ]
+        assert tracer.registry.snapshot()["trace.fault_retries"]["value"] == 3
+
+    def test_hit_flags_only_on_completed_requests(self):
+        tracer = Tracer()
+        req = self._issued(tracer)
+        req.amb_hit = req.row_hit = True
+        [trace] = tracer.traces()
+        assert not trace.amb_hit and not trace.row_hit
+        req.complete(63_000)
+        [trace] = tracer.traces()
+        assert trace.amb_hit and trace.row_hit
 
     def test_bounded_recording_keeps_exact_histograms(self):
         tracer = Tracer(max_requests=1)
         first, second = _request(), _request()
-        tracer.on_arrival(first, 0, backlogged=False)
-        tracer.on_arrival(second, 0, backlogged=False)
+        tracer.on_arrival(first, backlogged=False)
+        tracer.on_arrival(second, backlogged=False)
         assert tracer.dropped == 1
         assert len(tracer.traces()) == 1
-        # The dropped request still feeds the aggregate histograms.
+        # The dropped request still feeds the aggregate counters.
+        tracer.on_retry(second, "SB_CMD", 5)
         second.schedulable_at = 0
         second.issue_time = 10
         tracer.on_complete(second, 50)
-        assert tracer.registry.snapshot()["trace.latency_ps"]["count"] == 1
+        snap = tracer.registry.snapshot()
+        assert snap["trace.latency_ps"]["count"] == 1
+        assert snap["trace.fault_retries"]["value"] == 1
+        assert [t.req_id for t in tracer.traces()] == [first.req_id]
 
     def test_real_run_traces_every_completion(self):
         machine, result, tracer = traced_run()
@@ -225,6 +287,10 @@ class TestTracerLifecycle:
 # ----------------------------------------------------------------------
 # Capture + exporters
 # ----------------------------------------------------------------------
+
+
+#: A valid capture header, for malformed-record cases.
+_HEADER = '{"version": 1, "format": "repro-telemetry"}\n'
 
 
 class TestCaptureAndChromeTrace:
@@ -247,10 +313,25 @@ class TestCaptureAndChromeTrace:
         assert back.metrics.keys() == capture.metrics.keys()
 
     def test_load_rejects_foreign_files(self, tmp_path):
+        """Each malformed file is one ValueError naming ``path:line``."""
+        cases = [
+            ('{"version": 1, "params": {}}\n', "not a telemetry capture"),
+            ("", ":1: not JSON"),
+            ("[1, 2]\n", ":1: expected a JSON object, got list"),
+            (_HEADER + "[1, 2]\n", ":2: expected a JSON object, got list"),
+            (_HEADER + "{not json\n", ":2: not JSON"),
+            # Captures from before the queue sampler was folded away.
+            (_HEADER + '{"type": "sample", "time_ps": 0}\n',
+             ":2: unknown record type 'sample'"),
+            (_HEADER + '{"type": "req"}\n', ":2: "),
+        ]
         path = tmp_path / "bogus.jsonl"
-        path.write_text('{"version": 1, "params": {}}\n')
-        with pytest.raises(ValueError):
-            load_capture(path)
+        for text, where in cases:
+            path.write_text(text)
+            with pytest.raises(ValueError) as excinfo:
+                load_capture(path)
+            assert str(excinfo.value).startswith(str(path)), text
+            assert where in str(excinfo.value), text
 
     def test_chrome_trace_passes_own_validator(self):
         capture = self._capture(programs=("swim", "mgrid"))
@@ -357,3 +438,89 @@ class TestOverheadGuard:
         assert traced.core_ipcs == plain.core_ipcs
         assert traced.core_instructions == plain.core_instructions
         assert dataclasses.asdict(traced.mem) == dataclasses.asdict(plain.mem)
+
+
+# ----------------------------------------------------------------------
+# Trace-capture golden: what the tracer records, byte for byte
+# ----------------------------------------------------------------------
+
+TRACE_GOLDEN_PATH = Path(__file__).parent / "goldens" / "trace_capture.json"
+
+
+def _trace_configs():
+    """name -> config: 8C-1 at 20 000 insts/core, seed 12345."""
+    def sized(config):
+        return dataclasses.replace(
+            config, instructions_per_core=20_000, seed=12345
+        )
+
+    faulted = fbdimm_amb_prefetch(num_cores=8).with_faults(error_rate=2e-2)
+    return {
+        "fbd-ap-faults": sized(faulted),
+        "fbd-ap-controller-faults": sized(
+            faulted.with_prefetch(location=PrefetchLocation.CONTROLLER)
+        ),
+        "ddr2": sized(ddr2_baseline(num_cores=8)),
+    }
+
+
+def trace_capture(config):
+    """(sha256 of the traces + tracer metrics, the traces) of one run.
+
+    Request ids come from a process-wide counter, so they are rebased to
+    the run's first id: the digest must not depend on what ran before.
+    """
+    tracer = Tracer()
+    run_system(config, workload_programs("8C-1"), tracer=tracer)
+    traces = tracer.traces()
+    records = [t.to_record() for t in traces]
+    base = min(record["id"] for record in records)
+    for record in records:
+        record["id"] -= base
+    text = canonical_dumps({
+        "traces": records,
+        "metrics": tracer.registry.snapshot(),
+    })
+    return hashlib.sha256(text.encode()).hexdigest(), traces
+
+
+@pytest.fixture(scope="module")
+def trace_captures():
+    return {name: trace_capture(config)
+            for name, config in _trace_configs().items()}
+
+
+class TestTraceGolden:
+    @pytest.mark.parametrize("name", list(_trace_configs()))
+    def test_traces_match_golden(self, name, trace_captures):
+        golden = json.loads(TRACE_GOLDEN_PATH.read_text())
+        assert trace_captures[name][0] == golden[name]
+
+    @pytest.mark.parametrize("name", list(_trace_configs()))
+    def test_capture_covers_every_phase_kind(self, name, trace_captures):
+        """Each pinned capture exercises the corner cases: a backlogged
+        request, retries on both sides of ``data`` (faulted runs) and a
+        request still in flight at the end."""
+        traces = trace_captures[name][1]
+        assert any(t.phase_time("queued") is not None for t in traces)
+        assert any(not t.completed for t in traces)
+        if "faults" not in name:
+            return
+        orders = [[phase for phase, _ in t.phases] for t in traces]
+        assert any("retry" in o and o.index("retry") < o.index("data")
+                   for o in orders)
+        assert any("retry" in o and o[::-1].index("retry") < o[::-1].index("data")
+                   for o in orders)
+
+
+def refresh_trace_golden() -> None:
+    golden = {name: trace_capture(config)[0]
+              for name, config in _trace_configs().items()}
+    TRACE_GOLDEN_PATH.write_text(json.dumps(golden, indent=1, sort_keys=True) + "\n")
+    print(f"wrote {TRACE_GOLDEN_PATH}")
+
+
+if __name__ == "__main__":
+    if "--refresh" not in sys.argv:
+        sys.exit("usage: python tests/test_telemetry.py --refresh")
+    refresh_trace_golden()

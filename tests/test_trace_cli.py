@@ -14,7 +14,7 @@ RUN_ARGS = ["--workload", "2C-1", "--insts", "3000"]
 def capture_path(tmp_path_factory):
     path = tmp_path_factory.mktemp("trace") / "cap.jsonl"
     code = trace_main(
-        ["record", *RUN_ARGS, "--profile", "--sample-ns", "100",
+        ["record", *RUN_ARGS, "--profile", "--timeline-ns", "100",
          "-o", str(path)]
     )
     assert code == 0
@@ -26,16 +26,18 @@ class TestRecord:
         capture = load_capture(capture_path)
         assert capture.meta["programs"] == ["wupwise", "swim"]
         assert capture.requests and capture.commands
-        assert capture.samples, "--sample-ns must record queue samples"
+        assert capture.timeline, "--timeline-ns must record timeline windows"
+        lines = capture_path.read_text().splitlines()[1:]
+        kinds = {json.loads(line)["type"] for line in lines}
+        assert kinds == {"req", "cmd", "profile", "window"}
         assert capture.profile, "--profile must record event-loop sites"
         assert "trace.latency_ps" in capture.metrics
-        assert "sample.queue_depth" in capture.metrics
 
     def test_summarize_prints_digest(self, capture_path, capsys):
         assert trace_main(["summarize", str(capture_path)]) == 0
         out = capsys.readouterr().out
         assert "request traces" in out
-        assert "queue samples" in out
+        assert "queue depth over" in out
         assert "event-loop profile" in out
 
 
@@ -69,6 +71,19 @@ class TestErrorPaths:
         path.write_text('{"version": 1, "params": {}}\n')
         assert trace_main(["export", str(path)]) == 2
         assert "not a telemetry capture" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text, line", [
+        ("[1, 2]\n", 1),
+        ('{"version": 1, "format": "repro-telemetry"}\n[1, 2]\n', 2),
+        ('{"version": 1, "format": "repro-telemetry"}\n{not json\n', 2),
+    ], ids=["array-header", "array-record", "non-json-record"])
+    def test_malformed_capture_names_its_line(self, tmp_path, capsys, text, line):
+        path = tmp_path / "bad.jsonl"
+        path.write_text(text)
+        assert trace_main(["summarize", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith(f"error: {path}:{line}: ")
 
 
 class TestMainCliTraceOut:
