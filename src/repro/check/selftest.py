@@ -4,17 +4,23 @@ Each case is a small hand-built trace with exactly one seeded defect and
 the rule id the checker must report for it — plus known-good traces that
 must pass untouched.  ``python -m repro.check --self-test`` (run in CI)
 fails if any seeded defect goes unflagged or any clean trace is flagged,
-which guards the guard: a refactor that quietly blinds a rule is caught
-the same way a scheduler bug would be.
+by the replay or by the journal audit (``journals_clean``), which guards
+the guard: a refactor that quietly blinds a rule is caught the same way
+a scheduler bug would be.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import List, Tuple
 
-from repro.check.protocol import ProtocolChecker, Violation
-from repro.check.trace import CheckEvent, TraceParams, default_params
+from repro.check.protocol import ProtocolChecker, Violation, journals_clean
+from repro.check.trace import (
+    CheckEvent,
+    TraceParams,
+    default_params,
+    event_journals,
+)
 from repro.dram.timing import TimingPs
 
 
@@ -101,14 +107,25 @@ def cases() -> List[SelfTestCase]:
         ],
         ("tRAS",),
     ))
+    # An early re-ACT: one picosecond inside tRP after a precharge held a
+    # clock past tRAS (so tRC still holds) ...
+    pre = max(t.tRAS, t.tRCD + t.tRPD) + t.clock
     out.append(SelfTestCase(
         "bad-trp", fbd,
+        _legal_read(0, t)[:2]
+        + [CheckEvent(pre, "PRE", dimm=0, rank=0, bank=0, row=5),
+           CheckEvent(pre + t.tRP - 1, "ACT", dimm=0, rank=0, bank=0, row=6)],
+        ("tRP",),
+    ))
+    # ... and exactly tRP after the precharge, under a row cycle one clock
+    # longer than tRAS + tRP.
+    long_rc = replace(fbd, timing=replace(t, tRC=t.tRAS + t.tRP + t.clock))
+    pre = max(t.tRAS, t.tRCD + t.tRPD)
+    out.append(SelfTestCase(
+        "bad-trc", long_rc,
         _legal_read(0, t)
-        + [CheckEvent(
-            max(t.tRAS, t.tRCD + t.tRPD) + t.tRP - 1, "ACT",
-            dimm=0, rank=0, bank=0, row=6,
-        )],
-        ("tRP", "tRC"),  # early re-ACT breaks both windows
+        + [CheckEvent(pre + t.tRP, "ACT", dimm=0, rank=0, bank=0, row=6)],
+        ("tRC",),
     ))
     # ACT to bank 1 one picosecond inside the tRRD window; its column
     # access and precharge are pushed late enough to keep the data bus
@@ -149,6 +166,43 @@ def cases() -> List[SelfTestCase]:
         ("tWTR",),
     ))
 
+    # A precharge one picosecond inside the read's (write's) recovery
+    # window; the column command is late enough to keep tRAS legal.
+    out.append(SelfTestCase(
+        "bad-trpd", fbd,
+        [
+            CheckEvent(0, "ACT", dimm=0, rank=0, bank=0, row=5),
+            CheckEvent(t.tRAS, "RD", dimm=0, rank=0, bank=0, row=5),
+            CheckEvent(t.tRAS + t.tRPD - 1, "PRE", dimm=0, rank=0, bank=0, row=5),
+        ],
+        ("tRPD",),
+    ))
+    out.append(SelfTestCase(
+        "bad-twpd", fbd,
+        [
+            CheckEvent(0, "ACT", dimm=0, rank=0, bank=0, row=5),
+            CheckEvent(t.tRAS, "WR", dimm=0, rank=0, bank=0, row=5),
+            CheckEvent(t.tRAS + t.tWPD - 1, "PRE", dimm=0, rank=0, bank=0, row=5),
+        ],
+        ("tWPD",),
+    ))
+    # Five ACTs to five banks of one rank, tRRD apart, under a window one
+    # clock longer than the four gaps they span.
+    faw = replace(fbd, banks_per_dimm=8,
+                  timing=replace(t, tFAW=4 * t.tRRD + t.clock))
+    out.append(SelfTestCase(
+        "bad-tfaw", faw,
+        sorted(
+            [CheckEvent(b * t.tRRD, "ACT", dimm=0, rank=0, bank=b, row=5)
+             for b in range(5)]
+            + [CheckEvent(b * t.tRRD + t.tRAS, "PRE", dimm=0, rank=0, bank=b,
+                          row=5)
+               for b in range(5)],
+            key=lambda e: e.time_ps,
+        ),
+        ("tFAW",),
+    ))
+
     # -- seeded structural defects --------------------------------------
     overlap = [
         CheckEvent(0, "ACT", dimm=0, rank=0, bank=0, row=5),
@@ -166,6 +220,37 @@ def cases() -> List[SelfTestCase]:
         "bad-column-to-closed-bank", fbd,
         [CheckEvent(1000, "RD", dimm=0, rank=0, bank=0, row=5)],
         ("row-state",),
+    ))
+    out.append(SelfTestCase(
+        "bad-precharge-closed-bank", fbd,
+        [CheckEvent(1000, "PRE", dimm=0, rank=0, bank=0, row=5)],
+        ("row-state",),
+    ))
+    out.append(SelfTestCase(
+        "bad-double-act", fbd,
+        [
+            CheckEvent(0, "ACT", dimm=0, rank=0, bank=0, row=5),
+            CheckEvent(t.tRC, "ACT", dimm=0, rank=0, bank=0, row=6),
+            CheckEvent(t.tRC + t.tRAS, "PRE", dimm=0, rank=0, bank=0, row=6),
+        ],
+        ("row-state",),
+    ))
+    # DDR2: two reads of one rank whose bursts overlap; the same
+    # direction and rank, so only the overlap rule applies.
+    dt = ddr2.timing
+    rd = dt.tRRD + dt.tRCD
+    out.append(SelfTestCase(
+        "bad-ddr2-burst-overlap", ddr2,
+        [
+            CheckEvent(0, "ACT", dimm=0, rank=0, bank=0, row=5),
+            CheckEvent(dt.tRRD, "ACT", dimm=0, rank=0, bank=1, row=7),
+            CheckEvent(rd, "RD", dimm=0, rank=0, bank=0, row=5),
+            CheckEvent(rd + dt.burst // 2, "RD", dimm=0, rank=0, bank=1, row=7),
+            CheckEvent(dt.tRAS + dt.burst, "PRE", dimm=0, rank=0, bank=0, row=5),
+            CheckEvent(dt.tRRD + dt.tRAS + dt.burst, "PRE",
+                       dimm=0, rank=0, bank=1, row=7),
+        ],
+        ("burst-overlap",),
     ))
     # DDR2: rank-to-rank switch without the turnaround bubble.  The two
     # bursts butt up against each other, which same-tag streaming allows
@@ -191,6 +276,11 @@ def cases() -> List[SelfTestCase]:
         ("frame-align",),
     ))
     out.append(SelfTestCase(
+        "bad-frame-offgrid-south", fbd,
+        [CheckEvent(fbd.frame_ps + 1, "SB_CMD")],
+        ("frame-align",),
+    ))
+    out.append(SelfTestCase(
         "bad-frame-reuse", fbd,
         [
             CheckEvent(fbd.nb_phase_ps, "NB_LINE", frames=2),
@@ -207,6 +297,12 @@ def cases() -> List[SelfTestCase]:
         ],
         ("frame-overcommit",),
     ))
+    # A fourth replay under a budget of one retry (+1 recovery replay).
+    out.append(SelfTestCase(
+        "bad-retry-budget", replace(fbd, max_retries=1),
+        [CheckEvent(0, "SB_CMD", retry=3)],
+        ("retry-budget",),
+    ))
     return out
 
 
@@ -215,9 +311,16 @@ def run_self_test() -> Tuple[int, List[str]]:
     failures: List[str] = []
     all_cases = cases()
     for case in all_cases:
-        violations: List[Violation] = ProtocolChecker(case.params).check(
-            sorted(case.events, key=lambda e: e.time_ps)
-        )
+        events = sorted(case.events, key=lambda e: e.time_ps)
+        violations: List[Violation] = ProtocolChecker(case.params).check(events)
+        if journals_clean(case.params, *event_journals(events)) == bool(
+            case.expect_rules
+        ):
+            failures.append(
+                f"{case.name}: journal audit "
+                + ("passed a seeded defect" if case.expect_rules
+                   else "flagged a clean trace")
+            )
         rules = {v.rule for v in violations}
         if not case.expect_rules:
             if violations:

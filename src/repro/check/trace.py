@@ -21,9 +21,10 @@ import json
 from dataclasses import asdict, dataclass
 from operator import itemgetter
 from pathlib import Path
-from typing import Any, Dict, Iterable, List, NamedTuple, Tuple, Union
+from typing import Any, Dict, Iterable, List, NamedTuple, Sequence, Tuple, Union
 
 from repro.config import DRAM_CLOCK_PS, MemoryConfig, MemoryKind
+from repro.dram.commands import CommandRecord, CommandType
 from repro.dram.timing import TimingPs
 from repro.engine.simulator import ns
 
@@ -186,6 +187,76 @@ def default_params(kind: str = "fbdimm") -> TraceParams:
             kind=kind, timing=timing, switch_gap_ps=round(1.5 * clock)
         )
     raise ValueError(f"unknown memory kind {kind!r}")
+
+
+# ----------------------------------------------------------------------
+# Journals: the form a run records them in
+# ----------------------------------------------------------------------
+
+#: ``((channel, dimm, rank, bank), command_log)``: one bank's command
+#: records in the order the bank issued them.
+BankJournal = Tuple[Tuple[int, int, int, int], Sequence[CommandRecord]]
+#: ``(channel, southbound, northbound)``: one FB-DIMM channel's frame
+#: bookings, ``("cmd"|"data", start, retry)`` and
+#: ``("line", start, frames, retry)`` (see ``repro.channel.frames``).
+LinkJournal = Tuple[int, Sequence[Tuple[str, int, int]],
+                    Sequence[Tuple[str, int, int, int]]]
+
+
+def journal_events(
+    banks: Iterable[BankJournal], links: Iterable[LinkJournal]
+) -> List[CheckEvent]:
+    """The journals as check events: bank streams, then link journals, each
+    in journal order (not time-sorted).  :func:`event_journals` inverts it."""
+    events: List[CheckEvent] = []
+    for (channel, dimm, rank, bank), log in banks:
+        # ``_value_`` rather than ``.value``: a plain attribute read, not a
+        # property call per command.
+        events += [
+            CheckEvent(time_ps, command._value_, channel, dimm, rank, bank,
+                       row, 1, 0)
+            for command, time_ps, _, row in log
+        ]
+    for channel, south, north in links:
+        events += [
+            CheckEvent(start, "SB_CMD" if kind == "cmd" else "SB_DATA",
+                       channel, -1, -1, -1, -1, 1, retry)
+            for kind, start, retry in south
+        ]
+        events += [
+            CheckEvent(start, "NB_LINE", channel, -1, -1, -1, -1, frames, retry)
+            for _line, start, frames, retry in north
+        ]
+    return events
+
+
+def event_journals(
+    events: Iterable[CheckEvent],
+) -> Tuple[List[BankJournal], List[LinkJournal]]:
+    """Split check events into journals, each stream in event order.
+
+    Each record's ``bank_id`` is the event's local bank; the journal key
+    carries the full location.  Raises ValueError for an unknown kind.
+    """
+    banks: Dict[Tuple[int, int, int, int], List[CommandRecord]] = {}
+    links: Dict[int, Tuple[list, list]] = {}
+    for event in events:
+        kind = event.kind
+        if kind in DRAM_COMMANDS:
+            key = (event.channel, event.dimm, event.rank, event.bank)
+            banks.setdefault(key, []).append(CommandRecord(
+                CommandType(kind), event.time_ps, event.bank, event.row))
+            continue
+        south, north = links.setdefault(event.channel, ([], []))
+        if kind == "NB_LINE":
+            north.append(("line", event.time_ps, event.frames, event.retry))
+        elif kind in FRAME_EVENTS:
+            south.append(("cmd" if kind == "SB_CMD" else "data",
+                          event.time_ps, event.retry))
+        else:
+            raise ValueError(f"unknown check-event kind {kind!r}")
+    return (list(banks.items()),
+            [(channel, south, north) for channel, (south, north) in links.items()])
 
 
 # ----------------------------------------------------------------------

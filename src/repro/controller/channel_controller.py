@@ -22,7 +22,7 @@ from __future__ import annotations
 import dataclasses
 from collections import deque
 from functools import partial
-from operator import attrgetter, itemgetter
+from operator import attrgetter
 from typing import TYPE_CHECKING, Deque, Dict, Iterable, Optional, Sequence, Union
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -272,32 +272,24 @@ class ChannelControllerBase:
 
     # -- protocol-checker support ------------------------------------------
 
-    def _bank_check_events(self, dimm_id: int,
-                           banks: Iterable[Bank]) -> "list":
-        """Convert the banks' command logs into checker events."""
-        from repro.check.trace import CheckEvent
-
-        per_dimm = self.config.banks_per_dimm
-        channel = self.channel_id
-        events = []
-        for bank in banks:
-            if not bank.command_log:
-                continue
-            rank, local = divmod(bank.bank_id, per_dimm)
-            # ``_value_`` rather than ``.value``: a plain attribute read,
-            # not a property call per command.
-            for command, time_ps, _, row in bank.command_log:
-                events.append(CheckEvent(time_ps, command._value_, channel,
-                                         dimm_id, rank, local, row, 1, 0))
-        return events
-
     def enable_protocol_trace(self) -> None:
         """Start journalling DRAM commands (and frames) for the checker."""
         raise NotImplementedError
 
-    def collect_check_events(self) -> "list":
-        """All journalled events so far, time-sorted."""
-        raise NotImplementedError
+    def bank_journals(self) -> "list":
+        """``((channel, dimm, rank, bank), command_log)`` for every bank
+        that logged a command (``repro.check.trace.BankJournal``)."""
+        per_dimm = self.config.banks_per_dimm
+        return [
+            ((self.channel_id, dimm.dimm_id) + divmod(bank.bank_id, per_dimm),
+             bank.command_log)
+            for dimm in self._dimms for bank in dimm.banks if bank.command_log
+        ]
+
+    def link_journals(self) -> "list":
+        """The channel's frame journals (``repro.check.trace.LinkJournal``);
+        a DDR2 channel has none."""
+        return []
 
     # -- hooks implemented per channel kind --------------------------------
 
@@ -386,13 +378,6 @@ class Ddr2ChannelController(ChannelControllerBase):
         for dimm in self.dimms:
             for bank in dimm.banks:
                 bank.enable_trace()
-
-    def collect_check_events(self) -> "list":
-        events = []
-        for dimm in self.dimms:
-            events.extend(self._bank_check_events(dimm.dimm_id, dimm.banks))
-        events.sort(key=itemgetter(0))
-        return events
 
     def busy_ps(self) -> Dict[str, int]:
         return {self.data_bus.name: self.data_bus.busy_ps}
@@ -646,24 +631,9 @@ class FbdimmChannelController(ChannelControllerBase):
         self.links.south.enable_journal()
         self.links.north.enable_journal()
 
-    def collect_check_events(self) -> "list":
-        from repro.check.trace import CheckEvent
-
-        channel = self.channel_id
-        events = []
-        for amb in self.ambs:
-            events.extend(self._bank_check_events(amb.dimm_id, amb.banks))
-        if self.links.south.journal is not None:
-            for kind, start, retry in self.links.south.journal:
-                events.append(CheckEvent(
-                    start, "SB_CMD" if kind == "cmd" else "SB_DATA",
-                    channel, -1, -1, -1, -1, 1, retry))
-        if self.links.north.journal is not None:
-            for _, start, frames, retry in self.links.north.journal:
-                events.append(CheckEvent(start, "NB_LINE", channel,
-                                         -1, -1, -1, -1, frames, retry))
-        events.sort(key=itemgetter(0))
-        return events
+    def link_journals(self) -> "list":
+        south, north = self.links.south.journal, self.links.north.journal
+        return [] if south is None else [(self.channel_id, south, north)]
 
     def busy_ps(self) -> Dict[str, int]:
         north, south = self.links.north, self.links.south

@@ -27,6 +27,7 @@ from repro.engine.simulator import Simulator, gc_paused, ns
 from repro.stats.collector import DEVICE_COUNTERS, MemSystemStats
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.check.trace import TraceParams
     from repro.prefetch.lifecycle import PrefetchLifecycle
     from repro.telemetry.spans import Tracer
     from repro.timeline.collector import TimelineCollector
@@ -220,22 +221,24 @@ class MemoryController:
         Only meaningful after construction with ``check_protocol=True``;
         returns an empty list otherwise.
         """
+        from repro.check.trace import journal_events
+
         events: list = []
         for channel in self.channels:
-            events.extend(channel.collect_check_events())
+            events += journal_events(channel.bank_journals(),
+                                     channel.link_journals())
         events.sort(key=itemgetter(0))
         return events
 
-    def check_protocol_violations(self) -> "list":
-        """Run the protocol checker over the journalled command stream.
+    def check_params(self) -> "TraceParams":
+        """The rules this run is checked against.
 
-        With fault injection enabled the checker also enforces the retry
-        budget: no journalled replay may exceed ``max_retries + 1`` (the
-        +1 is the post-reset recovery replay).
+        With fault injection enabled they include the retry budget: no
+        journalled replay may exceed ``max_retries + 1`` (the +1 is the
+        post-reset recovery replay).
         """
         import dataclasses
 
-        from repro.check.protocol import ProtocolChecker
         from repro.check.trace import TraceParams
 
         params = TraceParams.from_memory_config(self.config)
@@ -243,11 +246,29 @@ class MemoryController:
             params = dataclasses.replace(
                 params, max_retries=self.faults.max_retries
             )
+        return params
+
+    def check_protocol_violations(self) -> "list":
+        """Check the journalled command stream against the protocol rules.
+
+        ``journals_clean`` audits the journals where they sit; only a run
+        it cannot pass is replayed through ``ProtocolChecker``, which
+        writes every violation report (``repro.check.protocol``).
+        """
+        from repro.check.protocol import ProtocolChecker, journals_clean
+
+        params = self.check_params()
+        banks: list = []
+        links: list = []
+        for channel in self.channels:
+            banks += channel.bank_journals()
+            links += channel.link_journals()
         # The journal and the checker's state create no reference cycles,
         # so collector passes over the (large) journal are pure overhead.
         with gc_paused():
-            violations = ProtocolChecker(params).check(self.collect_check_events())
-        return violations
+            if journals_clean(params, banks, links):
+                return []
+            return ProtocolChecker(params).check(self.collect_check_events())
 
     def mark_measurement_start(self) -> None:
         """Discard warm-up activity: measurement restarts from now.

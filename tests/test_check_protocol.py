@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -12,12 +13,14 @@ from repro.check.protocol import (
     ProtocolViolationError,
     Violation,
     check_trace,
+    journals_clean,
 )
 from repro.check.selftest import cases, run_self_test
 from repro.check.trace import (
     CheckEvent,
     TraceParams,
     default_params,
+    event_journals,
     event_to_record,
     load_events,
     record_to_event,
@@ -25,6 +28,13 @@ from repro.check.trace import (
 )
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
+
+#: Every rule id the module docstring of ``repro.check.protocol`` lists.
+RULES = {
+    "tRCD", "tRAS", "tRPD", "tWPD", "tRP", "tRC", "row-state", "tRRD",
+    "tWTR", "tFAW", "burst-overlap", "bus-turnaround", "frame-align",
+    "frame-overcommit", "frame-reuse", "retry-budget",
+}
 
 
 class TestSelfTestSuite:
@@ -37,11 +47,67 @@ class TestSelfTestSuite:
         seeded = set()
         for case in cases():
             seeded.update(case.expect_rules)
-        assert seeded >= {
-            "tRCD", "tRAS", "tRP", "tRC", "tRRD", "tWTR", "row-state",
-            "burst-overlap", "bus-turnaround",
-            "frame-align", "frame-reuse", "frame-overcommit",
-        }
+        assert seeded == RULES
+
+    def test_every_rule_has_a_case_the_journal_audit_flags(self):
+        flagged = set()
+        for case in cases():
+            events = sorted(case.events, key=lambda e: e.time_ps)
+            if not journals_clean(case.params, *event_journals(events)):
+                flagged.update(case.expect_rules)
+        assert flagged == RULES
+
+
+class TestJournalAudit:
+    """The two cases the audit leaves to the replay, which finds them
+    clean here: the audit errs only toward replaying."""
+
+    def test_bank_log_out_of_time_order(self):
+        params = default_params("fbdimm")
+        case = {c.name: c for c in cases()}["good-close-page-read"]
+        events = sorted(case.events, key=lambda e: e.time_ps)
+        assert journals_clean(params, *event_journals(events))
+        assert not journals_clean(params, *event_journals(events[::-1]))
+        assert ProtocolChecker(params).check(events) == []
+
+    def test_time_order_decides_a_bank_rule(self):
+        """In log order the PRE follows the last RD by more than tRPD; in
+        time order the later RD is the last, and tRPD breaks."""
+        params = default_params("fbdimm")
+        t = params.timing
+        log_order = [
+            CheckEvent(0, "ACT", dimm=0, rank=0, bank=0, row=5),
+            CheckEvent(t.tRAS, "RD", dimm=0, rank=0, bank=0, row=5),
+            CheckEvent(t.tRCD, "RD", dimm=0, rank=0, bank=0, row=5),
+            CheckEvent(t.tRAS + t.tRPD - 1, "PRE", dimm=0, rank=0, bank=0,
+                       row=5),
+        ]
+        replayed = ProtocolChecker(params).check(
+            sorted(log_order, key=lambda e: e.time_ps))
+        assert [v.rule for v in replayed] == ["tRPD"]
+        assert not journals_clean(params, *event_journals(log_order))
+
+    def test_rd_and_wr_of_one_rank_at_one_instant(self):
+        """The replay takes the RD first (journal order), so the WR's data
+        end does not bind it; a write latency short enough to keep the
+        bursts apart leaves no other rule broken."""
+        params = default_params("fbdimm")
+        t = replace(params.timing, tWL=0)
+        params = replace(params, timing=t)
+        events = [
+            CheckEvent(0, "ACT", dimm=0, rank=0, bank=0, row=5),
+            CheckEvent(0 + t.tRRD, "ACT", dimm=0, rank=0, bank=1, row=5),
+            CheckEvent(t.tRRD + t.tRCD, "RD", dimm=0, rank=0, bank=0, row=5),
+            CheckEvent(t.tRRD + t.tRCD, "WR", dimm=0, rank=0, bank=1, row=5),
+            CheckEvent(2 * t.tRAS, "PRE", dimm=0, rank=0, bank=0, row=5),
+            CheckEvent(2 * t.tRAS, "PRE", dimm=0, rank=0, bank=1, row=5),
+        ]
+        assert ProtocolChecker(params).check(events) == []
+        assert not journals_clean(params, *event_journals(events))
+
+    def test_unknown_memory_kind_is_replayed(self):
+        bad = TraceParams(kind="ddr5", timing=default_params().timing)
+        assert not journals_clean(bad, [], [])
 
 
 class TestCheckerBasics:

@@ -5,8 +5,8 @@ from dataclasses import replace
 
 import pytest
 
-from repro.check.protocol import ProtocolViolationError
-from repro.check.trace import TraceParams
+from repro.check.protocol import ProtocolChecker, ProtocolViolationError
+from repro.check.trace import CheckEvent, TraceParams
 from repro.config import (
     InterleaveScheme,
     PagePolicy,
@@ -109,11 +109,13 @@ class TestRuntimePlumbing:
 
 
 class TestCheckCost:
-    """Deterministic cost proxy for the post-run check: Python-level calls
-    made by ``collect_check_events()`` + ``check()``, counted with
-    ``sys.setprofile``.
+    """Deterministic cost proxy for the post-run check: Python-level calls,
+    counted with ``sys.setprofile``.
 
-    The old figures were measured with this same harness on the checker
+    A clean run pays only the journal audit (``journals_clean``).  The
+    replay, ``collect_check_events()`` + ``ProtocolChecker.check``, runs
+    only when the audit does not pass a run; it is profiled directly.
+    Its old figures were measured with this same harness on the checker
     this one replaced (frozen-dataclass events with a ``__post_init__``
     kind check, ``enum.value`` per journalled command, and a throwaway
     ``_BankState``/``_RankState``/``_FrameBook`` per event from
@@ -121,15 +123,24 @@ class TestCheckCost:
     journal below, 13.22 on the DDR2 one.
     """
 
+    CONFIGS = [
+        (lambda: fbdimm_amb_prefetch(num_cores=2).with_faults(error_rate=1e-2),
+         9.89),
+        (lambda: ddr2_baseline(num_cores=2), 13.22),
+    ]
+    IDS = ["fbd-ap-faults", "ddr2"]
+
     @staticmethod
-    def _profiled_check(config):
+    def _controller(config):
         system = System(
             replace(config, instructions_per_core=10_000, check_protocol=True),
             ["swim", "wupwise"],
         )
         system.run()
-        controller = system.controller
-        events = controller.collect_check_events()
+        return system.controller
+
+    @staticmethod
+    def _profiled(fn):
         names = []
 
         def profile(frame, event, arg):
@@ -138,28 +149,79 @@ class TestCheckCost:
 
         sys.setprofile(profile)
         try:
-            violations = controller.check_protocol_violations()
+            result = fn()
         finally:
             sys.setprofile(None)
-        assert violations == []
-        return events, names
+        return result, names
 
-    @pytest.mark.parametrize("make, old_calls_per_event", [
-        (lambda: fbdimm_amb_prefetch(num_cores=2).with_faults(error_rate=1e-2),
-         9.89),
-        (lambda: ddr2_baseline(num_cores=2), 13.22),
-    ], ids=["fbd-ap-faults", "ddr2"])
-    def test_calls_scale_with_states_not_events(self, make,
-                                                old_calls_per_event):
-        events, names = self._profiled_check(make())
-        assert len(events) > 500
+    @staticmethod
+    def _states(events):
         banks = {(e.channel, e.dimm, e.rank, e.bank)
                  for e in events if e.is_dram_command}
         ranks = {key[:3] for key in banks}
         channels = {e.channel for e in events if not e.is_dram_command}
+        return banks, ranks, channels
+
+    @pytest.mark.parametrize("make, old_calls_per_event", CONFIGS, ids=IDS)
+    def test_calls_scale_with_states_not_events(self, make,
+                                                old_calls_per_event):
+        controller = self._controller(make())
+        params = controller.check_params()
+        events = controller.collect_check_events()
+        violations, names = self._profiled(
+            lambda: ProtocolChecker(params).check(
+                controller.collect_check_events())
+        )
+        assert violations == []
+        assert len(events) > 500
+        banks, ranks, channels = self._states(events)
         # One state object per distinct bank, rank and channel, plus the
-        # checker, its params and timing bundle.
+        # checker.
         assert names.count("__init__") <= (
             len(banks) + len(ranks) + len(channels) + 8
         )
         assert len(names) / len(events) <= old_calls_per_event / 2
+
+    @pytest.mark.parametrize("make", [make for make, _ in CONFIGS], ids=IDS)
+    def test_clean_run_calls_do_not_scale_with_events(self, make):
+        controller = self._controller(make())
+        events = controller.collect_check_events()
+        violations, names = self._profiled(
+            controller.check_protocol_violations)
+        assert violations == []
+        _, ranks, channels = self._states(events)
+        # A few comprehensions per rank and per channel, the frame
+        # counters, and building the params.
+        assert len(names) <= 8 * (len(ranks) + len(channels)) + 50
+        assert len(names) < len(events) / 5
+
+
+class TestCleanRunSkipsReplay:
+    def test_observed_run_builds_no_check_event(self):
+        """``fbd-ap-observed`` at 20k insts/core, every observer on: the
+        audit passes it, so the check builds no ``CheckEvent`` at all."""
+        from tests.test_call_budget import build
+
+        config, programs = build("fbd-ap-observed")
+        system = System(config, programs)
+        assert system.run().protocol_violations == []
+        new_event = CheckEvent.__new__.__code__
+        built = []
+
+        def profile(frame, event, arg):
+            if event == "call" and frame.f_code is new_event:
+                built.append(frame)
+
+        sys.setprofile(profile)
+        try:
+            assert system.controller.check_protocol_violations() == []
+        finally:
+            sys.setprofile(None)
+        assert built == []
+        # The probe sees the replay's events.
+        sys.setprofile(profile)
+        try:
+            system.controller.collect_check_events()
+        finally:
+            sys.setprofile(None)
+        assert built

@@ -1,4 +1,5 @@
-"""Differential property suite: the protocol checker vs its frozen oracle.
+"""Differential property suite: the protocol checker vs its frozen oracle,
+and the journal audit vs the checker.
 
 ``repro.check.protocol`` dispatches on the event kind and builds its
 per-bank, per-rank and per-channel state once per key;
@@ -10,6 +11,10 @@ replays, and a tFAW device) with random mutations: an event shifted by
 ±k ps, dropped, copied up to three times, moved to another bank or row, given another
 kind, or (frames) moved off the frame grid.  Both checkers must return
 the same ``(rule, time_ps, message, first, second)`` list.
+
+``journals_clean`` must be sound: whenever it passes a mutated journal,
+the replay reports nothing; and ``check_protocol_violations()`` on a real
+run, its journals mutated in place, returns exactly the replay's list.
 """
 
 import dataclasses
@@ -21,42 +26,65 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tests._legacy_protocol as legacy
-from repro.check.protocol import MAX_VIOLATIONS, ProtocolChecker
-from repro.check.trace import EVENT_KINDS, FRAME_EVENTS, TraceParams
-from repro.config import ddr2_baseline, fbdimm_amb_prefetch, fbdimm_baseline
+from repro.check.protocol import (
+    MAX_VIOLATIONS,
+    ProtocolChecker,
+    journals_clean,
+)
+from repro.check.trace import (
+    EVENT_KINDS,
+    FRAME_EVENTS,
+    event_journals,
+    journal_events,
+)
+from repro.config import (
+    PrefetchLocation,
+    ddr2_baseline,
+    fbdimm_amb_prefetch,
+    fbdimm_baseline,
+)
 from repro.system import System
 
 INSTS = 3000
 
 
-def _journal(config):
-    """(params, time-sorted events) of one short checked run, with the
-    retry budget set exactly as the post-run check sets it."""
-    config = dataclasses.replace(
-        config, instructions_per_core=INSTS, check_protocol=True
+def _controller(config):
+    """The memory controller of one short checked run."""
+    system = System(
+        dataclasses.replace(config, instructions_per_core=INSTS,
+                            check_protocol=True),
+        ["swim", "wupwise"],
     )
-    system = System(config, ["swim", "wupwise"])
     system.run()
-    params = TraceParams.from_memory_config(config.memory)
-    if config.faults.enabled:
-        params = dataclasses.replace(
-            params, max_retries=config.faults.max_retries
-        )
-    return params, system.controller.collect_check_events()
+    return system.controller
 
 
 @pytest.fixture(scope="module")
-def journals():
-    runs = {
-        "ddr2": _journal(ddr2_baseline(num_cores=2)),
-        "fbd": _journal(fbdimm_baseline(num_cores=2)),
-        "fbd-ap": _journal(fbdimm_amb_prefetch(num_cores=2)),
-        "fbd-ap-faults": _journal(
+def controllers():
+    return {
+        "ddr2": _controller(ddr2_baseline(num_cores=2)),
+        "fbd": _controller(fbdimm_baseline(num_cores=2)),
+        "fbd-ap": _controller(fbdimm_amb_prefetch(num_cores=2)),
+        "fbd-ap-faults": _controller(
             fbdimm_amb_prefetch(num_cores=2).with_faults(error_rate=2e-2)
         ),
-        "ddr4-2400": _journal(
+        "fbd-ctl": _controller(
+            fbdimm_amb_prefetch(num_cores=2).with_prefetch(
+                location=PrefetchLocation.CONTROLLER)
+        ),
+        "ddr4-2400": _controller(
             ddr2_baseline(num_cores=2).with_device("ddr4-2400")
         ),
+    }
+
+
+@pytest.fixture(scope="module")
+def journals(controllers):
+    """(params, time-sorted events) per run, with the retry budget set
+    exactly as the post-run check sets it."""
+    runs = {
+        name: (controller.check_params(), controller.collect_check_events())
+        for name, controller in controllers.items()
     }
     _, faulted = runs["fbd-ap-faults"]
     assert any(e.retry for e in faulted), "faulted run journalled no replay"
@@ -100,6 +128,10 @@ def _mutate(rnd, params, events, op):
         events[i] = event._replace(row=event.row + rnd.randint(1, 3))
     elif op == "kind":
         events[i] = event._replace(kind=rnd.choice(EVENT_KINDS))
+    elif op == "retry":
+        frames = [j for j, e in enumerate(events) if e.kind in FRAME_EVENTS]
+        j = rnd.choice(frames) if frames else i
+        events[j] = events[j]._replace(retry=events[j].retry + rnd.randint(1, 3))
     elif op == "off-grid":
         frames = [j for j, e in enumerate(events) if e.kind in FRAME_EVENTS]
         j = rnd.choice(frames) if frames else i
@@ -175,3 +207,109 @@ def test_retry_budget_rule_matches_legacy(journals):
               for e in journal]
     report = _assert_same(tight, events)
     assert {r[0] for r in report} >= {"retry-budget"}
+
+
+#: The runs the journal audit is checked on: link faults and replays, DDR2
+#: bus turnaround, controller-side prefetch buffering, and a tFAW device.
+AUDITED = ["fbd-ap-faults", "ddr2", "fbd-ctl", "ddr4-2400"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    name=st.sampled_from(AUDITED),
+    ops=st.lists(
+        st.sampled_from(
+            ["shift", "drop", "duplicate", "bank", "row", "retry", "kind",
+             "off-grid"]
+        ),
+        min_size=1, max_size=4,
+    ),
+    seed=st.integers(0, 2**32 - 1),
+    presorted=st.booleans(),
+)
+def test_clean_journals_replay_clean(journals, name, ops, seed, presorted):
+    """Whole journals, so an unmutated stream is clean and any report is
+    the mutation's.  Journals are built from the mutated events in list
+    order (banks out of time order when a shift passes a neighbour) or
+    time-sorted."""
+    params, journal = journals[name]
+    rnd = random.Random(seed)
+    events = list(journal)
+    for op in ops:
+        _mutate(rnd, params, events, op)
+    ordered = sorted(events, key=itemgetter(0))
+    if journals_clean(params, *event_journals(ordered if presorted
+                                              else events)):
+        assert ProtocolChecker(params).check(ordered) == []
+
+
+@pytest.mark.parametrize("name", AUDITED)
+def test_real_runs_pass_the_audit(controllers, journals, name):
+    controller = controllers[name]
+    params, events = journals[name]
+    banks, links = [], []
+    for channel in controller.channels:
+        banks += channel.bank_journals()
+        links += channel.link_journals()
+    assert journals_clean(params, banks, links)
+    assert controller.check_protocol_violations() == []
+    # The soundness test builds its journals with event_journals: on a
+    # real run they hold exactly the events the journals do.
+    assert sorted(journal_events(*event_journals(events))) == sorted(events)
+
+
+def _journal_lists(controller):
+    """Every journal list of a run: bank command logs and link journals."""
+    lists = []
+    for channel in controller.channels:
+        lists += [log for _, log in channel.bank_journals()]
+        for _, south, north in channel.link_journals():
+            lists += [south, north]
+    return lists
+
+
+def _mutate_in_place(rnd, params, lists, op):
+    """Shift, drop or copy one journal record, or bump its replay attempt."""
+    journal = rnd.choice([lst for lst in lists if lst])
+    i = rnd.randrange(len(journal))
+    record = journal[i]
+    if op == "drop":
+        del journal[i]
+    elif op == "duplicate":
+        journal[i:i] = [record] * rnd.randint(1, 3)
+    elif op == "retry" and not hasattr(record, "kind"):
+        journal[i] = record[:-1] + (record[-1] + rnd.randint(1, 3),)
+    else:
+        k = rnd.choice([1, params.timing.clock, params.timing.tRCD,
+                        rnd.randint(1, 4 * params.timing.tRC)])
+        k = k if rnd.random() < 0.5 else -k
+        shifted = max(0, record[1] + k)
+        journal[i] = (record._replace(time_ps=shifted)
+                      if hasattr(record, "kind")
+                      else record[:1] + (shifted,) + record[2:])
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    name=st.sampled_from(AUDITED),
+    ops=st.lists(st.sampled_from(["shift", "drop", "duplicate", "retry"]),
+                 max_size=3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_mutated_run_reports_the_replay(controllers, name, ops, seed):
+    """Mutate a real run's journals where they sit (restored afterwards):
+    the two-stage check returns exactly the replay's violation list."""
+    controller = controllers[name]
+    params = controller.check_params()
+    lists = _journal_lists(controller)
+    saved = [list(lst) for lst in lists]
+    rnd = random.Random(seed)
+    try:
+        for op in ops:
+            _mutate_in_place(rnd, params, lists, op)
+        expected = ProtocolChecker(params).check(
+            controller.collect_check_events())
+        assert controller.check_protocol_violations() == expected
+    finally:
+        for lst, original in zip(lists, saved):
+            lst[:] = original

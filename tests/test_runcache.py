@@ -157,7 +157,9 @@ class TestCorruptionFuzz:
 
     def test_entry_under_wrong_key(self, entry):
         cache, key, path = entry
-        other = "ab" + key[2:]
+        # A different two-hex-digit prefix: "ab" + key[2:] is the key
+        # itself whenever the key already starts with "ab".
+        other = ("cd" if key.startswith("ab") else "ab") + key[2:]
         wrong = cache.path_for(other)
         wrong.parent.mkdir(parents=True, exist_ok=True)
         shutil.copy(path, wrong)
