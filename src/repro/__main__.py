@@ -299,6 +299,14 @@ def cmd_faults(args: argparse.Namespace) -> int:
     config = dataclasses.replace(
         config, faults=dataclasses.replace(config.faults, seed=args.fault_seed)
     )
+    try:
+        for rate in rates:  # every sweep point's fault config must be valid
+            config.with_faults(
+                error_rate=rate,
+                amb_bitflip_rate=rate if args.bitflip is None else args.bitflip,
+            )
+    except ValueError as exc:
+        _fail(str(exc))
     points = fault_sweep(
         config,
         programs,
@@ -447,6 +455,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
+    if getattr(args, "jobs", 1) < 1:
+        _fail(f"--jobs must be >= 1, got {args.jobs}")
     return args.func(args)
 
 

@@ -7,8 +7,8 @@ Three independent passes (see ``docs/CHECKING.md``):
 * :mod:`repro.check.lint` — the static-analysis engine: a plugin rule
   registry running the determinism rules (wall clocks, unseeded
   ``random``, set iteration, float arithmetic on picosecond times) plus
-  unit-flow, worker shared-state, counter-drift and strict-typing
-  analyses (``docs/STATIC_ANALYSIS.md``);
+  unit-flow, worker shared-state and strict-typing analyses
+  (``docs/STATIC_ANALYSIS.md``);
 * :mod:`repro.check.config_audit` — cross-field consistency checks on
   :class:`~repro.config.SystemConfig` with actionable messages.
 

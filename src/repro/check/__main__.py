@@ -5,13 +5,11 @@ Modes (combinable; default with no flags is trace checking):
 * ``python -m repro.check trace.jsonl [...]`` — protocol-check saved
   command traces (written by ``SystemConfig(check_protocol=True)`` runs
   or by hand; see :mod:`repro.check.trace` for the format);
-* ``python -m repro.check lint [PATH ...]`` — the full static-analysis
-  engine (determinism + unit-flow + shared-state + counter-drift +
-  strict-typing rules; see :mod:`repro.check.lint.cli` for its options);
+* ``python -m repro.check lint [PATH ...]`` — the static-analysis engine
+  (determinism + unit-flow + shared-state + strict-typing rules; see
+  :mod:`repro.check.lint.cli` for its options);
 * ``--self-test`` — run the golden known-bad suites (seeded protocol
   traces and seeded lint fixtures);
-* ``--lint [PATH ...]`` — the four determinism rules only
-  (defaults to the installed ``repro`` sources);
 * ``--audit-configs`` — cross-field audit of the standard factory
   configurations.
 
@@ -26,14 +24,6 @@ from pathlib import Path
 from typing import List
 
 from repro.check.config_audit import audit_system, errors_only
-from repro.check.lint import (
-    Finding,
-    LintEngine,
-    ModuleContext,
-    get_rule,
-    repro_source_root,
-)
-from repro.check.lint.rules.determinism import RULE_IDS as DETERMINISM_RULE_IDS
 from repro.check.lint.selftest import run_self_test as run_lint_self_test
 from repro.check.protocol import ProtocolChecker
 from repro.check.selftest import run_self_test
@@ -65,45 +55,6 @@ def _check_traces(paths: List[str]) -> int:
         else:
             print(f"{path}: OK ({len(events)} events, {params.kind})")
     return status
-
-
-def _lint_file(engine: LintEngine, path: Path, rel: str) -> List[Finding]:
-    """Lint one file that sits at ``rel`` within the linted tree."""
-    source = path.read_text(encoding="utf-8")
-    return engine.run([ModuleContext(str(path), rel, source)])
-
-
-def _lint_tree(engine: LintEngine, root: Path) -> List[Finding]:
-    """Lint every ``*.py`` file under ``root``, in sorted path order, each
-    scoped by its path relative to ``root``."""
-    findings: List[Finding] = []
-    for path in sorted(root.rglob("*.py")):
-        findings.extend(_lint_file(engine, path, str(path.relative_to(root))))
-    return findings
-
-
-def _run_lint(paths: List[str]) -> int:
-    engine = LintEngine([get_rule(rule_id) for rule_id in DETERMINISM_RULE_IDS])
-    findings = []
-    if paths:
-        for raw in paths:
-            path = Path(raw)
-            try:
-                if path.is_dir():
-                    findings.extend(_lint_tree(engine, path))
-                else:
-                    findings.extend(_lint_file(engine, path, str(path)))
-            except OSError as exc:
-                print(f"{path}: cannot lint: {exc}")
-                return EXIT_USAGE
-    else:
-        root = repro_source_root()
-        print(f"linting {root}")
-        findings.extend(_lint_tree(engine, root))
-    for finding in findings:
-        print(finding.format())
-    print(f"determinism lint: {len(findings)} finding(s)")
-    return EXIT_FINDINGS if findings else EXIT_CLEAN
 
 
 def _run_audit() -> int:
@@ -143,8 +94,7 @@ def main(argv: List[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     if argv and argv[0] == "lint":
-        # The full rule engine has its own CLI (baseline, JSON, rule
-        # selection); everything below is the legacy flag interface.
+        # The lint engine has its own CLI (baseline, JSON, rule selection).
         from repro.check.lint.cli import main as lint_main
 
         return lint_main(argv[1:])
@@ -161,10 +111,6 @@ def main(argv: List[str] | None = None) -> int:
         help="run the golden known-bad trace suite",
     )
     parser.add_argument(
-        "--lint", nargs="*", metavar="PATH", default=None,
-        help="determinism lint over PATHs (default: repro sources)",
-    )
-    parser.add_argument(
         "--audit-configs", action="store_true",
         help="audit the standard factory configurations",
     )
@@ -175,9 +121,6 @@ def main(argv: List[str] | None = None) -> int:
     if args.self_test:
         selected = True
         status = max(status, _run_self_test())
-    if args.lint is not None:
-        selected = True
-        status = max(status, _run_lint(args.lint))
     if args.audit_configs:
         selected = True
         status = max(status, _run_audit())
@@ -188,7 +131,7 @@ def main(argv: List[str] | None = None) -> int:
         parser.print_usage(sys.stderr)
         print(
             "error: nothing to do — pass a trace file or one of "
-            "--self-test/--lint/--audit-configs",
+            "--self-test/--audit-configs (or use the lint subcommand)",
             file=sys.stderr,
         )
         return EXIT_USAGE

@@ -2,8 +2,7 @@
 
 A plugin registry of AST rules over the repo's own source: the four
 determinism rules from PR 1 plus unit-flow (``unit-mix``/``unit-return``),
-worker shared-state, counter-drift (``stat-*``) and strict-typing
-(``untyped-def``) analyses.  See ``docs/STATIC_ANALYSIS.md`` for the rule
+worker shared-state and strict-typing (``untyped-def``) analyses.  See ``docs/STATIC_ANALYSIS.md`` for the rule
 catalogue, suppression syntax and the baseline workflow.
 """
 

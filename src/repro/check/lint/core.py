@@ -9,9 +9,7 @@ in deterministic ``(path, line, rule)`` order.
 
 Suppressions: a finding is dropped when its line contains
 ``# repro: ignore[rule-id]`` (several ids may be comma-separated, and the
-bare form ``# repro: ignore`` silences every rule on that line).  Rules
-migrated from the original determinism lint additionally honour their
-legacy ``# det: allow`` marker so existing annotations keep working.
+bare form ``# repro: ignore`` silences every rule on that line).
 """
 
 from __future__ import annotations
@@ -120,14 +118,10 @@ class ModuleContext:
             return False
         text = self.lines[line - 1]
         match = _SUPPRESS_RE.search(text)
-        if match:
-            ids = match.group(1)
-            if ids is None:
-                return True
-            if rule.id in {part.strip() for part in ids.split(",")}:
-                return True
-        legacy = rule.legacy_suppress
-        return legacy is not None and legacy in text
+        if not match:
+            return False
+        ids = match.group(1)
+        return ids is None or rule.id in {part.strip() for part in ids.split(",")}
 
 
 class Rule:
@@ -142,9 +136,6 @@ class Rule:
     id: str = ""
     severity: str = "error"
     description: str = ""
-    #: Legacy suppression marker honoured in addition to ``repro: ignore``
-    #: (the four ported determinism rules keep ``det: allow`` working).
-    legacy_suppress: Optional[str] = None
 
     def check_module(self, ctx: ModuleContext) -> Iterable[Finding]:
         return ()

@@ -6,12 +6,10 @@ Rule families (see ``docs/STATIC_ANALYSIS.md`` for the catalogue):
   (``wall-clock``, ``unseeded-random``, ``set-iteration``, ``float-time``);
 * :mod:`~repro.check.lint.rules.unitflow` — ``unit-mix``, ``unit-return``;
 * :mod:`~repro.check.lint.rules.sharedstate` — ``worker-shared-state``;
-* :mod:`~repro.check.lint.rules.counterdrift` — ``stat-no-increment``;
 * :mod:`~repro.check.lint.rules.typing_rules` — ``untyped-def``.
 """
 
 from repro.check.lint.rules import (  # noqa: F401  (registration imports)
-    counterdrift,
     determinism,
     sharedstate,
     typing_rules,
@@ -19,7 +17,6 @@ from repro.check.lint.rules import (  # noqa: F401  (registration imports)
 )
 
 __all__ = [
-    "counterdrift",
     "determinism",
     "sharedstate",
     "typing_rules",

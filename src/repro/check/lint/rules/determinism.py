@@ -1,10 +1,8 @@
 """The four determinism rules: wall clocks, unseeded ``random``, set
 iteration and float arithmetic on picosecond times.
 
-``python -m repro.check --lint`` runs exactly these (:data:`RULE_IDS`);
-``python -m repro.check lint`` runs them with every other rule.  Each rule
-keeps the legacy ``# det: allow`` suppression marker working alongside
-``# repro: ignore[rule-id]``.
+``python -m repro.check lint`` runs them with every other rule;
+:data:`RULE_IDS` names exactly these four.
 """
 
 from __future__ import annotations
@@ -31,10 +29,6 @@ _HOT_PACKAGES = ("engine", "dram", "channel", "controller")
 #: Identifier endings that denote a picosecond quantity.
 _PS_SUFFIXES = ("_ps", "_time")
 _PS_NAMES = {"now", "clock", "burst", "time_ps", "earliest", "deadline"}
-
-#: Legacy suppression comment (pre-framework syntax), still honoured.
-SUPPRESS_MARK = "det: allow"
-
 
 def dotted_name(node: ast.AST) -> Optional[str]:
     """Resolve ``a.b.c`` attribute chains to a dotted string."""
@@ -97,7 +91,6 @@ class ImportTrackingVisitor(ast.NodeVisitor):
 class _DeterminismRule(Rule):
     """Shared plumbing: run a visitor class and collect its findings."""
 
-    legacy_suppress = SUPPRESS_MARK
     visitor_cls: Type["_CallRuleVisitor"]
 
     def check_module(self, ctx: ModuleContext) -> Iterable[Finding]:

@@ -30,27 +30,6 @@ def _one(name: str, rel: str, source: str,
     return LintSelfTestCase(name, ((rel, source),), tuple(expect))
 
 
-def _counter_project(
-    collector_extra: str = "",
-    writer: str = "    s.reads += 1\n",
-    fold: str = "",
-) -> Tuple[Tuple[str, str], ...]:
-    """A minimal stats project: counter schema + writer/device fold."""
-    collector = (
-        "from dataclasses import dataclass\n"
-        "\n"
-        "@dataclass\n"
-        "class MemSystemStats:\n"
-        "    reads: int = 0\n"
-        + collector_extra
-    )
-    return (
-        ("stats/collector.py", collector),
-        ("controller/mod.py",
-         fold + "def account(s: object) -> None:\n" + writer),
-    )
-
-
 def cases() -> List[LintSelfTestCase]:
     """All fixture projects (deterministic order)."""
     out: List[LintSelfTestCase] = []
@@ -63,10 +42,6 @@ def cases() -> List[LintSelfTestCase]:
     out.append(_one(
         "good-wall-clock-new-suppression", "engine/mod.py",
         "import time\nx = time.time()  # repro: ignore[wall-clock]\n",
-    ))
-    out.append(_one(
-        "good-wall-clock-legacy-suppression", "engine/mod.py",
-        "import time\nx = time.time()  # det: allow\n",
     ))
 
     # -- determinism: unseeded-random -----------------------------------
@@ -215,69 +190,6 @@ def cases() -> List[LintSelfTestCase]:
             ("system.py", shared_bad_system),
         ),
         (),
-    ))
-
-    # -- counter-drift ---------------------------------------------------
-    out.append(LintSelfTestCase(
-        "good-counter-all-wired",
-        _counter_project(),
-        (),
-    ))
-    out.append(LintSelfTestCase(
-        "bad-counter-no-increment",
-        _counter_project(collector_extra="    lost_events: int = 0\n"),
-        ("stat-no-increment",),
-    ))
-    out.append(LintSelfTestCase(
-        "bad-counter-device-orphan",
-        _counter_project(
-            collector_extra='    acts: int = counter("ACTs", scope="device")\n',
-        ),
-        ("stat-no-increment",),
-    ))
-    out.append(LintSelfTestCase(
-        "good-counter-device-fold-source",
-        _counter_project(
-            collector_extra='    acts: int = counter("ACTs", scope="device")\n',
-            fold='FOLD = {"acts": "activates"}\n',
-        ),
-        (),
-    ))
-    out.append(LintSelfTestCase(
-        "good-counter-device-keyed-store",
-        _counter_project(
-            collector_extra='    acts: int = counter("ACTs", scope="device")\n',
-            writer='    s.reads += 1\n    totals = {}\n    totals["acts"] = 1\n',
-        ),
-        (),
-    ))
-    out.append(LintSelfTestCase(
-        "bad-counter-completion-not-fed-by-fold",
-        _counter_project(
-            collector_extra='    ghost: int = counter("x", scope="completion")\n',
-            fold='FOLD = {"ghost": "activates"}\n',
-        ),
-        ("stat-no-increment",),
-    ))
-    window_record = (
-        "timeline/records.py",
-        "from dataclasses import dataclass\n"
-        "\n"
-        "@dataclass(frozen=True)\n"
-        "class WindowRecord:\n"
-        "    delta_reads: int = 0\n"
-        "    bogus: int = 0\n",
-    )
-    out.append(LintSelfTestCase(
-        "bad-window-field-undeclared",
-        _counter_project(
-            collector_extra=(
-                '    hits: int = counter("h", scope="completion",'
-                ' window="delta_reads")\n'
-            ),
-            writer="    s.reads += 1\n    s.hits += 1\n",
-        ) + (window_record,),
-        ("stat-no-increment",),
     ))
 
     # -- untyped-def -----------------------------------------------------

@@ -159,11 +159,11 @@ class EventLoopProfiler:
         )
         previous = self._active_stack
         self._active_stack = stack
-        start = time.perf_counter()  # det: allow — profiling wall time, not model time
+        start = time.perf_counter()  # repro: ignore[wall-clock] — profiling wall time
         try:
             callback()
         finally:
-            elapsed = time.perf_counter() - start  # det: allow — profiling wall time
+            elapsed = time.perf_counter() - start  # repro: ignore[wall-clock] — profiling wall time
             self._active_stack = previous
         entry = self.sites.get(site)
         if entry is None:

@@ -122,6 +122,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--cache-report", metavar="PATH",
                         help="write cache/run statistics as JSON (CI artifact)")
     args = parser.parse_args(argv)
+    if args.jobs < 1:
+        print(f"error: --jobs must be >= 1, got {args.jobs}", file=sys.stderr)
+        return 2
 
     export_dir = None
     if args.export:
@@ -143,7 +146,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         progress=heartbeat, trace_dir=args.trace_out or None,
         jobs=args.jobs, cache=cache,
     )
-    invocation_start = time.time()  # det: allow — progress reporting
+    invocation_start = time.time()  # repro: ignore[wall-clock] — progress reporting
     pairs = [pair for name in names for pair in PLANS[name](ctx)]
     if pairs:
         heartbeat.begin("prefetch")
@@ -154,7 +157,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         )
     for position, name in enumerate(names):
         heartbeat.begin(name)
-        start = time.time()  # det: allow — progress reporting, not model time
+        start = time.time()  # repro: ignore[wall-clock] — progress reporting, not model time
         tables = EXPERIMENTS[name](ctx)
         for index, table in enumerate(tables):
             print(table.format())
@@ -165,12 +168,12 @@ def main(argv: Optional[List[str]] = None) -> int:
                 stem = name if len(tables) == 1 else f"{name}-{index}"
                 write_csv(table, export_dir / f"{stem}.csv")
                 write_markdown(table, export_dir / f"{stem}.md")
-        elapsed = time.time() - start  # det: allow — progress reporting
+        elapsed = time.time() - start  # repro: ignore[wall-clock] — progress reporting
         done = position + 1
         remaining = len(names) - done
         eta = ""
         if remaining:
-            total = time.time() - invocation_start  # det: allow — progress
+            total = time.time() - invocation_start  # repro: ignore[wall-clock] — progress
             eta = f", ETA ~{total / done * remaining:.0f}s for {remaining} more"
         print(f"[{name}: {elapsed:.1f}s, {ctx.runs_executed} fresh runs{eta}]\n")
     served = ctx.disk_hits + ctx.fresh_runs
@@ -205,19 +208,19 @@ class _Heartbeat:
         self.period_s = period_s
         self.names = list(names)
         self.experiment = ""
-        self.start = time.time()  # det: allow — progress reporting
+        self.start = time.time()  # repro: ignore[wall-clock] — progress reporting
         self.last_print = self.start
         self.runs_at_start = 0
 
     def begin(self, name: str) -> None:
         """A new experiment is starting; reset the per-experiment counters."""
         self.experiment = name
-        self.last_print = time.time()  # det: allow — progress reporting
+        self.last_print = time.time()  # repro: ignore[wall-clock] — progress reporting
 
     def __call__(self, progress: RunProgress) -> None:
         if self.period_s <= 0:
             return
-        now = time.time()  # det: allow — progress reporting
+        now = time.time()  # repro: ignore[wall-clock] — progress reporting
         if now - self.last_print < self.period_s:
             return
         self.last_print = now

@@ -39,9 +39,9 @@ def simulate_one(pair: RunPair) -> Tuple[SimulationResult, float]:
     Module-level (not nested) so it pickles across the process boundary.
     """
     config, programs = pair
-    start = time.perf_counter()  # det: allow — heartbeat wall time
+    start = time.perf_counter()  # repro: ignore[wall-clock] — heartbeat wall time
     result = run_system(config, programs)
-    wall = time.perf_counter() - start  # det: allow — heartbeat wall time
+    wall = time.perf_counter() - start  # repro: ignore[wall-clock] — heartbeat wall time
     return result, wall
 
 

@@ -206,10 +206,10 @@ class ExperimentContext:
     def _run_fresh(
         self, config: SystemConfig, programs: Tuple[str, ...]
     ) -> SimulationResult:
-        start = time.perf_counter()  # det: allow — heartbeat wall time
+        start = time.perf_counter()  # repro: ignore[wall-clock] — heartbeat wall time
         result = (run_system(config, programs) if self.trace_dir is None
                   else self._run_traced(config, programs))
-        wall = time.perf_counter() - start  # det: allow — heartbeat wall time
+        wall = time.perf_counter() - start  # repro: ignore[wall-clock] — heartbeat wall time
         self._store_to_disk(config, programs, result)
         self._note_fresh(result, wall, programs)
         return result

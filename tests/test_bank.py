@@ -90,6 +90,32 @@ class TestRankTimer:
         assert first_rd >= write_data_end + T.tWTR
 
 
+class TestFourActivateWindow:
+    """A fifth ACT inside an open four-ACT window waits for tFAW.
+
+    The channel controllers never reach this stall: they issue only once
+    ``Bank.probe`` says the access may start, and the probe already folds
+    the window in.  So the stall counters are pinned here, at bank level.
+    """
+
+    def test_fifth_act_stalls_for_the_exact_gap(self):
+        timing = TimingPs.from_config(
+            DramTimings(), dram_clock_ps=3000, burst_clocks=4, tfaw_ns=50.0)
+        banks = [Bank(b, timing, PagePolicy.CLOSE_PAGE) for b in range(5)]
+        bus, rank = BusResource("bus"), RankTimer()
+        for bank in banks[:4]:  # ACTs at 0, tRRD, 2 tRRD, 3 tRRD
+            bank.read(0, 5, 1, bus, rank)
+        now = 4 * timing.tRRD
+        assert now < timing.tFAW
+        last = banks[4]
+        assert last.probe(now, 5, rank) == (timing.tFAW, False)
+        result = last.read(now, 5, 1, bus, rank)
+        assert result.command_start == timing.tFAW
+        assert last.stats.faw_stalls == 1
+        assert last.stats.faw_stall_ps == timing.tFAW - now
+        assert [b.stats.faw_stalls for b in banks[:4]] == [0, 0, 0, 0]
+
+
 class TestClosePageWrite:
     def test_idle_write_timeline(self):
         bank, bus, rank = make_bank()

@@ -76,6 +76,12 @@ class TestInputErrors:
             ["sweep", "k=0", "--no-cache"],
             ["sweep", "k=x", "--no-cache"],
             ["sweep", "assoc=bogus", "--no-cache"],
+            ["faults", "--rates", "-1"],
+            ["faults", "--bitflip", "2"],
+            ["run", "--jobs", "0"],
+            ["compare", "--jobs", "0"],
+            ["sweep", "k=2", "--jobs", "0", "--no-cache"],
+            ["faults", "--jobs", "-1"],
         ],
         ids=lambda argv: " ".join(argv),
     )

@@ -19,11 +19,26 @@ Coverage:
 * the prefetch-buffer paths no other case reaches: AMB-cache parity flips,
   the controller-side buffer with lifecycle accounting, and K=1 groups;
 * every non-DDR2 device generation preset (``repro.dram.devices``)
-  running the bench cases plus the fig05 plan, so refresh scheduling,
-  tFAW enforcement and the per-generation timing/energy tables are pinned
-  by digests of their own.  The DDR2 preset adds no cases: it must map
-  every configuration onto itself (``test_ddr2_preset_reproduces_...``),
-  keeping the pre-refactor digests authoritative.
+  running the bench cases plus the fig05 plan, so the per-generation
+  timing and energy tables are pinned by digests of their own.  tFAW
+  enforcement is pinned where it binds, in the scheduler's estimate
+  (``Bank.probe``): ``device:lpddr4-2400:fig05`` and ``reach:refresh``
+  change without it.  These runs end before their first tREFI, so
+  refresh scheduling is pinned by ``reach:refresh`` instead.  The DDR2
+  preset adds no cases: it must map every configuration onto itself
+  (``test_ddr2_preset_reproduces_...``), keeping the pre-refactor digests
+  authoritative;
+* the six scenarios of the retired golden-number harness (``golden:*``),
+  at its budget and each config's own seed;
+* one short run per path no other case reaches (``reach:*``): refresh,
+  power-down residency, retry-budget drops and degraded mode, and the
+  windowed lifecycle, fault-retry and open-page fields.
+
+The reach gate (``test_every_counter_and_window_field_is_reached``)
+proves the digests cover every counter: each ``MemSystemStats`` counter
+and each ``WindowRecord`` field must be nonzero in at least one case, or
+sit in :data:`UNREACHED` with its reason.  It reads the runs the digest
+tests already made, so no case is simulated twice.
 
 Regenerate after an *intentional* model change with::
 
@@ -37,11 +52,13 @@ import hashlib
 import json
 import sys
 from pathlib import Path
+from typing import Dict, FrozenSet, NamedTuple
 
 import pytest
 
 from repro.config import (
     AmbPrefetchConfig,
+    PagePolicy,
     PrefetchLocation,
     SystemConfig,
     ddr2_baseline,
@@ -65,7 +82,9 @@ from repro.experiments import (
 )
 from repro.experiments.runner import ExperimentContext
 from repro.serialize import canonical_dumps
+from repro.stats.collector import COUNTERS
 from repro.system import run_system
+from repro.timeline.records import WindowRecord
 
 GOLDEN_PATH = Path(__file__).parent / "goldens" / "engine_conformance.json"
 
@@ -235,12 +254,64 @@ def _figure_cases() -> "dict[str, list]":
     return cases
 
 
+#: The retired golden-number harness's budget: its six scenarios run at
+#: 6,000 instructions per core with each config's own seed (not
+#: :func:`_budget`'s).
+GOLDEN_INSTS = 6000
+
+
+def _golden_cases() -> "dict[str, list]":
+    """The six scenarios of the retired golden-number harness."""
+
+    def small(config: SystemConfig) -> SystemConfig:
+        return dataclasses.replace(config, instructions_per_core=GOLDEN_INSTS)
+
+    k8 = fbdimm_amb_prefetch(1, prefetch=AmbPrefetchConfig(region_cachelines=8))
+    nosp = dataclasses.replace(fbdimm_amb_prefetch(2), software_prefetch=False)
+    return {
+        "golden:ddr2-swim": [(small(ddr2_baseline(1)), ("swim",))],
+        "golden:fbd-swim": [(small(fbdimm_baseline(1)), ("swim",))],
+        "golden:ap-swim": [(small(fbdimm_amb_prefetch(1)), ("swim",))],
+        "golden:ap-k8-vpr": [(small(k8), ("vpr",))],
+        "golden:fbd-2core": [(small(fbdimm_baseline(2)), ("gap", "vortex"))],
+        "golden:ap-2core-nosp": [(small(nosp), ("wupwise", "equake"))],
+    }
+
+
+def _reach_cases() -> "dict[str, list]":
+    """One short run per path no other case reaches."""
+    two = ("wupwise", "swim")
+    # A 4-core DDR2-path run long enough to pass LPDDR4's tREFI.
+    refresh = ddr2_baseline(num_cores=4, logic_channels=1).with_device(
+        "lpddr4-2400").with_timeline(window_ns=2000.0)
+    # One sparse core leaves idle gaps past powerdown_entry_ns.
+    powerdown = fbdimm_baseline(num_cores=1).with_timeline(window_ns=500.0)
+    # Half of all transfers corrupt: replays exhaust max_retries and the
+    # channels cross degraded_threshold.
+    drops = fbdimm_amb_prefetch(num_cores=2, logic_channels=2).with_faults(
+        error_rate=0.5, max_retries=1, degraded_threshold=4)
+    parity, _ = _buffer_variants()["variant:lifecycle-amb-parity"]
+    open_page = ddr2_baseline(num_cores=2, logic_channels=1).with_memory(
+        page_policy=PagePolicy.OPEN_PAGE).with_timeline(window_ns=500.0)
+    return {
+        "reach:refresh": [(_budget(refresh, 20_000), _BENCH_PROGRAMS)],
+        "reach:powerdown": [(_budget(powerdown, 3000), ("gap",))],
+        "reach:fault-drops": [(_budget(drops), two)],
+        "reach:lifecycle-windows": [
+            (_budget(parity.with_timeline(window_ns=500.0)), two)
+        ],
+        "reach:open-page-windows": [(_budget(open_page), two)],
+    }
+
+
 def conformance_cases() -> "dict[str, list]":
     cases = {}
     cases.update(_bench_cases())
     cases.update(_variant_cases())
     cases.update(_device_cases())
     cases.update(_figure_cases())
+    cases.update(_golden_cases())
+    cases.update(_reach_cases())
     return cases
 
 
@@ -252,18 +323,52 @@ CASE_NAMES = (
     + [f"device:{device}:{part}"
        for device in _DEVICE_GENERATIONS for part in ("bench", "fig05")]
     + [f"figure:{name}" for name, _ in _FIGURE_PLANS]
+    + [name for name in _golden_cases()]
+    + [name for name in _reach_cases()]
 )
 
+_COUNTER_NAMES = tuple(f.name for f in COUNTERS)
+_WINDOW_FIELDS = tuple(f.name for f in dataclasses.fields(WindowRecord))
 
-def digest_case(pairs) -> "dict[str, object]":
-    """Run every (config, programs) pair serially and fold the digests."""
+#: Counters (``MemSystemStats.<name>``) and window fields
+#: (``WindowRecord.<name>``) that no case moves, each with the reason.
+#: The reach gate fails on any other zero, and on an entry here that some
+#: case does move, so the map cannot go stale.
+UNREACHED = {
+    "MemSystemStats.faw_stalls": (
+        "Bank.probe applies the tFAW gate before the scheduler issues, so "
+        "Bank._row_phase never finds an ACT to delay (pinned at bank level "
+        "by tests/test_bank.py::TestFourActivateWindow)"
+    ),
+    "MemSystemStats.faw_stall_ps": "the delay of faw_stalls; zero for the same reason",
+}
+
+
+class CaseRun(NamedTuple):
+    """One case's digest, and the counters and window fields it moved."""
+
+    digest: Dict[str, object]
+    reached: FrozenSet[str]
+
+
+def digest_case(pairs) -> CaseRun:
+    """Run every (config, programs) pair serially, fold the digests, and
+    note every counter and window field that ended nonzero."""
     run_digests = []
+    reached = set()
     for config, programs in pairs:
         result = run_system(config, programs)
         text = result.canonical_json()
         run_digests.append(hashlib.sha256(text.encode()).hexdigest())
+        reached.update(f"MemSystemStats.{name}" for name in _COUNTER_NAMES
+                       if getattr(result.mem, name))
+        windows = result.timeline.windows if result.timeline else ()
+        for window in windows:
+            reached.update(f"WindowRecord.{name}" for name in _WINDOW_FIELDS
+                           if getattr(window, name))
     combined = hashlib.sha256("\n".join(run_digests).encode()).hexdigest()
-    return {"digest": combined, "runs": len(run_digests)}
+    return CaseRun({"digest": combined, "runs": len(run_digests)},
+                   frozenset(reached))
 
 
 def load_goldens() -> "dict[str, dict]":
@@ -285,15 +390,29 @@ def cases():
     return conformance_cases()
 
 
+@pytest.fixture(scope="module")
+def case_run(cases):
+    """``case_run(name)`` simulates a case once per module; the digest
+    tests and the reach checks share the result."""
+    memo: Dict[str, CaseRun] = {}
+
+    def run(name: str) -> CaseRun:
+        if name not in memo:
+            memo[name] = digest_case(cases[name])
+        return memo[name]
+
+    return run
+
+
 class TestConformance:
     def test_goldens_cover_every_case(self, goldens, cases):
         assert set(goldens) == set(cases)
         assert set(cases) == set(CASE_NAMES)
 
     @pytest.mark.parametrize("name", CASE_NAMES)
-    def test_digest_matches_golden(self, name, goldens, cases):
+    def test_digest_matches_golden(self, name, goldens, case_run):
         golden = goldens[name]
-        actual = digest_case(cases[name])
+        actual = case_run(name).digest
         assert actual["runs"] == golden["runs"], (
             f"{name}: planned run count changed "
             f"({golden['runs']} -> {actual['runs']})"
@@ -303,20 +422,38 @@ class TestConformance:
             "golden; if intentional, refresh the goldens and review the diff"
         )
 
-    def test_buffer_variants_reach_their_paths(self):
+    def test_every_counter_and_window_field_is_reached(self, case_run):
+        """A digest proves behaviour unchanged only on paths that run: every
+        counter and window field is nonzero in some case, or is listed in
+        UNREACHED with its reason."""
+        reached = set()
+        for name in CASE_NAMES:
+            reached |= case_run(name).reached
+        every = ({f"MemSystemStats.{name}" for name in _COUNTER_NAMES}
+                 | {f"WindowRecord.{name}" for name in _WINDOW_FIELDS})
+        unreached = sorted(every - reached - set(UNREACHED))
+        assert not unreached, (
+            f"no conformance case moves {unreached}: add a reach:* case "
+            "that does, or list it in UNREACHED with the reason"
+        )
+        stale = sorted(set(UNREACHED) & reached)
+        assert not stale, f"UNREACHED lists {stale}, which a case now moves"
+        assert set(UNREACHED) <= every, sorted(set(UNREACHED) - every)
+        assert all(UNREACHED.values())
+
+    def test_buffer_variants_reach_their_paths(self, case_run):
         """Each buffer variant keeps exercising the path it pins: a digest
         of a run that never takes the path would prove nothing."""
-        runs = {name: run_system(_budget(config), programs).mem
-                for name, (config, programs) in _buffer_variants().items()}
-        parity = runs["variant:lifecycle-amb-parity"]
-        assert parity.amb_parity_errors > 0
-        assert parity.pf_invalidated > 0
-        assert parity.pf_evicted_unused > 0
-        controller = runs["variant:lifecycle-controller"]
-        assert controller.pf_late_unused > 0
-        assert controller.pf_evicted_unused > 0
-        k1 = runs["variant:amb-k1"]
-        assert k1.demand_reads > 0 and k1.prefetched_lines == 0
+        def moved(case):
+            return {name.split(".", 1)[1] for name in case_run(case).reached
+                    if name.startswith("MemSystemStats.")}
+
+        assert {"amb_parity_errors", "pf_invalidated", "pf_evicted_unused"} \
+            <= moved("variant:lifecycle-amb-parity")
+        assert {"pf_late_unused", "pf_evicted_unused"} \
+            <= moved("variant:lifecycle-controller")
+        k1 = moved("variant:amb-k1")
+        assert "demand_reads" in k1 and "prefetched_lines" not in k1
 
     def test_ddr2_preset_reproduces_pre_refactor_digests(self, goldens):
         """The ddr2-667 preset is the identity on every bench config.
@@ -337,13 +474,13 @@ class TestConformance:
                 ), f"{name}: ddr2-667 preset changed the canonical config"
         config, programs = bench["bench:ddr2-1ch"][0]
         actual = digest_case([(config.with_device("ddr2-667"), programs)])
-        assert actual["digest"] == goldens["bench:ddr2-1ch"]["digest"]
+        assert actual.digest["digest"] == goldens["bench:ddr2-1ch"]["digest"]
 
 
 def refresh() -> None:
     goldens = {}
     for name, pairs in sorted(conformance_cases().items()):
-        goldens[name] = digest_case(pairs)
+        goldens[name] = digest_case(pairs).digest
         print(f"{name}: {goldens[name]['runs']} runs "
               f"-> {goldens[name]['digest'][:16]}…")
     GOLDEN_PATH.parent.mkdir(parents=True, exist_ok=True)

@@ -41,6 +41,12 @@ class TestExperimentsCli:
         with pytest.raises(SystemExit):
             experiments_main(["fig99"])
 
+    def test_jobs_below_one_rejected(self, capsys):
+        assert experiments_main(["latency", "--jobs", "0"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == ["error: --jobs must be >= 1, got 0"]
+
 
 class TestValidationDrivers:
     def test_saturation_table_shape(self):

@@ -5,8 +5,8 @@ energies, the Figure 13 compatibility contract (per-command model ==
 the frozen aggregate model in ``_legacy_power`` on refresh-free runs),
 window-edge semantics on a
 stub schedule, the conservation invariant and zero-overhead guard on
-real runs, JSONL/CSV round-trips, phase detection, diffing, the
-``repro timeline`` CLI, and the WindowRecord counter-drift lint spec.
+real runs, JSONL/CSV round-trips, phase detection, diffing and the
+``repro timeline`` CLI.
 """
 
 import dataclasses
@@ -896,57 +896,6 @@ class TestCli:
         assert code in (0, None)
         out = capsys.readouterr().out
         assert "timeline" in out
-
-
-# ----------------------------------------------------------------------
-# Lint: the WindowRecord counter-drift spec
-# ----------------------------------------------------------------------
-
-
-class TestWindowRecordLintSpec:
-    FIXTURE = (
-        (
-            "timeline/records.py",
-            "from dataclasses import dataclass\n"
-            "\n"
-            "\n"
-            "@dataclass(frozen=True)\n"
-            "class WindowRecord:\n"
-            "    good: int = 0\n"
-            "    bogus_counter: int = 0\n",
-        ),
-        (
-            "timeline/collector.py",
-            "def make(x: int) -> object:\n"
-            "    return WindowRecord(good=x)\n",
-        ),
-    )
-
-    def lint(self):
-        from repro.check.lint.core import LintEngine
-
-        return LintEngine().lint_sources(list(self.FIXTURE))
-
-    def test_orphaned_window_field_fails_no_increment(self):
-        findings = self.lint()
-        assert [(f.rule, f.message.split()[0]) for f in findings] == [
-            ("stat-no-increment", "WindowRecord.bogus_counter"),
-        ]
-
-    def test_fed_and_exported_field_is_clean(self):
-        findings = self.lint()
-        assert not any("WindowRecord.good" in f.message for f in findings)
-
-    def test_shipped_tree_is_clean(self):
-        # The real WindowRecord passes its own spec (also enforced repo-wide
-        # by the lint CI job; this is the fast local pin).
-        from pathlib import Path
-
-        from repro.check.lint.core import LintEngine
-
-        src = Path(__file__).parent.parent / "src" / "repro"
-        findings = LintEngine().lint_paths([src])
-        assert not any(f.rule.startswith("stat-") for f in findings)
 
 
 class TestTimelineOverhead:
