@@ -394,6 +394,11 @@ class MemoryConfig:
             raise ValueError("cacheline_bytes must be a power of two")
         if self.page_bytes % self.cacheline_bytes:
             raise ValueError("page_bytes must be a multiple of cacheline_bytes")
+        if self.lines_per_page % self.interleave_lines:
+            raise ValueError(
+                f"page of {self.lines_per_page} lines not divisible by "
+                f"interleave region of {self.interleave_lines} lines"
+            )
         if self.prefetch.enabled and self.kind is not MemoryKind.FBDIMM:
             raise ValueError("AMB prefetching requires an FB-DIMM memory system")
         if self.tFAW_ns < 0:
@@ -522,6 +527,10 @@ class SystemConfig:
     timeline: TimelineConfig = field(default_factory=TimelineConfig)
 
     def __post_init__(self) -> None:
+        if self.instructions_per_core < 1:
+            raise ValueError(
+                f"instructions_per_core must be >= 1, got {self.instructions_per_core}"
+            )
         if not 0 <= self.warmup_instructions < self.instructions_per_core:
             raise ValueError(
                 "warmup_instructions must be in [0, instructions_per_core)"

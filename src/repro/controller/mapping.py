@@ -99,11 +99,6 @@ class AddressMapper:
         self.ranks = config.ranks_per_dimm
         self.banks = config.banks_per_dimm
         self.lines_per_page = config.lines_per_page
-        if self.lines_per_page % self.region_lines:
-            raise ValueError(
-                f"page of {self.lines_per_page} lines not divisible by "
-                f"region of {self.region_lines} lines"
-            )
         self.regions_per_page = self.lines_per_page // self.region_lines
         self.rows = config.rows_per_bank
 

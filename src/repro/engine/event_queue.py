@@ -20,11 +20,9 @@ the heap.  When cancelled events come to dominate the heap it is compacted
 in place, so a workload that cancels heavily (e.g. the channel controllers'
 wake events) cannot grow the heap without bound.
 
-:meth:`EventQueue.pop_batch` drains every live entry sharing the earliest
-timestamp in a single heap pass — the batched same-tick dispatch the
-simulator's run loop uses instead of a peek/pop pair per event.  The batch
-holds the raw heap entries, so a run loop that stops mid-batch can
-:meth:`requeue` the unfired remainder with (time, seq) intact.
+The simulator's run loop (``Simulator.run``) does not call :meth:`pop`:
+it pops entries straight off ``_heap`` and keeps the live and cancelled
+counts exact itself.
 """
 
 from __future__ import annotations
@@ -152,67 +150,6 @@ class EventQueue:
             self._live -= 1
             return Event(time, seq, item)  # type: ignore[arg-type]
         return None
-
-    def pop_batch(
-        self, out: List[_Entry], until: Optional[int] = None
-    ) -> Optional[int]:
-        """Drain every live entry at the earliest timestamp into ``out``.
-
-        ``out`` is cleared first and refilled with raw heap entries in
-        scheduling order; the shared timestamp is returned.  When the
-        queue is empty — or the earliest live entry fires after ``until``
-        — nothing is popped, ``out`` stays empty and None is returned
-        (with ``until`` exceeded, the heap is left untouched so a later
-        run can resume).
-
-        A popped event may still be cancelled by an earlier event of the
-        same batch; the dispatch loop re-checks ``cancelled`` before
-        firing, exactly as the heap skip would have.
-        """
-        del out[:]
-        heap = self._heap
-        heappop = heapq.heappop
-        while heap:
-            head = heap[0][2]
-            if head.__class__ is Event and head.cancelled:  # type: ignore[union-attr]
-                heappop(heap)
-                self._cancelled -= 1
-                continue
-            break
-        if not heap:
-            return None
-        tick = heap[0][0]
-        if until is not None and tick > until:
-            return None
-        append = out.append
-        popped = 0
-        while heap and heap[0][0] == tick:
-            entry = heappop(heap)
-            item = entry[2]
-            if item.__class__ is Event:
-                if item.cancelled:  # type: ignore[union-attr]
-                    self._cancelled -= 1
-                    continue
-                item._queue = None  # type: ignore[union-attr]
-            popped += 1
-            append(entry)
-        self._live -= popped
-        return tick
-
-    def requeue(self, entry: _Entry) -> None:
-        """Put a popped-but-unfired batch entry back, (time, seq) intact.
-
-        Used when a run loop stops mid-batch: the remaining batch members
-        return to the heap so a later ``run()`` fires them unchanged.
-        Cancelled events are dropped rather than requeued.
-        """
-        item = entry[2]
-        if item.__class__ is Event:
-            if item.cancelled:  # type: ignore[union-attr]
-                return
-            item._queue = self  # type: ignore[union-attr]
-        heapq.heappush(self._heap, entry)
-        self._live += 1
 
     def peek_time(self) -> Optional[int]:
         """Return the firing time of the earliest live entry, or None."""

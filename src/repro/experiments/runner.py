@@ -181,7 +181,7 @@ class ExperimentContext:
         counts["fresh"] = len(missing)
         if not missing:
             return counts
-        if self.jobs <= 1 or len(missing) == 1 or self.trace_dir is not None:
+        if self.trace_dir is not None:
             for config, programs in missing:
                 self._cache[(config, programs)] = self._run_fresh(config, programs)
             return counts

@@ -17,6 +17,7 @@ from repro.config import SystemConfig
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.telemetry.spans import Tracer
     from repro.timeline.collector import TimelineCollector
+    from repro.workloads.spec import StreamMemo
 from repro.controller.controller import MemoryController
 from repro.cpu.core import Core, CoreStats
 from repro.cpu.l2 import L2FillTable
@@ -115,7 +116,9 @@ class System:
     """One simulated machine, built and runnable exactly once.
 
     Construct with SPEC program names (the normal path) or with raw traces
-    via :meth:`from_traces` for synthetic/validation workloads.
+    via :meth:`from_traces` for synthetic/validation workloads.  Runs that
+    share a ``streams`` memo replay each program's miss stream instead of
+    generating it again; the result is the same either way.
     """
 
     def __init__(
@@ -123,12 +126,14 @@ class System:
         config: SystemConfig,
         programs: Sequence[str],
         tracer: "Optional[Tracer]" = None,
+        streams: "Optional[StreamMemo]" = None,
     ) -> None:
         from repro.workloads.spec import PROGRAMS
 
+        build = make_trace if streams is None else streams.trace
         traces = [
             iter(
-                make_trace(
+                build(
                     program,
                     seed=config.seed,
                     core_id=core_id,
@@ -294,6 +299,7 @@ def run_system(
     config: SystemConfig,
     programs: Sequence[str],
     tracer: "Optional[Tracer]" = None,
+    streams: "Optional[StreamMemo]" = None,
 ) -> SimulationResult:
     """Build and run one system; the library's main entry point."""
-    return System(config, programs, tracer=tracer).run()
+    return System(config, programs, tracer=tracer, streams=streams).run()

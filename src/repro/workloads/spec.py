@@ -29,7 +29,7 @@ import heapq
 import itertools
 import random
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Tuple
+from typing import Dict, Iterator, List, Sequence, Tuple
 
 from repro.workloads.trace import TraceEvent, TraceKind
 
@@ -211,3 +211,81 @@ def make_trace(
         base_line=core_id << 26,
         software_prefetch=software_prefetch,
     )
+
+
+#: What :func:`make_trace` builds a stream from.
+StreamKey = Tuple[str, int, int, bool]
+
+
+class StreamMemo:
+    """Each :func:`make_trace` stream generated once, replayed to every run.
+
+    A sweep runs the same programs under many configs, and a program's
+    miss stream depends only on the :data:`StreamKey`, never on the
+    memory system.  :meth:`trace` hands out iterators that replay the
+    prefix of a stream some earlier iterator already consumed and extend
+    that prefix lazily from one live :class:`SyntheticTrace` per key, so
+    every iterator yields exactly what a fresh ``make_trace`` would.
+
+    The memo keeps every event of a stream it still holds, so it lives
+    as long as one batch of related runs (``repro.experiments.parallel``)
+    and no longer, and :meth:`retain` lets go of the streams the next
+    run will not read; a single run never needs one.
+    """
+
+    def __init__(self) -> None:
+        self._streams: Dict[StreamKey, Tuple[List[TraceEvent], Iterator[TraceEvent]]] = {}
+
+    def retain(self, programs: Sequence[str]) -> None:
+        """Forget every stream that no core of ``programs`` would read.
+
+        Runs ordered by program list keep each stream for as long as they
+        need it, and the memo never holds more than a few runs' streams.
+        Iterators already handed out keep working.
+        """
+        wanted = set(enumerate(programs))
+        self._streams = {
+            key: stream for key, stream in self._streams.items()
+            if (key[2], key[0]) in wanted
+        }
+
+    def trace(
+        self,
+        program: str,
+        seed: int,
+        core_id: int = 0,
+        software_prefetch: bool = True,
+    ) -> Iterator[TraceEvent]:
+        """The stream ``make_trace`` builds from the same arguments."""
+        key = (program, seed, core_id, software_prefetch)
+        stream = self._streams.get(key)
+        if stream is None:
+            source = iter(make_trace(program, seed, core_id, software_prefetch))
+            stream = self._streams[key] = ([], source)
+        events, source = stream
+        # The list iterator replays the prefix at C speed and keeps up
+        # with events another reader appends; the tail takes over at the
+        # end of the prefix.
+        return itertools.chain(events, _extend(events, source))
+
+
+def _extend(
+    events: List[TraceEvent], source: Iterator[TraceEvent]
+) -> Iterator[TraceEvent]:
+    """Continue a replay past the recorded prefix of ``events``.
+
+    The body first runs when the replay of ``events`` is exhausted, so
+    the reader's position starts at the prefix's length.  Another
+    reader of the same stream may extend the prefix while this one is
+    suspended; this one replays those events before it draws from
+    ``source`` again, so a draw always lands at the end of the prefix.
+    """
+    index = len(events)
+    append = events.append
+    for event in source:
+        append(event)
+        index += 1
+        yield event
+        while index < len(events):
+            yield events[index]
+            index += 1

@@ -2,6 +2,8 @@
 
 from dataclasses import replace
 
+import pytest
+
 from repro.check.config_audit import (
     ERROR,
     WARNING,
@@ -67,8 +69,13 @@ class TestPrefetchGeometry:
         assert any(i.field == "prefetch.region_cachelines" for i in issues)
 
     def test_region_crossing_row_is_error(self):
+        # Under multi-cacheline interleave such a region is rejected when
+        # the config is built; page interleave still lets it through.
+        prefetch = AmbPrefetchConfig(region_cachelines=128, cache_entries=128)
+        with pytest.raises(ValueError, match="not divisible"):
+            fbdimm_amb_prefetch(prefetch=prefetch)
         config = fbdimm_amb_prefetch(
-            prefetch=AmbPrefetchConfig(region_cachelines=128, cache_entries=128)
+            prefetch=prefetch, interleave=InterleaveScheme.PAGE
         )
         issues = errors_only(audit_memory(config.memory))
         assert any("row" in i.message for i in issues)

@@ -71,9 +71,12 @@ class TestInputErrors:
             ["faults", "--workload", "nope"],
             ["bench", "profile", "--workload", "nope"],
             ["run", "--k", "0"],
+            ["run", "--system", "fbd-ap", "--k", "3"],
             ["run", "--insts", "0"],
+            ["compare", "--insts", "0"],
             ["run", "--timeline-ns", "-1"],
             ["sweep", "k=0", "--no-cache"],
+            ["sweep", "k=3", "--no-cache"],
             ["sweep", "k=x", "--no-cache"],
             ["sweep", "assoc=bogus", "--no-cache"],
             ["faults", "--rates", "-1"],

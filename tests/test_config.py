@@ -145,6 +145,17 @@ class TestValidation:
         raw["memory"]["prefetch"]["location"] = "AMB"
         assert SystemConfig.from_dict(raw).memory.prefetch.full_latency_hits
 
+    def test_interleave_region_must_divide_page(self):
+        with pytest.raises(ValueError, match="not divisible by interleave region of 3"):
+            MemoryConfig(
+                interleave=InterleaveScheme.MULTI_CACHELINE,
+                prefetch=AmbPrefetchConfig(region_cachelines=3),
+            )
+
+    def test_instruction_budget_checked_before_warmup(self):
+        with pytest.raises(ValueError, match="instructions_per_core must be >= 1"):
+            SystemConfig(instructions_per_core=0)
+
     def test_cpu_needs_cores(self):
         with pytest.raises(ValueError):
             CpuConfig(num_cores=0)

@@ -1,9 +1,9 @@
 """Property test: the event queue against a brute-force model.
 
-Hypothesis drives arbitrary interleavings of push / cancel / pop / peek
-against a plain-list model; after every operation ``len()`` must equal the
-model's live count, and every pop must return exactly the earliest live
-event by (time, schedule order).  This pins the queue's determinism
+Hypothesis drives arbitrary interleavings of push / push_fire / cancel /
+pop / peek against a plain-list model; after every operation ``len()``
+must equal the model's live count, and every pop must return exactly the
+earliest live event by (time, schedule order).  This pins the queue's determinism
 contract — same-time events fire in scheduling order — under cancellation
 patterns (including cancelling popped or already-cancelled events) that
 the simulator's own workloads may never produce.
@@ -17,6 +17,7 @@ from repro.engine.event_queue import EventQueue
 OPERATIONS = st.lists(
     st.one_of(
         st.tuples(st.just("push"), st.integers(0, 20)),
+        st.tuples(st.just("push_fire"), st.integers(0, 20)),
         st.tuples(st.just("cancel"), st.integers(0, 10**9)),
         st.tuples(st.just("pop"), st.just(0)),
         st.tuples(st.just("peek"), st.just(0)),
@@ -25,50 +26,60 @@ OPERATIONS = st.lists(
 )
 
 
-def _earliest_live(events, state):
+def _earliest_live(model, state):
     live = [i for i, s in enumerate(state) if s == "live"]
     if not live:
         return None
-    return min(live, key=lambda i: (events[i].time, events[i].seq))
+    return min(live, key=lambda i: model[i])
 
 
 @settings(max_examples=300, deadline=None)
 @given(operations=OPERATIONS)
 def test_interleavings_match_model(operations):
     queue = EventQueue()
-    events = []  # every Event ever pushed, in push order
-    state = []  # "live" | "popped" | "cancelled", parallel to `events`
+    model = []  # (time, seq) of every entry ever pushed, in push order
+    handles = []  # the Event handle, or None for a push_fire entry
+    state = []  # "live" | "popped" | "cancelled", parallel to `model`
+
+    def check_pop(expected):
+        popped = queue.pop()
+        if expected is None:
+            assert popped is None
+            return
+        assert (popped.time, popped.seq) == model[expected]
+        if handles[expected] is not None:
+            assert popped is handles[expected]
+        state[expected] = "popped"
 
     for op, arg in operations:
-        if op == "push":
-            events.append(queue.push(arg, lambda: None))
-            state.append("live")
-        elif op == "cancel" and events:
-            index = arg % len(events)
-            events[index].cancel()  # may hit popped/cancelled events too
-            if state[index] == "live":
-                state[index] = "cancelled"
-        elif op == "pop":
-            expected = _earliest_live(events, state)
-            popped = queue.pop()
-            if expected is None:
-                assert popped is None
+        if op in ("push", "push_fire"):
+            if op == "push":
+                handles.append(queue.push(arg, lambda: None))
             else:
-                assert popped is events[expected]
-                state[expected] = "popped"
+                queue.push_fire(arg, lambda: None)
+                handles.append(None)
+            model.append((arg, len(model)))  # one seq counter for both
+            state.append("live")
+        elif op == "cancel" and handles:
+            index = arg % len(handles)
+            if handles[index] is not None:
+                handles[index].cancel()  # may hit popped/cancelled events too
+                if state[index] == "live":
+                    state[index] = "cancelled"
+        elif op == "pop":
+            check_pop(_earliest_live(model, state))
         elif op == "peek":
-            expected = _earliest_live(events, state)
+            expected = _earliest_live(model, state)
             time = queue.peek_time()
-            assert time == (None if expected is None else events[expected].time)
+            assert time == (None if expected is None else model[expected][0])
         assert len(queue) == state.count("live")
 
     # drain: the survivors come out in exact (time, schedule order)
     survivors = sorted(
-        (i for i, s in enumerate(state) if s == "live"),
-        key=lambda i: (events[i].time, events[i].seq),
+        (i for i, s in enumerate(state) if s == "live"), key=lambda i: model[i]
     )
     for index in survivors:
-        assert queue.pop() is events[index]
+        check_pop(index)
     assert queue.pop() is None
     assert len(queue) == 0
 
@@ -98,186 +109,6 @@ def test_heavy_cancellation_compacts_without_losing_order():
     survivors = sorted(pushed[250:], key=lambda e: (e.time, e.seq))
     assert [queue.pop() for _ in range(150)] == survivors
     assert queue.pop() is None
-
-
-# ---------------------------------------------------------------------------
-# Batched same-tick dispatch: pop_batch / requeue / push_fire
-# ---------------------------------------------------------------------------
-
-BATCH_OPERATIONS = st.lists(
-    st.one_of(
-        st.tuples(st.just("push"), st.integers(0, 8)),
-        st.tuples(st.just("push_fire"), st.integers(0, 8)),
-        st.tuples(st.just("cancel"), st.integers(0, 10**9)),
-        st.tuples(st.just("pop_batch"), st.just(0)),
-    ),
-    max_size=300,
-)
-
-
-@settings(max_examples=300, deadline=None)
-@given(operations=BATCH_OPERATIONS)
-def test_pop_batch_matches_model(operations):
-    """Every batch is exactly the live entries at the earliest timestamp,
-    in scheduling order, under arbitrary push/push_fire/cancel mixes."""
-    queue = EventQueue()
-    model = []  # (time, seq, handle-or-None), parallel state below
-    state = []  # "live" | "popped" | "cancelled"
-    handles = []  # Event handles (None for push_fire entries)
-    seq = 0
-    batch = []
-
-    def live_entries():
-        return sorted(
-            (i for i, s in enumerate(state) if s == "live"),
-            key=lambda i: model[i][:2],
-        )
-
-    for op, arg in operations:
-        if op == "push":
-            handles.append(queue.push(arg, lambda: None))
-            model.append((arg, seq))
-            state.append("live")
-            seq += 1
-        elif op == "push_fire":
-            queue.push_fire(arg, lambda: None)
-            handles.append(None)
-            model.append((arg, seq))
-            state.append("live")
-            seq += 1
-        elif op == "cancel" and handles:
-            index = arg % len(handles)
-            if handles[index] is not None:
-                handles[index].cancel()
-                if state[index] == "live":
-                    state[index] = "cancelled"
-        elif op == "pop_batch":
-            live = live_entries()
-            tick = queue.pop_batch(batch)
-            if not live:
-                assert tick is None
-                assert batch == []
-            else:
-                earliest = model[live[0]][0]
-                expected = [i for i in live if model[i][0] == earliest]
-                assert tick == earliest
-                assert [e[:2] for e in batch] == [model[i] for i in expected]
-                for i in expected:
-                    state[i] = "popped"
-        assert len(queue) == state.count("live")
-
-    # Drain whatever is left, batch by batch: ticks strictly increase and
-    # cover exactly the surviving entries in (time, seq) order.
-    drained = []
-    last_tick = None
-    while True:
-        tick = queue.pop_batch(batch)
-        if tick is None:
-            break
-        assert last_tick is None or tick > last_tick
-        last_tick = tick
-        assert all(e[0] == tick for e in batch)
-        drained.extend(e[:2] for e in batch)
-    assert drained == [model[i] for i in live_entries()]
-    assert len(queue) == 0
-
-
-@settings(max_examples=200, deadline=None)
-@given(
-    times=st.lists(st.integers(0, 4), min_size=1, max_size=48),
-    split=st.integers(0, 48),
-)
-def test_requeue_preserves_order(times, split):
-    """Requeueing an unfired batch suffix restores the exact original
-    firing order — the stop()-mid-batch contract of the run loop."""
-    queue = EventQueue()
-    for i, t in enumerate(times):
-        if i % 2:
-            queue.push_fire(t, lambda: None)
-        else:
-            queue.push(t, lambda: None)
-    full_order = []
-    batch = []
-    while queue.pop_batch(batch) is not None:
-        full_order.extend(e[:2] for e in batch)
-
-    queue2 = EventQueue()
-    for i, t in enumerate(times):
-        if i % 2:
-            queue2.push_fire(t, lambda: None)
-        else:
-            queue2.push(t, lambda: None)
-    replayed = []
-    while queue2.pop_batch(batch) is not None:
-        cut = min(split, len(batch))
-        replayed.extend(e[:2] for e in batch[:cut])
-        for entry in batch[cut:]:  # "stopped" here: requeue the rest
-            queue2.requeue(entry)
-        # the requeued entries must come straight back at the same tick
-        if cut < len(batch):
-            tick = queue2.pop_batch(batch)
-            assert tick == batch[0][0]
-            replayed.extend(e[:2] for e in batch)
-    assert replayed == full_order
-
-
-def test_cancel_inside_batch_then_requeue_drops_it():
-    """An event cancelled after pop_batch (by an earlier event of its own
-    batch) is dropped by requeue, and the live count stays exact."""
-    queue = EventQueue()
-    first = queue.push(5, lambda: None)
-    second = queue.push(5, lambda: None)
-    queue.push_fire(5, lambda: None)
-    batch = []
-    assert queue.pop_batch(batch) == 5
-    assert len(batch) == 3
-    assert len(queue) == 0
-    second.cancel()  # mid-batch cancellation: already popped, just flagged
-    for entry in batch[1:]:  # simulate stop() after firing `first`
-        queue.requeue(entry)
-    assert len(queue) == 1  # the cancelled event was not requeued
-    assert first.cancelled is False
-    tick = queue.pop_batch(batch)
-    assert tick == 5
-    assert len(batch) == 1 and batch[0][2] is not second
-
-
-def test_pop_batch_until_leaves_future_events_queued():
-    queue = EventQueue()
-    queue.push_fire(3, lambda: None)
-    queue.push(7, lambda: None)
-    batch = []
-    assert queue.pop_batch(batch, until=5) == 3
-    assert len(batch) == 1
-    assert queue.pop_batch(batch, until=5) is None
-    assert batch == []
-    assert len(queue) == 1
-    assert queue.peek_time() == 7
-
-
-def test_compaction_during_batch_keeps_requeue_consistent():
-    """Cancelling heavily between pop_batch and requeue triggers in-place
-    compaction; the popped entries must still requeue correctly."""
-    queue = EventQueue()
-    early = [queue.push(0, lambda: None) for _ in range(4)]
-    later = [queue.push(10 + t % 5, lambda: None) for t in range(200)]
-    batch = []
-    assert queue.pop_batch(batch) == 0
-    assert len(batch) == 4
-    for event in later[:150]:  # force the >50% garbage compaction
-        event.cancel()
-    assert queue.heap_size < 200
-    for entry in batch[1:]:
-        queue.requeue(entry)
-    assert len(queue) == 3 + 50
-    tick = queue.pop_batch(batch)
-    assert tick == 0
-    assert [e[2] for e in batch] == early[1:]
-    survivors = sorted(later[150:], key=lambda e: (e.time, e.seq))
-    drained = []
-    while queue.pop_batch(batch) is not None:
-        drained.extend(e[2] for e in batch)
-    assert drained == survivors
 
 
 def test_pop_wraps_handle_free_entries():

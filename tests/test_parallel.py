@@ -36,10 +36,10 @@ from repro.experiments import (
     hw_prefetch,
     prefetch_location,
 )
-from repro.experiments.parallel import execute_runs, simulate_one
+from repro.experiments.parallel import execute_runs
 from repro.experiments.runner import ExperimentContext, RunProgress
 from repro.stats.collector import MemSystemStats
-from repro.system import SimulationResult
+from repro.system import SimulationResult, run_system
 
 INSTS = 2000
 
@@ -81,7 +81,7 @@ class TestDifferential:
 
     def test_execute_runs_preserves_submission_order(self):
         pairs = _fig07_subset()
-        inline = [simulate_one(pair)[0] for pair in pairs]
+        inline = [run_system(config, programs) for config, programs in pairs]
         pooled = execute_runs(pairs, jobs=2)
         assert [r.canonical_json() for r in pooled] == [
             r.canonical_json() for r in inline
@@ -149,7 +149,7 @@ class TestBatchedDispatcherDifferential:
         """events_fired is part of the digest: the exact event schedule —
         not just the measured statistics — must cross process boundaries."""
         pairs = _dispatcher_edge_pairs()
-        inline = [simulate_one(pair)[0] for pair in pairs]
+        inline = [run_system(config, programs) for config, programs in pairs]
         pooled = execute_runs(pairs, jobs=4)
         assert [r.events_fired for r in pooled] == [
             r.events_fired for r in inline
