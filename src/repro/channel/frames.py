@@ -16,7 +16,12 @@ the channel controller can treat either uniformly.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+
+from repro.dram.commands import SB_CMD, SB_DATA
+
+if TYPE_CHECKING:
+    from array import array
 
 #: Southbound frame capacity per Section 2.
 COMMANDS_PER_FRAME = 3
@@ -160,17 +165,21 @@ class SouthboundLink:
         #: frame index -> [command_count, carries_data]
         self._frames: Dict[int, List] = {}
         self.frames_used = 0
-        #: Optional booking journal for the protocol checker:
-        #: ("cmd"|"data", frame_start_ps, retry_attempt).  Attempt 0 is the
-        #: original transfer; retries of a CRC-corrupted transfer book real
-        #: frames too and carry their attempt number so the checker can
-        #: audit the retry budget.  None keeps the hot path lean.
-        self.journal: Optional[List[Tuple[str, int, int]]] = None
+        #: Optional booking journal for the protocol checker: a flat
+        #: ``array('q')`` of ``(slot code, frame_start_ps, retry_attempt)``
+        #: triples, the code ``SB_CMD`` or ``SB_DATA``
+        #: (``repro.dram.commands``).  Attempt 0 is the original transfer;
+        #: retries of a CRC-corrupted transfer book real frames too and
+        #: carry their attempt number so the checker can audit the retry
+        #: budget.  None keeps the hot path lean.
+        self.journal: Optional[array] = None
 
     def enable_journal(self) -> None:
         """Record every frame booking (protocol-checker support)."""
         if self.journal is None:
-            self.journal = []
+            from array import array  # loaded only by runs that journal
+
+            self.journal = array("q")
 
     # -- grid helpers -----------------------------------------------------
 
@@ -207,7 +216,7 @@ class SouthboundLink:
             index += 1
         start = index * frame_ps
         if self.journal is not None:
-            self.journal.append(("cmd", start, retry))
+            self.journal.extend((SB_CMD, start, retry))
         return start
 
     def reserve_write_data(
@@ -242,7 +251,7 @@ class SouthboundLink:
             if first_start is None:
                 first_start = start
             if journal is not None:
-                journal.append(("data", start, retry))
+                journal.extend((SB_DATA, start, retry))
             placed += 1
             last_end = start + frame_ps
             index += 1
@@ -292,14 +301,17 @@ class NorthboundLink:
         self.phase_ps = phase_ps
         self._taken: Dict[int, bool] = {}
         self.frames_used = 0
-        #: Optional booking journal for the protocol checker:
-        #: ("line", first_frame_start_ps, frames, retry_attempt).
-        self.journal: Optional[List[Tuple[str, int, int, int]]] = None
+        #: Optional booking journal for the protocol checker: a flat
+        #: ``array('q')`` of ``(first_frame_start_ps, frames,
+        #: retry_attempt)`` triples, one per line.
+        self.journal: Optional[array] = None
 
     def enable_journal(self) -> None:
         """Record every line booking (protocol-checker support)."""
         if self.journal is None:
-            self.journal = []
+            from array import array  # loaded only by runs that journal
+
+            self.journal = array("q")
 
     def _first_index_at(self, earliest: int) -> int:
         return max(0, -(-(earliest - self.phase_ps) // self.frame_ps))
@@ -338,7 +350,7 @@ class NorthboundLink:
         self.frames_used += frames_needed
         start = index * frame_ps + phase_ps
         if self.journal is not None:
-            self.journal.append(("line", start, frames_needed, retry))
+            self.journal.extend((start, frames_needed, retry))
         return start, start + frames_needed * frame_ps
 
     @property

@@ -64,7 +64,7 @@ from repro.check.trace import (
     LinkJournal,
     TraceParams,
 )
-from repro.dram.commands import CommandType
+from repro.dram.commands import ACT, PRE, RD, SB_CMD
 
 #: Cap on violations kept per check run; a broken trace would otherwise
 #: produce one report per command.
@@ -417,7 +417,6 @@ class ProtocolChecker:
             )
 
 
-_ACT, _RD, _PRE = CommandType.ACTIVATE, CommandType.READ, CommandType.PRECHARGE
 _NEVER = float("-inf")
 
 
@@ -443,11 +442,12 @@ def journals_clean(
         acts, rds, wrs = ranks.setdefault((channel, dimm, rank), ([], [], []))
         last_act = last_pre = last_rd = last_wr = previous = _NEVER
         open_row = False
-        for kind, time_ps, _, _ in log:
+        it = iter(log)
+        for code, time_ps, _ in zip(it, it, it):
             if time_ps < previous:
                 return False
             previous = time_ps
-            if kind is _ACT:
+            if code == ACT:
                 if (open_row or time_ps - last_act < tRC
                         or time_ps - last_pre < tRP):
                     return False
@@ -455,7 +455,7 @@ def journals_clean(
                 last_act = time_ps
                 last_rd = last_wr = _NEVER
                 acts.append(time_ps)
-            elif kind is _PRE:
+            elif code == PRE:
                 if (not open_row or time_ps - last_act < tRAS
                         or time_ps - last_rd < tRPD
                         or time_ps - last_wr < tWPD):
@@ -464,7 +464,7 @@ def journals_clean(
                 last_pre = time_ps
             elif not open_row or time_ps - last_act < tRCD:
                 return False
-            elif kind is _RD:
+            elif code == RD:
                 last_rd = time_ps
                 rds.append(time_ps)
             else:
@@ -517,27 +517,31 @@ def journals_clean(
             continue
         if ddr2 or frame_ps <= 0:
             return False
+        # Slots of the flat triples: south (code, start, retry), north
+        # (start, frames, retry).
         if budget and max(
-            max(map(itemgetter(2), south), default=0),
-            max(map(itemgetter(3), north), default=0),
+            max(south[2::3], default=0), max(north[2::3], default=0)
         ) > budget + 1:
             return False
         # A southbound frame holds three commands, or one command plus
         # data: with each data booking weighing two slots, at most three.
-        weights = Counter(map(itemgetter(1), south))
-        weights.update([start for slot, start, _ in south if slot != "cmd"])
+        starts = south[1::3]
+        weights = Counter(starts)
+        weights.update([start for code, start in zip(south[0::3], starts)
+                        if code != SB_CMD])
         if (any([start % frame_ps for start in weights])
                 or max(weights.values(), default=0) > 3):
             return False
-        # Northbound lines by start: each must begin at or after the end
-        # of the one before it.
-        lines = sorted(north, key=itemgetter(1))
-        offsets = [start - phase for start in map(itemgetter(1), lines)]
+        # Northbound lines by start (a stable sort, so lines that start
+        # together keep journal order): each must begin at or after the
+        # end of the one before it.
+        starts, frames = north[0::3], north[1::3]
+        order = sorted(range(len(starts)), key=starts.__getitem__)
+        offsets = [starts[i] - phase for i in order]
         if any([offset % frame_ps for offset in offsets]):
             return False
         firsts = [offset // frame_ps for offset in offsets]
-        ends = [first + max(1, frames)
-                for first, frames in zip(firsts, map(itemgetter(2), lines))]
+        ends = [first + max(1, frames[i]) for first, i in zip(firsts, order)]
         if min(map(sub, firsts[1:], ends), default=0) < 0:
             return False
     return True

@@ -18,21 +18,25 @@ from __future__ import annotations
 
 import dataclasses
 import json
+from array import array
 from dataclasses import asdict, dataclass
 from operator import itemgetter
 from pathlib import Path
-from typing import Any, Dict, Iterable, List, NamedTuple, Sequence, Tuple, Union
+from typing import (
+    Any, Dict, Iterable, Iterator, List, NamedTuple, Tuple, Union,
+)
 
 from repro.config import DRAM_CLOCK_PS, MemoryConfig, MemoryKind
-from repro.dram.commands import CommandRecord, CommandType
+from repro.dram.commands import COMMANDS_BY_CODE, CommandType
 from repro.dram.timing import TimingPs
 from repro.engine.simulator import ns
 
 FORMAT_VERSION = 1
 
-#: DRAM command kinds (matching :class:`repro.dram.commands.CommandType`
-#: values) plus the FB-DIMM frame-slot kinds.
-DRAM_COMMANDS = ("ACT", "RD", "WR", "PRE")
+#: DRAM command kinds (the :class:`repro.dram.commands.CommandType`
+#: values, indexed by journal code) plus the FB-DIMM frame-slot kinds,
+#: the southbound ones indexed by slot code.
+DRAM_COMMANDS = tuple(command.value for command in COMMANDS_BY_CODE)
 FRAME_EVENTS = ("SB_CMD", "SB_DATA", "NB_LINE")
 EVENT_KINDS = DRAM_COMMANDS + FRAME_EVENTS
 #: The channel kinds a trace can describe.
@@ -193,14 +197,22 @@ def default_params(kind: str = "fbdimm") -> TraceParams:
 # Journals: the form a run records them in
 # ----------------------------------------------------------------------
 
-#: ``((channel, dimm, rank, bank), command_log)``: one bank's command
-#: records in the order the bank issued them.
-BankJournal = Tuple[Tuple[int, int, int, int], Sequence[CommandRecord]]
+#: ``((channel, dimm, rank, bank), command_log)``: one bank's journal,
+#: ``(command code, time_ps, row)`` triples in a flat ``array('q')`` in the
+#: order the bank issued them (``Bank.command_log``).
+BankJournal = Tuple[Tuple[int, int, int, int], array]
 #: ``(channel, southbound, northbound)``: one FB-DIMM channel's frame
-#: bookings, ``("cmd"|"data", start, retry)`` and
-#: ``("line", start, frames, retry)`` (see ``repro.channel.frames``).
-LinkJournal = Tuple[int, Sequence[Tuple[str, int, int]],
-                    Sequence[Tuple[str, int, int, int]]]
+#: bookings as flat ``array('q')`` triples, ``(slot code, start, retry)``
+#: southbound and ``(start, frames, retry)`` northbound (see
+#: ``repro.channel.frames``).
+LinkJournal = Tuple[int, array, array]
+
+
+def bank_commands(log: Iterable[int]) -> Iterator[Tuple[CommandType, int, int]]:
+    """A bank journal's ``(command, time_ps, row)`` records, in log order."""
+    it = iter(log)
+    # zip draws from the three arguments in turn: code, time, row.
+    return zip(map(COMMANDS_BY_CODE.__getitem__, it), it, it)
 
 
 def journal_events(
@@ -215,17 +227,19 @@ def journal_events(
         events += [
             CheckEvent(time_ps, command._value_, channel, dimm, rank, bank,
                        row, 1, 0)
-            for command, time_ps, _, row in log
+            for command, time_ps, row in bank_commands(log)
         ]
     for channel, south, north in links:
+        it = iter(south)
         events += [
-            CheckEvent(start, "SB_CMD" if kind == "cmd" else "SB_DATA",
-                       channel, -1, -1, -1, -1, 1, retry)
-            for kind, start, retry in south
+            CheckEvent(start, FRAME_EVENTS[code], channel, -1, -1, -1, -1, 1,
+                       retry)
+            for code, start, retry in zip(it, it, it)
         ]
+        it = iter(north)
         events += [
             CheckEvent(start, "NB_LINE", channel, -1, -1, -1, -1, frames, retry)
-            for _line, start, frames, retry in north
+            for start, frames, retry in zip(it, it, it)
         ]
     return events
 
@@ -235,24 +249,25 @@ def event_journals(
 ) -> Tuple[List[BankJournal], List[LinkJournal]]:
     """Split check events into journals, each stream in event order.
 
-    Each record's ``bank_id`` is the event's local bank; the journal key
-    carries the full location.  Raises ValueError for an unknown kind.
+    The journal key carries each command's location.  Raises ValueError
+    for an unknown kind.
     """
-    banks: Dict[Tuple[int, int, int, int], List[CommandRecord]] = {}
-    links: Dict[int, Tuple[list, list]] = {}
+    banks: Dict[Tuple[int, int, int, int], array] = {}
+    links: Dict[int, Tuple[array, array]] = {}
     for event in events:
         kind = event.kind
         if kind in DRAM_COMMANDS:
             key = (event.channel, event.dimm, event.rank, event.bank)
-            banks.setdefault(key, []).append(CommandRecord(
-                CommandType(kind), event.time_ps, event.bank, event.row))
+            banks.setdefault(key, array("q")).extend(
+                (DRAM_COMMANDS.index(kind), event.time_ps, event.row))
             continue
-        south, north = links.setdefault(event.channel, ([], []))
+        south, north = links.setdefault(event.channel,
+                                        (array("q"), array("q")))
         if kind == "NB_LINE":
-            north.append(("line", event.time_ps, event.frames, event.retry))
+            north.extend((event.time_ps, event.frames, event.retry))
         elif kind in FRAME_EVENTS:
-            south.append(("cmd" if kind == "SB_CMD" else "data",
-                          event.time_ps, event.retry))
+            south.extend((FRAME_EVENTS.index(kind), event.time_ps,
+                          event.retry))
         else:
             raise ValueError(f"unknown check-event kind {kind!r}")
     return (list(banks.items()),

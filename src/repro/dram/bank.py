@@ -26,12 +26,15 @@ the property suite differentials this file against.
 from __future__ import annotations
 
 from bisect import insort
-from typing import List, Optional, Tuple
+from typing import TYPE_CHECKING, List, Optional, Tuple
 
 from repro.config import PagePolicy
-from repro.dram.commands import CommandRecord, CommandType
+from repro.dram.commands import ACT, PRE, RD, WR
 from repro.dram.resources import BusResource
 from repro.dram.timing import TimingPs
+
+if TYPE_CHECKING:
+    from array import array
 
 
 class BankStats:
@@ -191,9 +194,12 @@ class Bank:
         self.column_ok = 0  # earliest next column command to the open row
         self.precharge_ok = 0  # earliest PRE honouring tRAS / tRPD / tWPD
         self.stats = BankStats()
-        #: Optional per-command log (enable_trace); None keeps the hot
-        #: path allocation-free.
-        self.command_log: Optional[List[CommandRecord]] = None
+        #: Optional per-command journal (enable_trace): a flat
+        #: ``array('q')`` of ``(command code, time_ps, row)`` triples, the
+        #: codes those of ``repro.dram.commands`` (decode with
+        #: ``repro.check.trace.bank_commands``).  None keeps the hot path
+        #: allocation-free.
+        self.command_log: Optional[array] = None
         self._open_page = page_policy is PagePolicy.OPEN_PAGE
         table = timing.per_command_table()
         self._rd_data_lead = table["rd_data_lead"]
@@ -215,15 +221,13 @@ class Bank:
         self._tFAW = timing.tFAW
 
     def enable_trace(self) -> None:
-        """Record every issued DRAM command (debugging/verification aid)."""
+        """Journal every issued DRAM command into ``command_log``, three
+        integers per command (protocol checker and tracing support)."""
         if self.command_log is None:
-            self.command_log = []
+            # Imported here: a run that journals nothing never loads it.
+            from array import array
 
-    def _log(self, kind: CommandType, time_ps: int, row: int) -> None:
-        if self.command_log is not None:
-            self.command_log.append(
-                CommandRecord(kind, time_ps, self.bank_id, row)
-            )
+            self.command_log = array("q")
 
     # ------------------------------------------------------------------
     # Scheduling estimates (used by the hit-first scheduler; no mutation)
@@ -296,9 +300,10 @@ class Bank:
             stats.row_hits += 1
         elif self._open_page:
             stats.row_misses += 1
-        if self.command_log is not None:
+        log = self.command_log
+        if log is not None:
             for start in data_starts:
-                self._log(CommandType.READ, start - rd_lead, row)
+                log.extend((RD, start - rd_lead, row))
 
         self._close_or_keep(act_time, last_rd, is_write=False, row=row)
         command_start = act_time if act_time is not None else first_rd_floor
@@ -339,7 +344,7 @@ class Bank:
         wr_time = data_start - wr_lead
         rank.note_write_data_end(data_end, self.timing.tWTR)
         if self.command_log is not None:
-            self._log(CommandType.WRITE, wr_time, row)
+            self.command_log.extend((WR, wr_time, row))
         stats = self.stats
         stats.writes += 1
         if row_hit:
@@ -402,7 +407,7 @@ class Bank:
                 pre_time = now
             self.stats.precharges += 1
             if self.command_log is not None:
-                self._log(CommandType.PRECHARGE, pre_time, row)
+                self.command_log.extend((PRE, pre_time, row))
             act_floor = pre_time + self._tRP
         else:
             act_floor = self.ready_at
@@ -425,7 +430,7 @@ class Bank:
             rank.next_act_ok = act_ok
         self.stats.activates += 1
         if self.command_log is not None:
-            self._log(CommandType.ACTIVATE, act_time, row)
+            self.command_log.extend((ACT, act_time, row))
         return act_time, act_time + self._tRCD
 
     def _close_or_keep(
@@ -441,7 +446,7 @@ class Bank:
                 pre_time = drain
             self.stats.precharges += 1
             if self.command_log is not None:
-                self._log(CommandType.PRECHARGE, pre_time, row)
+                self.command_log.extend((PRE, pre_time, row))
             ready = act + self._tRC
             recovered = pre_time + self._tRP
             self.ready_at = ready if ready >= recovered else recovered

@@ -1,9 +1,9 @@
-"""DRAM command vocabulary and per-command accounting records."""
+"""DRAM command vocabulary and the integer codes the protocol journals use."""
 
 from __future__ import annotations
 
 import enum
-from typing import NamedTuple
+from typing import Tuple
 
 
 class CommandType(enum.Enum):
@@ -15,10 +15,11 @@ class CommandType(enum.Enum):
     PRECHARGE = "PRE"
 
 
-class CommandRecord(NamedTuple):
-    """One issued DRAM command, for traces and debugging."""
-
-    kind: CommandType
-    time_ps: int
-    bank_id: int
-    row: int
+#: Journal codes.  A bank journal (``Bank.command_log``) is a flat
+#: ``array('q')`` of ``(command code, time_ps, row)`` triples, the code
+#: being the command's index here; a southbound link journal holds
+#: ``(slot code, start, retry)`` triples with :data:`SB_CMD` or
+#: :data:`SB_DATA`.
+COMMANDS_BY_CODE: Tuple[CommandType, ...] = tuple(CommandType)
+ACT, RD, WR, PRE = range(len(COMMANDS_BY_CODE))
+SB_CMD, SB_DATA = 0, 1

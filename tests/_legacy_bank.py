@@ -11,12 +11,21 @@ being exactly the old code.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import List, NamedTuple, Optional
 
 from repro.config import PagePolicy
-from repro.dram.commands import CommandRecord, CommandType
+from repro.dram.commands import CommandType
 from repro.dram.resources import BusResource
 from repro.dram.timing import TimingPs
+
+
+class CommandRecord(NamedTuple):
+    """One issued DRAM command, for traces and debugging."""
+
+    kind: CommandType
+    time_ps: int
+    bank_id: int
+    row: int
 
 
 @dataclass

@@ -3,6 +3,7 @@ randomised access sequence."""
 
 from hypothesis import given, settings, strategies as st
 
+from repro.check.trace import bank_commands
 from repro.config import DramTimings, PagePolicy
 from repro.dram.bank import Bank, RankTimer
 from repro.dram.commands import CommandType
@@ -39,7 +40,8 @@ def run_sequence(policy, ops):
 @settings(max_examples=60, deadline=None)
 def test_act_to_act_respects_trc(ops, policy):
     bank = run_sequence(policy, ops)
-    acts = [r.time_ps for r in bank.command_log if r.kind is CommandType.ACTIVATE]
+    acts = [time_ps for kind, time_ps, _ in bank_commands(bank.command_log)
+            if kind is CommandType.ACTIVATE]
     for first, second in zip(acts, acts[1:]):
         assert second - first >= T.tRC
 
@@ -62,12 +64,12 @@ def test_activate_and_precharge_counts_balance(ops, policy):
 def test_column_commands_follow_their_activate(ops, policy):
     bank = run_sequence(policy, ops)
     last_act = None
-    for record in bank.command_log:
-        if record.kind is CommandType.ACTIVATE:
-            last_act = record
-        elif (record.kind in (CommandType.READ, CommandType.WRITE)
-              and last_act is not None and last_act.row == record.row):
-            assert record.time_ps >= last_act.time_ps + T.tRCD
+    for kind, time_ps, row in bank_commands(bank.command_log):
+        if kind is CommandType.ACTIVATE:
+            last_act = (time_ps, row)
+        elif (kind in (CommandType.READ, CommandType.WRITE)
+              and last_act is not None and last_act[1] == row):
+            assert time_ps >= last_act[0] + T.tRCD
 
 
 @given(ops=accesses)

@@ -1,6 +1,8 @@
 """Runtime assertion layer: full runs under check_protocol=True stay clean."""
 
+import gc
 import sys
+import tracemalloc
 from dataclasses import replace
 
 import pytest
@@ -194,6 +196,64 @@ class TestCheckCost:
         # counters, and building the params.
         assert len(names) <= 8 * (len(ranks) + len(channels)) + 50
         assert len(names) < len(events) / 5
+
+
+class TestJournalMemory:
+    """What a checked run holds per journalled command: the memory still
+    traced after a checked run, minus the same run unchecked, over the
+    commands and frame bookings its journals hold.
+
+    Each journal's empty object (one per bank and two per link) is a
+    fixed cost, not a per-command one, and is taken off first: at 10k
+    insts/core a DDR2 bank journals ~13 commands, so the 64 headers
+    would add ~6 B a command.  Flat integer journals cost 24 B a record
+    plus the arrays' growth slack (24 B and 27 B measured); journals of
+    tuples cost 115 B (faulted FB-DIMM) and 129 B (DDR2).
+    """
+
+    MAX_BYTES_PER_COMMAND = 32
+
+    @staticmethod
+    def _held_after_run(config):
+        """(bytes traced while the finished run is alive, its controller)."""
+        gc.collect()
+        tracemalloc.start()
+        try:
+            system = System(config, ["swim", "wupwise"])
+            system.run()
+            gc.collect()
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return held, system.controller
+
+    @staticmethod
+    def _journals(controller):
+        """Every journal of the run, empty ones included."""
+        journals = []
+        for channel in controller.channels:
+            journals += [bank.command_log
+                         for dimm in channel._dimms for bank in dimm.banks]
+            for _, south, north in channel.link_journals():
+                journals += [south, north]
+        return journals
+
+    @pytest.mark.parametrize("make", [make for make, _ in TestCheckCost.CONFIGS],
+                             ids=TestCheckCost.IDS)
+    def test_bytes_per_journalled_command(self, make):
+        config = replace(make(), instructions_per_core=10_000)
+        checked = replace(config, check_protocol=True)
+        # A throwaway checked run first: lazy imports and first-use caches
+        # are not the journals' cost.
+        System(checked, ["swim", "wupwise"]).run()
+        held_off, _ = self._held_after_run(config)
+        held_on, controller = self._held_after_run(checked)
+        journals = self._journals(controller)
+        records = sum(map(len, journals)) // 3
+        assert records > 500
+        fixed = len(journals) * sys.getsizeof(journals[0][:0])
+        per_command = (held_on - held_off - fixed) / records
+        assert per_command <= self.MAX_BYTES_PER_COMMAND, per_command
 
 
 class TestCleanRunSkipsReplay:

@@ -1,6 +1,7 @@
 """DRAM command-trace tests: ordering and protocol legality."""
 
 
+from repro.check.trace import bank_commands
 from repro.config import DramTimings, PagePolicy
 from repro.dram.bank import Bank, RankTimer
 from repro.dram.commands import CommandType
@@ -16,8 +17,13 @@ def traced_bank(policy=PagePolicy.CLOSE_PAGE):
     return bank, BusResource("bus"), RankTimer()
 
 
+def records(bank):
+    """The bank's journal as ``(command, time_ps, row)`` records."""
+    return list(bank_commands(bank.command_log))
+
+
 def kinds(bank):
-    return [record.kind for record in bank.command_log]
+    return [kind for kind, _, _ in records(bank)]
 
 
 class TestCloseTrace:
@@ -48,10 +54,10 @@ class TestCloseTrace:
         """ACT -> RD >= tRCD; RD -> PRE >= tRPD; per Table 2."""
         bank, bus, rank = traced_bank()
         bank.read(0, 5, 1, bus, rank)
-        act, rd, pre = bank.command_log
-        assert rd.time_ps - act.time_ps >= T.tRCD
-        assert pre.time_ps - rd.time_ps >= T.tRPD
-        assert pre.time_ps - act.time_ps >= T.tRAS
+        (_, act, _), (_, rd, _), (_, pre, _) = records(bank)
+        assert rd - act >= T.tRCD
+        assert pre - rd >= T.tRPD
+        assert pre - act >= T.tRAS
 
     def test_trace_disabled_by_default(self):
         bank = Bank(0, T, PagePolicy.CLOSE_PAGE)
@@ -73,23 +79,26 @@ class TestOpenTrace:
     def test_row_hit_emits_only_column_command(self):
         bank, bus, rank = traced_bank(PagePolicy.OPEN_PAGE)
         bank.read(0, 5, 1, bus, rank)
-        bank.command_log.clear()
+        del bank.command_log[:]
         bank.read(bank.column_ok, 5, 1, bus, rank)
         assert kinds(bank) == [CommandType.READ]
 
     def test_row_conflict_emits_pre_then_act(self):
         bank, bus, rank = traced_bank(PagePolicy.OPEN_PAGE)
         bank.read(0, 5, 1, bus, rank)
-        bank.command_log.clear()
+        del bank.command_log[:]
         bank.read(bank.precharge_ok, 9, 1, bus, rank)
         assert kinds(bank) == [
             CommandType.PRECHARGE, CommandType.ACTIVATE, CommandType.READ,
         ]
-        pre, act, _ = bank.command_log
-        assert act.time_ps - pre.time_ps >= T.tRP
+        (_, pre, _), (_, act, _), _ = records(bank)
+        assert act - pre >= T.tRP
 
     def test_rows_recorded(self):
         bank, bus, rank = traced_bank(PagePolicy.OPEN_PAGE)
         bank.read(0, 5, 1, bus, rank)
-        assert all(record.row == 5 for record in bank.command_log)
-        assert all(record.bank_id == 0 for record in bank.command_log)
+        assert all(row == 5 for _, _, row in records(bank))
+        # The journal holds three integers per command; the bank id is
+        # the journal's key (``bank_journals``), not part of the record.
+        assert len(bank.command_log) == 3 * len(records(bank))
+        assert bank.bank_id == 0

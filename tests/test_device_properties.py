@@ -22,6 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tests._legacy_bank as legacy
+from repro.check.trace import bank_commands
 from repro.config import DRAM_CLOCK_PS, DramTimings, MemoryConfig, PagePolicy
 from repro.dram.bank import Bank, RankTimer
 from repro.dram.commands import CommandType
@@ -112,8 +113,8 @@ def _drive(spec: DeviceSpec, steps, policy=PagePolicy.CLOSE_PAGE):
 
 def _acts(bank: Bank):
     assert bank.command_log is not None
-    return [r.time_ps for r in bank.command_log
-            if r.kind is CommandType.ACTIVATE]
+    return [time_ps for kind, time_ps, _ in bank_commands(bank.command_log)
+            if kind is CommandType.ACTIVATE]
 
 
 class TestBankHonoursSpecConstraints:
@@ -138,12 +139,12 @@ class TestBankHonoursSpecConstraints:
         for bank in banks:
             assert bank.command_log is not None
             last_act = None
-            for rec in bank.command_log:
-                if rec.kind is CommandType.ACTIVATE:
-                    last_act = rec.time_ps
-                elif rec.kind in (CommandType.READ, CommandType.WRITE):
+            for kind, time_ps, _ in bank_commands(bank.command_log):
+                if kind is CommandType.ACTIVATE:
+                    last_act = time_ps
+                elif kind in (CommandType.READ, CommandType.WRITE):
                     assert last_act is not None, "column command before ACT"
-                    assert rec.time_ps >= last_act + timing.tRCD
+                    assert time_ps >= last_act + timing.tRCD
 
 
 class TestFawSlidingWindow:
@@ -222,7 +223,7 @@ class TestDdr2PointMatchesLegacyOracle:
             assert nb.ready_at == ob.ready_at
             assert nb.column_ok == ob.column_ok
             assert nb.precharge_ok == ob.precharge_ok
-            assert [(r.kind, r.time_ps, r.row) for r in nb.command_log] == [
+            assert list(bank_commands(nb.command_log)) == [
                 (r.kind, r.time_ps, r.row) for r in ob.command_log
             ]
         assert new_rank.next_act_ok == old_rank.next_act_ok

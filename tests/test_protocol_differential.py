@@ -259,34 +259,34 @@ def test_real_runs_pass_the_audit(controllers, journals, name):
 
 
 def _journal_lists(controller):
-    """Every journal list of a run: bank command logs and link journals."""
+    """Every journal of a run, with the slots of its time and replay
+    attempt within each three-integer record (None: no attempt): bank
+    command logs ``(code, time, row)``, southbound ``(code, start,
+    retry)`` and northbound ``(start, frames, retry)`` link journals."""
     lists = []
     for channel in controller.channels:
-        lists += [log for _, log in channel.bank_journals()]
+        lists += [(log, 1, None) for _, log in channel.bank_journals()]
         for _, south, north in channel.link_journals():
-            lists += [south, north]
+            lists += [(south, 1, 2), (north, 0, 2)]
     return lists
 
 
 def _mutate_in_place(rnd, params, lists, op):
     """Shift, drop or copy one journal record, or bump its replay attempt."""
-    journal = rnd.choice([lst for lst in lists if lst])
-    i = rnd.randrange(len(journal))
-    record = journal[i]
+    journal, time_slot, retry_slot = rnd.choice(
+        [entry for entry in lists if entry[0]])
+    i = 3 * rnd.randrange(len(journal) // 3)
     if op == "drop":
-        del journal[i]
+        del journal[i:i + 3]
     elif op == "duplicate":
-        journal[i:i] = [record] * rnd.randint(1, 3)
-    elif op == "retry" and not hasattr(record, "kind"):
-        journal[i] = record[:-1] + (record[-1] + rnd.randint(1, 3),)
+        journal[i:i] = journal[i:i + 3] * rnd.randint(1, 3)
+    elif op == "retry" and retry_slot is not None:
+        journal[i + retry_slot] += rnd.randint(1, 3)
     else:
         k = rnd.choice([1, params.timing.clock, params.timing.tRCD,
                         rnd.randint(1, 4 * params.timing.tRC)])
         k = k if rnd.random() < 0.5 else -k
-        shifted = max(0, record[1] + k)
-        journal[i] = (record._replace(time_ps=shifted)
-                      if hasattr(record, "kind")
-                      else record[:1] + (shifted,) + record[2:])
+        journal[i + time_slot] = max(0, journal[i + time_slot] + k)
 
 
 @settings(max_examples=120, deadline=None)
@@ -302,7 +302,7 @@ def test_mutated_run_reports_the_replay(controllers, name, ops, seed):
     controller = controllers[name]
     params = controller.check_params()
     lists = _journal_lists(controller)
-    saved = [list(lst) for lst in lists]
+    saved = [journal[:] for journal, _, _ in lists]
     rnd = random.Random(seed)
     try:
         for op in ops:
@@ -311,5 +311,5 @@ def test_mutated_run_reports_the_replay(controllers, name, ops, seed):
             controller.collect_check_events())
         assert controller.check_protocol_violations() == expected
     finally:
-        for lst, original in zip(lists, saved):
-            lst[:] = original
+        for (journal, _, _), original in zip(lists, saved):
+            journal[:] = original

@@ -3,6 +3,7 @@ System.from_traces."""
 
 import dataclasses
 import itertools
+import re
 
 import pytest
 
@@ -160,6 +161,33 @@ class TestTraceIo:
             load_trace_list(path)
         with pytest.raises(ValueError, match="version"):
             load_trace_metadata(path)
+
+    @pytest.mark.parametrize("text, line, reason", [
+        ('["version", 1]\n', 1, "header must be a JSON object"),
+        ("{version: 1}\n", 1, "header is not valid JSON"),
+        ('{"version": 1, "meta": [1]}\n', 1,
+         "header meta must be a JSON object"),
+        ('{"version": 1}\n{"i": 9, "k": "r"\n', 2, "record is not valid JSON"),
+        ('{"version": 1}\n[9, "r", 1]\n', 2, "record must be a JSON object"),
+        ('{"version": 1}\n{"k": "r", "a": 1}\n', 2, "'i' must be an integer"),
+        ('{"version": 1}\n{"i": "9", "k": "r", "a": 1}\n', 2,
+         "'i' must be an integer"),
+        ('{"version": 1}\n{"i": 9, "k": "r"}\n', 2, "'a' must be an integer"),
+        ('{"version": 1}\n{"i": 9, "k": "r", "a": 1.5}\n', 2,
+         "'a' must be an integer"),
+    ], ids=["header-array", "header-not-json", "meta-array",
+            "record-not-json", "record-array", "no-i", "i-not-int", "no-a",
+            "a-not-int"])
+    def test_malformed_input_names_its_line(self, tmp_path, text, line,
+                                            reason):
+        path = tmp_path / "bad.jsonl"
+        path.write_text(text)
+        where = re.escape(f"{path}:{line}: {reason}")
+        with pytest.raises(ValueError, match=f"^{where}"):
+            load_trace_list(path)
+        if line == 1:
+            with pytest.raises(ValueError, match=f"^{where}"):
+                load_trace_metadata(path)
 
     def test_replay_through_system(self, tmp_path):
         """Saved traces drive a run identically to the live generator."""

@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tests._legacy_bank as legacy
+from repro.check.trace import bank_commands
 from repro.config import PagePolicy
 from repro.dram.bank import Bank, RankTimer
 from repro.dram.resources import BusResource
@@ -70,6 +71,18 @@ def _probe(bank, now, row, rank):
     return bank.earliest_start(now, row, rank), bank.is_row_hit(row)
 
 
+def _commands(bank):
+    """The bank's journal as ``(command, time_ps, bank_id, row)``: the
+    oracle logs records that carry the bank id, ``Bank`` a flat journal
+    keyed by its bank."""
+    if bank.command_log is None:
+        return None
+    if isinstance(bank, Bank):
+        return [(kind, time_ps, bank.bank_id, row)
+                for kind, time_ps, row in bank_commands(bank.command_log)]
+    return [(r.kind, r.time_ps, r.bank_id, r.row) for r in bank.command_log]
+
+
 class _Harness:
     """One side of the differential: two banks, one rank, one data bus."""
 
@@ -106,10 +119,7 @@ class _Harness:
                 (stats.activates, stats.precharges, stats.reads,
                  stats.writes, stats.row_hits, stats.row_misses,
                  stats.refreshes),
-                None if bank.command_log is None else [
-                    (r.kind, r.time_ps, r.bank_id, r.row)
-                    for r in bank.command_log
-                ],
+                _commands(bank),
             ))
         state.append((
             self.rank.next_act_ok,
