@@ -8,8 +8,16 @@ Usage::
 
 ``run`` simulates one system and prints a full report; ``compare`` runs
 DDR2, FB-DIMM and FB-DIMM+AP side by side; ``list`` shows the available
-programs and Table 3 workload mixes.  Regenerating the paper's figures
-lives under ``python -m repro.experiments``.
+programs and Table 3 workload mixes; ``trace``, ``timeline``, ``prefetch``
+and ``bench`` record and inspect one observed run (``python -m
+repro.<name>`` forwards to the same subcommand).  Regenerating the
+paper's figures lives under ``python -m repro.experiments``.
+
+Every command that runs one simulation declares its knobs with
+:func:`add_run_args` and builds its config with :func:`_build_config`.
+Bad input exits 2 with one ``error:`` line: :func:`_fail` for a
+rejected value, :func:`_guarded` for a file a command cannot read or
+write.
 """
 
 from __future__ import annotations
@@ -17,7 +25,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import sys
-from typing import TYPE_CHECKING, Dict, List, NoReturn, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, NoReturn, Optional, Tuple
 
 from repro.analysis.latency import LatencyDistribution
 from repro.analysis.report import run_report
@@ -35,7 +43,6 @@ from repro.system import System
 from repro.workloads.multiprog import SINGLE_CORE, WORKLOADS, workload_programs
 
 if TYPE_CHECKING:
-    from repro.engine.profiler import EventLoopProfiler
     from repro.system import SimulationResult
     from repro.telemetry import Tracer
 
@@ -49,10 +56,60 @@ ASSOCIATIVITIES = {
 }
 
 
+#: Count flags and their least valid value, checked before any command runs.
+_LEAST = {"jobs": 1, "top": 0, "profile": 0, "max_requests": 0}
+
+#: Subcommand groups whose commands read or write files, run through
+#: :func:`_guarded`.
+_FILE_COMMANDS = ("trace", "timeline", "prefetch")
+
+
 def _fail(message: str) -> NoReturn:
     """Reject bad command-line input: one ``error:`` line, exit 2."""
     print(f"error: {message}", file=sys.stderr)
     raise SystemExit(2)
+
+
+def _guarded(
+    func: Callable[[argparse.Namespace], int],
+) -> Callable[[argparse.Namespace], int]:
+    """Wrap a command that reads or writes files (:data:`_FILE_COMMANDS`):
+    an I/O or format error (``OSError``, ``ValueError``) prints one
+    ``error:`` line and returns 2."""
+
+    def wrapper(args: argparse.Namespace) -> int:
+        try:
+            return func(args)
+        except (OSError, ValueError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+
+    return wrapper
+
+
+def add_run_args(
+    parser: argparse.ArgumentParser, systems: Tuple[str, ...] = SYSTEMS
+) -> None:
+    """Declare the run knobs :func:`_build_config` reads on ``parser``.
+
+    ``systems`` are the ``--system`` choices (default fbd-ap); an empty
+    tuple leaves ``--system`` out, for a command that picks its systems.
+    """
+    parser.add_argument("--workload", default="4C-1",
+                        help="a program name or a Table 3 mix (see 'list')")
+    if systems:
+        parser.add_argument("--system", choices=systems, default="fbd-ap")
+    parser.add_argument("--insts", type=int, default=50_000)
+    parser.add_argument("--seed", type=int, default=12345)
+    parser.add_argument("--no-sw-prefetch", action="store_true")
+    parser.add_argument("--device", choices=device_names(), default="ddr2-667",
+                        help="DRAM device generation preset "
+                             "(see docs/DEVICES.md)")
+    parser.add_argument("--k", type=int, default=4,
+                        help="region cachelines for fbd-ap")
+    parser.add_argument("--entries", type=int, default=64)
+    parser.add_argument("--assoc", choices=sorted(ASSOCIATIVITIES),
+                        default="full")
 
 
 def _programs(workload: str) -> List[str]:
@@ -64,8 +121,9 @@ def _programs(workload: str) -> List[str]:
 
 
 def _build_config(args: argparse.Namespace, system: str) -> SystemConfig:
-    """The config the command-line knobs describe; a value a config
-    rejects (``ValueError`` from its ``__post_init__``) exits 2."""
+    """The config the run knobs (:func:`add_run_args`) describe for
+    ``system``; a value a config rejects (``ValueError`` from its
+    ``__post_init__``) exits 2."""
     cores = len(_programs(args.workload))
     try:
         if system == "ddr2":
@@ -79,9 +137,8 @@ def _build_config(args: argparse.Namespace, system: str) -> SystemConfig:
                 associativity=ASSOCIATIVITIES[args.assoc],
             )
             config = fbdimm_amb_prefetch(num_cores=cores, prefetch=prefetch)
-        device = getattr(args, "device", None)
-        if device is not None and device != "ddr2-667":
-            config = config.with_device(device)
+        if args.device != "ddr2-667":
+            config = config.with_device(args.device)
         config = dataclasses.replace(
             config,
             instructions_per_core=args.insts,
@@ -96,20 +153,36 @@ def _build_config(args: argparse.Namespace, system: str) -> SystemConfig:
     return config
 
 
-def _run_one(
+def build_machine(
     args: argparse.Namespace,
-    system: str,
+    config: Optional[SystemConfig] = None,
     tracer: Optional[Tracer] = None,
-    profiler: Optional[EventLoopProfiler] = None,
-) -> Tuple[System, SimulationResult]:
-    programs = _programs(args.workload)
-    config = _build_config(args, system)
-    machine = System(config, programs, tracer=tracer)
-    if profiler is not None:
-        machine.sim.profiler = profiler
-    if args.latency:
-        machine.controller.stats.enable_latency_capture()
-    return machine, machine.run()
+    profile: bool = False,
+) -> System:
+    """The machine of one run, not yet run.
+
+    ``config`` defaults to the one the run knobs describe for
+    ``args.system``; ``profile`` attaches an event-loop profiler as
+    ``machine.sim.profiler``.
+    """
+    if config is None:
+        config = _build_config(args, args.system)
+    machine = System(config, _programs(args.workload), tracer=tracer)
+    if profile:
+        from repro.engine.profiler import EventLoopProfiler
+
+        machine.sim.profiler = EventLoopProfiler()
+    return machine
+
+
+def save_run_capture(
+    path: str, machine: System, result: SimulationResult
+) -> None:
+    """Write the capture of a finished traced run and say so."""
+    from repro.telemetry import build_capture, save_capture
+
+    records = save_capture(path, build_capture(machine, result))
+    print(f"[trace: {records} records -> {path}]")
 
 
 def cmd_run(args: argparse.Namespace) -> int:
@@ -118,26 +191,17 @@ def cmd_run(args: argparse.Namespace) -> int:
         from repro.telemetry import Tracer
 
         tracer = Tracer()
-    profiler = None
-    if args.profile is not None:
-        from repro.engine.profiler import EventLoopProfiler
-
-        profiler = EventLoopProfiler()
-    machine, result = _run_one(args, args.system, tracer=tracer,
-                               profiler=profiler)
+    machine = build_machine(args, tracer=tracer,
+                            profile=args.profile is not None)
+    if args.latency:
+        machine.controller.stats.enable_latency_capture()
+    result = machine.run()
     if tracer is not None:
-        from repro.telemetry import build_capture, save_capture
-
-        capture = build_capture(
-            result, tracer,
-            check_events=machine.controller.collect_check_events(),
-        )
-        records = save_capture(args.trace_out, capture)
-        print(f"[trace: {records} records -> {args.trace_out}]")
+        save_run_capture(args.trace_out, machine, result)
     print(run_report(result))
-    if profiler is not None:
+    if machine.sim.profiler is not None:
         print()
-        print(profiler.tree_report(limit=args.profile))
+        print(machine.sim.profiler.tree_report(limit=args.profile))
     if args.latency:
         dist = LatencyDistribution.from_stats(result.mem)
         print(f"\nlatency distribution: {dist.format()}")
@@ -148,19 +212,12 @@ def cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
-def _compare_results(args: argparse.Namespace) -> List[SimulationResult]:
-    """One result per system, fanned out across --jobs processes."""
-    if args.jobs > 1 and not args.latency:
-        from repro.experiments.parallel import execute_runs
-
-        programs = tuple(_programs(args.workload))
-        pairs = [(_build_config(args, system), programs) for system in SYSTEMS]
-        return execute_runs(pairs, jobs=args.jobs)
-    return [_run_one(args, system)[1] for system in SYSTEMS]
-
-
 def cmd_compare(args: argparse.Namespace) -> int:
-    results = _compare_results(args)
+    from repro.experiments.parallel import execute_runs
+
+    programs = tuple(_programs(args.workload))
+    pairs = [(_build_config(args, system), programs) for system in SYSTEMS]
+    results = execute_runs(pairs, jobs=args.jobs)
     print(f"workload {args.workload}, {args.insts} instructions/core\n")
     header = (
         f"{'system':<8} {'sum IPC':>8} {'latency':>9} {'bandwidth':>10} "
@@ -267,9 +324,13 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         axes=axes, build=build, workload=args.workload, metric_name="sum_ipc"
     )
     cache = None if args.no_cache else args.cache_dir
-    ctx = ExperimentContext(
-        instructions=args.insts, seed=args.seed, jobs=args.jobs, cache=cache
-    )
+    try:
+        ctx = ExperimentContext(
+            instructions=args.insts, seed=args.seed, jobs=args.jobs,
+            cache=cache,
+        )
+    except (OSError, ValueError) as exc:
+        _fail(str(exc))
     table = sweep.run(ctx, metric=lambda r: sum(r.core_ipcs))
     print(table.format())
     print()
@@ -285,9 +346,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 def cmd_faults(args: argparse.Namespace) -> int:
     from repro.faults.sweep import fault_sweep, format_sweep
 
-    if args.system == "ddr2":
-        _fail("fault injection models the FB-DIMM link layer; "
-              "use --system fbd or fbd-ap")
     try:
         rates = [float(v) for v in args.rates.split(",") if v]
     except ValueError as exc:
@@ -343,37 +401,25 @@ def cmd_cache(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from repro.bench.cli import configure_parser as configure_bench
+    from repro.prefetch.cli import configure_parser as configure_prefetch
+    from repro.timeline.cli import configure_parser as configure_timeline
+    from repro.trace import configure_parser as configure_trace
+
     parser = argparse.ArgumentParser(
         prog="python -m repro",
         description="FB-DIMM / AMB-prefetching simulator (ISPASS 2007 repro)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_run_args(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--workload", default="4C-1",
-                       help="a program name or a Table 3 mix (see 'list')")
-        p.add_argument("--insts", type=int, default=50_000)
-        p.add_argument("--seed", type=int, default=12345)
-        p.add_argument("--no-sw-prefetch", action="store_true")
-        p.add_argument("--device", choices=device_names(), default="ddr2-667",
-                       help="DRAM device generation preset "
-                            "(see docs/DEVICES.md)")
-        p.add_argument("--k", type=int, default=4,
-                       help="region cachelines for fbd-ap")
-        p.add_argument("--entries", type=int, default=64)
-        p.add_argument("--assoc", choices=sorted(ASSOCIATIVITIES), default="full")
-        p.add_argument("--latency", action="store_true",
-                       help="capture and print the latency distribution")
-        p.add_argument("--utilisation", action="store_true",
-                       help="print per-link busy fractions")
-        p.add_argument("--jobs", type=int, default=1,
-                       help="worker processes for independent runs")
-
     run_p = sub.add_parser("run", help="simulate one system")
     add_run_args(run_p)
-    run_p.add_argument("--system", choices=SYSTEMS, default="fbd-ap")
+    run_p.add_argument("--latency", action="store_true",
+                       help="capture and print the latency distribution")
+    run_p.add_argument("--utilisation", action="store_true",
+                       help="print per-link busy fractions")
     run_p.add_argument("--trace-out", metavar="PATH",
-                       help="record a telemetry capture (see repro.trace)")
+                       help="record a telemetry capture (see 'repro trace')")
     run_p.add_argument("--profile", nargs="?", const=15, default=None,
                        type=int, metavar="N",
                        help="profile the event loop; print the top-N "
@@ -385,7 +431,7 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.set_defaults(func=cmd_run)
 
     cmp_p = sub.add_parser("compare", help="DDR2 vs FBD vs FBD-AP")
-    add_run_args(cmp_p)
+    add_run_args(cmp_p, systems=())
     cmp_p.set_defaults(func=cmd_compare)
 
     list_p = sub.add_parser("list", help="show programs and workloads")
@@ -399,8 +445,6 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_p.add_argument("--workload", default="4C-1")
     sweep_p.add_argument("--insts", type=int, default=20_000)
     sweep_p.add_argument("--seed", type=int, default=12345)
-    sweep_p.add_argument("--jobs", type=int, default=1,
-                         help="worker processes for independent sweep points")
     sweep_p.add_argument("--no-cache", action="store_true",
                          help="skip the persistent run cache")
     sweep_p.add_argument("--cache-dir", default=".repro-cache",
@@ -410,9 +454,7 @@ def build_parser() -> argparse.ArgumentParser:
     faults_p = sub.add_parser(
         "faults", help="sweep link error rates (repro.faults injection)"
     )
-    add_run_args(faults_p)
-    faults_p.add_argument("--system", choices=("fbd", "fbd-ap"),
-                          default="fbd-ap")
+    add_run_args(faults_p, systems=("fbd", "fbd-ap"))
     faults_p.add_argument("--rates", default="1e-6,1e-4,1e-2",
                           help="comma-separated frame error rates")
     faults_p.add_argument("--bitflip", type=float, default=None,
@@ -422,6 +464,10 @@ def build_parser() -> argparse.ArgumentParser:
                           help="seed of the fault-decision streams")
     faults_p.set_defaults(func=cmd_faults)
 
+    for command_p in (run_p, cmp_p, sweep_p, faults_p):
+        command_p.add_argument("--jobs", type=int, default=1,
+                               help="worker processes for independent runs")
+
     cache_p = sub.add_parser(
         "cache", help="inspect or purge the persistent run cache"
     )
@@ -429,34 +475,32 @@ def build_parser() -> argparse.ArgumentParser:
     cache_p.add_argument("--cache-dir", default=".repro-cache")
     cache_p.set_defaults(func=cmd_cache)
 
-    bench_p = sub.add_parser(
+    configure_trace(sub.add_parser(
+        "trace", help="record, summarize and export telemetry captures "
+                      "(see docs/OBSERVABILITY.md)"
+    ))
+    configure_bench(sub.add_parser(
         "bench", help="profile the event loop (see docs/BENCHMARKING.md)"
-    )
-    from repro.bench.cli import configure_parser as configure_bench_parser
-
-    configure_bench_parser(bench_p)
-
-    timeline_p = sub.add_parser(
+    ))
+    configure_timeline(sub.add_parser(
         "timeline", help="windowed sim-time telemetry (see docs/TIMELINE.md)"
-    )
-    from repro.timeline.cli import configure_parser as configure_timeline_parser
-
-    configure_timeline_parser(timeline_p)
-
-    prefetch_p = sub.add_parser(
+    ))
+    configure_prefetch(sub.add_parser(
         "prefetch",
         help="prefetch lifecycle observability (see docs/PREFETCH.md)",
-    )
-    from repro.prefetch.cli import configure_parser as configure_prefetch_parser
-
-    configure_prefetch_parser(prefetch_p)
+    ))
     return parser
 
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    if getattr(args, "jobs", 1) < 1:
-        _fail(f"--jobs must be >= 1, got {args.jobs}")
+    for name, least in _LEAST.items():
+        value = getattr(args, name, None)
+        if value is not None and value < least:
+            _fail(f"--{name.replace('_', '-')} must be >= {least}, "
+                  f"got {value}")
+    if args.command in _FILE_COMMANDS:
+        return _guarded(args.func)(args)
     return args.func(args)
 
 

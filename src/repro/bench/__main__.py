@@ -1,8 +1,8 @@
-"""Entry point: ``python -m repro.bench``."""
+"""``python -m repro.bench``: the same as ``python -m repro bench``."""
 
 import sys
 
-from repro.bench.cli import main
+from repro.__main__ import main
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(["bench", *sys.argv[1:]]))

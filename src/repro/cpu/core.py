@@ -130,10 +130,6 @@ class Core:
 
     # ------------------------------------------------------------------
 
-    def _time_to_reach(self, inst: int) -> int:
-        delta = inst - self.progress_inst
-        return self.progress_time + round(delta * self.ps_per_inst)
-
     def _window_limit(self) -> Optional[int]:
         """Farthest instruction the front end may reach: the oldest
         outstanding demand miss plus the ROB size (None = unbounded)."""

@@ -163,9 +163,6 @@ class TaggedBusResource:
     def free_at(self) -> int:
         return self._intervals[-1][1] if self._intervals else 0
 
-    def _gap_after_ps(self, other_tag: object, tag: object) -> int:
-        return 0 if other_tag == tag else self.switch_gap_ps
-
     def _find_gap(self, earliest: int, duration: int, tag: object) -> int:
         start = earliest
         switch_gap = self.switch_gap_ps

@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Dict, List, Tuple
 
 #: Scheduling stacks deeper than this keep only the most recent frames;
@@ -108,6 +109,9 @@ def callback_site(callback: Callable[[], None]) -> str:
 def callback_origin(callback: Callable[[], None]) -> Tuple[str, str]:
     """(site, subsystem bucket) attribution for a scheduled callback."""
     func: object = callback
+    # A partial is attributed to the function it wraps.
+    if isinstance(func, partial):  # nested partials flatten on creation
+        func = func.func
     # Unwrap bound methods so the class qualname is the site.
     wrapped = getattr(func, "__func__", None)
     if wrapped is not None:

@@ -126,26 +126,28 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"error: --jobs must be >= 1, got {args.jobs}", file=sys.stderr)
         return 2
 
-    export_dir = None
-    if args.export:
-        from pathlib import Path
-
-        export_dir = Path(args.export)
-        export_dir.mkdir(parents=True, exist_ok=True)
-
-    cache = None
-    if not args.no_cache:
-        from repro.experiments.runcache import DEFAULT_CACHE_DIR, RunCache
-
-        cache = RunCache(args.cache_dir or DEFAULT_CACHE_DIR)
-
     names = sorted(EXPERIMENTS) if args.experiment == "all" else [args.experiment]
     heartbeat = _make_heartbeat(args.heartbeat, names)
-    ctx = ExperimentContext(
-        instructions=args.insts, seed=args.seed, quick=args.quick,
-        progress=heartbeat, trace_dir=args.trace_out or None,
-        jobs=args.jobs, cache=cache,
-    )
+    export_dir = None
+    cache = None
+    if not args.no_cache:
+        from repro.experiments.runcache import DEFAULT_CACHE_DIR
+
+        cache = args.cache_dir or DEFAULT_CACHE_DIR
+    try:  # an unusable value or directory fails here, before any run
+        if args.export:
+            from pathlib import Path
+
+            export_dir = Path(args.export)
+            export_dir.mkdir(parents=True, exist_ok=True)
+        ctx = ExperimentContext(
+            instructions=args.insts, seed=args.seed, quick=args.quick,
+            progress=heartbeat, trace_dir=args.trace_out or None,
+            jobs=args.jobs, cache=cache,
+        )
+    except (OSError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     invocation_start = time.time()  # repro: ignore[wall-clock] — progress reporting
     pairs = [pair for name in names for pair in PLANS[name](ctx)]
     if pairs:

@@ -58,15 +58,3 @@ def group_means(table: ResultTable) -> ResultTable:
         fbd = mean([float(r["fbdimm"]) for r in rows])
         summary.add(cores=cores, ddr2=ddr2, fbdimm=fbd, fbd_over_ddr2=fbd / ddr2)
     return summary
-
-
-def main() -> None:
-    ctx = ExperimentContext()
-    table = run(ctx)
-    print(table.format())
-    print()
-    print(group_means(table).format())
-
-
-if __name__ == "__main__":
-    main()

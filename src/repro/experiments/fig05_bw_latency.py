@@ -67,15 +67,3 @@ def group_means(table: ResultTable) -> ResultTable:
             fbd_latency=mean([float(r["fbd_latency"]) for r in rows]),
         )
     return summary
-
-
-def main() -> None:
-    ctx = ExperimentContext()
-    table = run(ctx)
-    print(table.format())
-    print()
-    print(group_means(table).format())
-
-
-if __name__ == "__main__":
-    main()

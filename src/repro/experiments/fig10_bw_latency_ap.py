@@ -46,12 +46,3 @@ def run(ctx: ExperimentContext) -> ResultTable:
                 ap_latency=ap.avg_read_latency_ns,
             )
     return table
-
-
-def main() -> None:
-    ctx = ExperimentContext()
-    print(run(ctx).format())
-
-
-if __name__ == "__main__":
-    main()

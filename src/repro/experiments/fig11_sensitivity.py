@@ -70,12 +70,3 @@ def run(ctx: ExperimentContext) -> ResultTable:
                 variant=label, cores=cores, normalised=mean(values) / defaults[cores]
             )
     return table
-
-
-def main() -> None:
-    ctx = ExperimentContext()
-    print(run(ctx).format())
-
-
-if __name__ == "__main__":
-    main()

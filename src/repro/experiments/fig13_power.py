@@ -76,12 +76,3 @@ def run(ctx: ExperimentContext) -> ResultTable:
                 cas_change=mean(cas_changes),
             )
     return table
-
-
-def main() -> None:
-    ctx = ExperimentContext()
-    print(run(ctx).format())
-
-
-if __name__ == "__main__":
-    main()

@@ -22,14 +22,11 @@ from __future__ import annotations
 
 import time
 from concurrent.futures import ProcessPoolExecutor, as_completed
-from typing import TYPE_CHECKING, Callable, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.config import SystemConfig
 from repro.system import SimulationResult, run_system
 from repro.workloads.spec import StreamMemo
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.telemetry.registry import MetricsRegistry
 
 #: One unit of work: the exact arguments of a ``run_system`` call.
 RunPair = Tuple[SystemConfig, Tuple[str, ...]]
@@ -91,19 +88,12 @@ def execute_runs(
     pairs: Sequence[RunPair],
     jobs: int = 1,
     on_result: Optional[ResultCallback] = None,
-    metrics: Optional["MetricsRegistry"] = None,
 ) -> List[SimulationResult]:
     """Run every pair, fanning batches out across ``jobs`` worker processes.
 
     ``jobs <= 1`` (or a single pair) runs every pair inline as one batch
     with no pool overhead; either way the returned list aligns
     index-for-index with ``pairs`` and ``on_result`` fires once per run.
-
-    When ``metrics`` is given, every run's counters and histograms are
-    folded into it (via :func:`repro.telemetry.registry_from_stats` and
-    ``MetricsRegistry.merge``) in submission order, so per-worker metrics
-    aggregate deterministically instead of being dropped at the process
-    boundary.  Fan-out order never changes the merged snapshot.
     """
     pairs = list(pairs)
     results: List[Optional[SimulationResult]] = [None] * len(pairs)
@@ -126,24 +116,4 @@ def execute_runs(
             for future in as_completed(futures):
                 for index, (result, wall) in zip(futures[future], future.result()):
                     finish(index, result, wall)
-    if metrics is not None:
-        aggregate_metrics(results, metrics)  # type: ignore[arg-type]
     return results  # type: ignore[return-value]
-
-
-def aggregate_metrics(
-    results: Sequence[SimulationResult],
-    registry: Optional["MetricsRegistry"] = None,
-) -> "MetricsRegistry":
-    """Merge every run's stats into one registry, in the given order.
-
-    Counters sum and latency histograms merge bucket-wise across runs;
-    gauges (derived point-in-time quantities) keep the last run's value —
-    recompute aggregates from the merged counters where it matters.
-    """
-    from repro.telemetry.registry import MetricsRegistry, registry_from_stats
-
-    merged = registry if registry is not None else MetricsRegistry()
-    for result in results:
-        merged.merge(registry_from_stats(result.mem))
-    return merged

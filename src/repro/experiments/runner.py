@@ -109,6 +109,9 @@ class ExperimentContext:
         jobs: Worker processes for :meth:`prefetch` (1 = inline).
         cache: Persistent run cache — a ``RunCache``, a directory path to
             create one at, or None (default) for no disk cache.
+
+    Raises ``ValueError`` for ``instructions < 1`` and ``OSError`` when
+    the cache directory cannot be created, before any run is planned.
     """
 
     def __init__(
@@ -121,6 +124,8 @@ class ExperimentContext:
         jobs: int = 1,
         cache: Optional[Union[str, Path, "RunCache"]] = None,
     ) -> None:
+        if instructions < 1:
+            raise ValueError(f"instructions must be >= 1, got {instructions}")
         self.instructions = instructions
         self.seed = seed
         self.quick = quick
@@ -131,6 +136,8 @@ class ExperimentContext:
             from repro.experiments.runcache import RunCache
 
             cache = RunCache(cache)
+        if cache is not None:
+            cache.root.mkdir(parents=True, exist_ok=True)
         self.cache = cache
         self.total_events = 0
         self.fresh_runs = 0  # simulations actually executed
@@ -260,13 +267,9 @@ class ExperimentContext:
         from repro.telemetry import Tracer, build_capture, save_capture
 
         assert self.trace_dir is not None
-        tracer = Tracer()
-        machine = System(config, programs, tracer=tracer)
+        machine = System(config, programs, tracer=Tracer())
         result = machine.run()
-        capture = build_capture(
-            result, tracer,
-            check_events=machine.controller.collect_check_events(),
-        )
+        capture = build_capture(machine, result)
         self.trace_dir.mkdir(parents=True, exist_ok=True)
         stem = f"run-{self.fresh_runs:03d}-{'+'.join(programs)}"
         save_capture(self.trace_dir / f"{stem}.jsonl", capture)

@@ -1,8 +1,8 @@
-"""``python -m repro.prefetch`` entry point."""
+"""``python -m repro.prefetch``: the same as ``python -m repro prefetch``."""
 
 import sys
 
-from repro.prefetch.cli import main
+from repro.__main__ import main
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(["prefetch", *sys.argv[1:]]))

@@ -8,12 +8,10 @@ Quickstart::
     tracer = Tracer()
     machine = System(config, programs, tracer=tracer)
     result = machine.run()
-    capture = build_capture(
-        result, tracer, check_events=machine.controller.collect_check_events()
-    )
+    capture = build_capture(machine, result)
     write_chrome_trace("trace.json", capture)   # open in Perfetto
 
-See ``docs/OBSERVABILITY.md`` and ``python -m repro.trace --help``.
+See ``docs/OBSERVABILITY.md`` and ``python -m repro trace --help``.
 """
 
 from repro.telemetry.export import (

@@ -29,7 +29,7 @@ from repro.telemetry.registry import registry_from_stats
 from repro.telemetry.spans import PrefetchTrace, RequestTrace, Tracer
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.system import SimulationResult
+    from repro.system import SimulationResult, System
     from repro.timeline.records import TimelineResult
 
 CAPTURE_VERSION = 1
@@ -94,20 +94,20 @@ def run_meta(result: "SimulationResult") -> Dict[str, object]:
     }
 
 
-def build_capture(
-    result: "SimulationResult",
-    tracer: Tracer,
-    check_events: Optional[List[CheckEvent]] = None,
-    profile: Optional[List[Dict[str, object]]] = None,
-) -> TelemetryCapture:
-    """Assemble a capture from a finished traced run.
+def build_capture(machine: "System", result: "SimulationResult") -> TelemetryCapture:
+    """Assemble the capture of a finished traced run from its machine.
 
-    ``check_events`` is the journalled command stream
-    (``controller.collect_check_events()``); tracing enables journalling
-    automatically, so it is available on every traced run.
+    Reads the request traces of ``machine.tracer``, the journalled
+    command stream (``machine.controller.collect_check_events()``;
+    tracing turns journalling on) and, when one is attached, the
+    event-loop profile of ``machine.sim.profiler``.
     """
     from repro.serialize import encode_value
 
+    tracer = machine.tracer
+    if tracer is None:
+        raise ValueError("build_capture needs a machine built with a tracer")
+    profiler = machine.sim.profiler
     metrics = registry_from_stats(result.mem).snapshot()
     metrics.update(tracer.registry.snapshot())
     meta = run_meta(result)
@@ -124,8 +124,13 @@ def build_capture(
         metrics=metrics,
         requests=tracer.traces(),
         prefetches=list(tracer.prefetches),
-        commands=sorted(check_events or [], key=lambda e: e.time_ps),
-        profile=list(profile or []),
+        commands=sorted(
+            machine.controller.collect_check_events(), key=lambda e: e.time_ps
+        ),
+        profile=(
+            profiler.to_records() + profiler.stack_records()
+            if profiler is not None else []
+        ),
         timeline=timeline,
     )
 

@@ -16,7 +16,6 @@ from typing import (
     TYPE_CHECKING,
     Any,
     Dict,
-    Iterable,
     List,
     Optional,
     Tuple,
@@ -44,10 +43,6 @@ class Counter:
             raise ValueError(f"counter {self.name}: negative increment {amount}")
         self.value += amount
 
-    def merge(self, other: "Counter") -> None:
-        """Fold another counter in (counts from parallel workers sum)."""
-        self.inc(other.value)
-
     def snapshot(self) -> Dict[str, object]:
         return {"type": self.kind, "help": self.help, "value": self.value}
 
@@ -64,16 +59,6 @@ class Gauge:
 
     def set(self, value: float) -> None:
         self.value = value
-
-    def merge(self, other: "Gauge") -> None:
-        """Fold another gauge in: last write wins.
-
-        A gauge is a point-in-time snapshot, so there is no universally
-        correct cross-worker combination; aggregate quantities (mean
-        latency, total bandwidth) should be re-derived from the merged
-        *counters* instead of averaged gauges.
-        """
-        self.value = other.value
 
     def snapshot(self) -> Dict[str, object]:
         return {"type": self.kind, "help": self.help, "value": self.value}
@@ -111,22 +96,6 @@ class Histogram:
             self.min = value
         if self.max is None or value > self.max:
             self.max = value
-
-    def merge(self, other: "Histogram") -> None:
-        """Fold another histogram in, bucket by bucket.
-
-        Exact: the merged histogram equals one built by observing both
-        sample streams, so per-worker latency histograms from parallel
-        runs aggregate losslessly (percentiles keep bucket resolution).
-        """
-        self.count += other.count
-        self.sum += other.sum
-        if other.min is not None and (self.min is None or other.min < self.min):
-            self.min = other.min
-        if other.max is not None and (self.max is None or other.max > self.max):
-            self.max = other.max
-        for index, count in other._buckets.items():
-            self._buckets[index] = self._buckets.get(index, 0) + count
 
     @property
     def mean(self) -> float:
@@ -227,19 +196,6 @@ class MetricsRegistry:
     def get(self, name: str) -> Any:
         return self._metrics.get(name)
 
-    def merge(self, other: "MetricsRegistry") -> None:
-        """Fold another registry in, metric by metric.
-
-        Metrics missing here are created with the other registry's help
-        text; same-name metrics must agree on type (counters sum,
-        histograms merge bucket-wise, gauges take the incoming value).
-        The parallel experiment runner uses this to aggregate per-worker
-        metrics that were previously dropped.
-        """
-        for name, metric in other._metrics.items():
-            mine = self._get_or_create(type(metric), name, metric.help)
-            mine.merge(metric)
-
     def snapshot(self) -> Dict[str, Dict[str, object]]:
         """Name -> self-describing value dict, in registration order."""
         return {name: m.snapshot() for name, m in self._metrics.items()}
@@ -336,11 +292,3 @@ def registry_from_stats(
         for sample in stats.demand_latency_samples:
             hist.observe(sample)
     return reg
-
-
-def merge_records(registries: Iterable[MetricsRegistry]) -> List[Dict[str, object]]:
-    """Flatten several registries into one JSONL-ready record list."""
-    records: List[Dict[str, object]] = []
-    for registry in registries:
-        records.extend(registry.to_records())
-    return records

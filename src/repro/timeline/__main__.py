@@ -1,8 +1,8 @@
-"""``python -m repro.timeline`` entry point."""
+"""``python -m repro.timeline``: the same as ``python -m repro timeline``."""
 
 import sys
 
-from repro.timeline.cli import main
+from repro.__main__ import main
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(["timeline", *sys.argv[1:]]))

@@ -17,8 +17,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Callable, List, Optional
 
+from repro.__main__ import _build_config, add_run_args, build_machine
 from repro.timeline.diff import diff_timelines, format_diff
 from repro.timeline.export import (
     read_timeline_jsonl,
@@ -29,30 +29,11 @@ from repro.timeline.export import (
 from repro.timeline.report import timeline_report
 
 
-def _guarded(
-    func: Callable[[argparse.Namespace], int],
-) -> Callable[[argparse.Namespace], int]:
-    """I/O and schema errors exit 2 (same contract as repro.check and
-    repro.trace)."""
-
-    def wrapper(args: argparse.Namespace) -> int:
-        try:
-            return func(args)
-        except (OSError, ValueError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-
-    return wrapper
-
-
 def cmd_record(args: argparse.Namespace) -> int:
-    from repro.__main__ import _build_config, _programs
-    from repro.system import run_system
-
     config = _build_config(args, args.system).with_timeline(
         window_ns=args.window_ns
     )
-    result = run_system(config, _programs(args.workload))
+    result = build_machine(args, config).run()
     timeline = result.timeline
     assert timeline is not None  # with_timeline() always enables
     issues = validate_timeline(timeline)
@@ -143,35 +124,25 @@ def cmd_diff(args: argparse.Namespace) -> int:
 
 
 def configure_parser(parser: argparse.ArgumentParser) -> None:
-    """Attach the timeline subcommands (shared with python -m repro)."""
+    """Attach the timeline subcommands to ``parser`` (the ``timeline`` node)."""
     sub = parser.add_subparsers(dest="timeline_command", required=True)
 
     record_p = sub.add_parser(
         "record", help="run one system with the timeline on and save JSONL"
     )
-    record_p.add_argument("--workload", default="4C-1")
-    record_p.add_argument("--system", choices=("ddr2", "fbd", "fbd-ap"),
-                          default="fbd-ap")
-    record_p.add_argument("--insts", type=int, default=50_000)
-    record_p.add_argument("--seed", type=int, default=12345)
-    record_p.add_argument("--no-sw-prefetch", action="store_true")
-    record_p.add_argument("--k", type=int, default=4)
-    record_p.add_argument("--entries", type=int, default=64)
-    record_p.add_argument("--assoc",
-                          choices=("direct", "2way", "4way", "full"),
-                          default="full")
+    add_run_args(record_p)
     record_p.add_argument("--window-ns", type=float, default=1000.0,
                           help="timeline window length in sim-time ns")
     record_p.add_argument("--out", default="timeline.jsonl",
                           help="JSONL output path")
     record_p.add_argument("--csv", default=None, help="also write a CSV")
-    record_p.set_defaults(func=_guarded(cmd_record))
+    record_p.set_defaults(func=cmd_record)
 
     report_p = sub.add_parser("report", help="render a recorded timeline")
     report_p.add_argument("path")
     report_p.add_argument("--width", type=int, default=60,
                           help="sparkline width in characters")
-    report_p.set_defaults(func=_guarded(cmd_report))
+    report_p.set_defaults(func=cmd_report)
 
     export_p = sub.add_parser(
         "export", help="convert a recorded timeline to CSV / Chrome trace"
@@ -180,7 +151,7 @@ def configure_parser(parser: argparse.ArgumentParser) -> None:
     export_p.add_argument("--csv", default=None)
     export_p.add_argument("--chrome", default=None,
                           help="Chrome trace-event JSON with counter tracks")
-    export_p.set_defaults(func=_guarded(cmd_export))
+    export_p.set_defaults(func=cmd_export)
 
     diff_p = sub.add_parser(
         "diff", help="align two recorded timelines window-by-window"
@@ -190,14 +161,5 @@ def configure_parser(parser: argparse.ArgumentParser) -> None:
     diff_p.add_argument("--labels", default=None,
                         help="two comma-separated run names, e.g. base,ap")
     diff_p.add_argument("--width", type=int, default=60)
-    diff_p.set_defaults(func=_guarded(cmd_diff))
+    diff_p.set_defaults(func=cmd_diff)
 
-
-def main(argv: Optional[List[str]] = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.timeline",
-        description="windowed sim-time telemetry (see docs/TIMELINE.md)",
-    )
-    configure_parser(parser)
-    args = parser.parse_args(argv)
-    return args.func(args)

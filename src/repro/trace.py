@@ -1,11 +1,11 @@
-"""Telemetry CLI: record, summarize and export memory-system traces.
+"""``repro trace`` — record, summarize and export memory-system traces.
 
-Usage::
+Subcommands::
 
-    python -m repro.trace record --workload 4C-1 --system fbd-ap -o run.jsonl
-    python -m repro.trace summarize run.jsonl
-    python -m repro.trace export run.jsonl -o run.trace.json
-    python -m repro.trace export -o run.trace.json   # record + export in one
+    repro trace record --workload 4C-1 --system fbd-ap -o run.jsonl
+    repro trace summarize run.jsonl
+    repro trace export run.jsonl -o run.trace.json
+    repro trace export -o run.trace.json   # record + export in one
 
 ``record`` runs one simulation with a :class:`repro.telemetry.Tracer`
 attached and writes the capture JSONL (request lifecycles, DRAM/frame
@@ -13,15 +13,16 @@ commands, metrics snapshot, optional timeline windows and event-loop
 profile).  ``export`` renders a capture as Chrome trace-event JSON —
 open it in Perfetto or ``chrome://tracing`` — and schema-validates the
 result; given no capture file it records one first using the same run
-flags as ``record``.
+flags as ``record``.  Also reachable as ``python -m repro.trace``.
+Exit codes: 0 ok, 1 schema problems in an export, 2 usage or I/O error.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from typing import List, Optional
 
+from repro.__main__ import add_run_args, build_machine
 from repro.telemetry import (
     TelemetryCapture,
     Tracer,
@@ -34,55 +35,12 @@ from repro.telemetry import (
 )
 
 
-def _add_run_args(parser: argparse.ArgumentParser) -> None:
-    """Simulation knobs, matching ``python -m repro run``."""
-    parser.add_argument("--workload", default="4C-1",
-                        help="a program name or a Table 3 mix")
-    parser.add_argument("--system", choices=("ddr2", "fbd", "fbd-ap"),
-                        default="fbd-ap")
-    parser.add_argument("--insts", type=int, default=50_000)
-    parser.add_argument("--seed", type=int, default=12345)
-    parser.add_argument("--no-sw-prefetch", action="store_true")
-    parser.add_argument("--k", type=int, default=4,
-                        help="region cachelines for fbd-ap")
-    parser.add_argument("--entries", type=int, default=64)
-    parser.add_argument("--assoc",
-                        choices=("direct", "2way", "4way", "full"),
-                        default="full")
-    parser.add_argument("--max-requests", type=int, default=200_000,
-                        help="request-trace recording bound")
-    parser.add_argument("--profile", action="store_true",
-                        help="also profile the event loop by callback site")
-    parser.add_argument("--timeline-ns", type=float, default=None,
-                        metavar="NS",
-                        help="also record the windowed timeline, queue "
-                             "depth included (window length in sim-time ns)")
-
-
 def record_capture(args: argparse.Namespace) -> TelemetryCapture:
     """Run one traced simulation and assemble its capture."""
-    from repro.__main__ import _build_config, _programs
-    from repro.engine.profiler import EventLoopProfiler
-    from repro.system import System
-
-    programs = _programs(args.workload)
-    config = _build_config(args, args.system)
-    tracer = Tracer(max_requests=args.max_requests)
-    machine = System(config, programs, tracer=tracer)
-    profiler: Optional[EventLoopProfiler] = None
-    if args.profile:
-        profiler = EventLoopProfiler()
-        machine.sim.profiler = profiler
+    machine = build_machine(args, tracer=Tracer(max_requests=args.max_requests),
+                            profile=args.profile)
     result = machine.run()
-    return build_capture(
-        result,
-        tracer,
-        check_events=machine.controller.collect_check_events(),
-        profile=(
-            profiler.to_records() + profiler.stack_records()
-            if profiler is not None else None
-        ),
-    )
+    return build_capture(machine, result)
 
 
 def cmd_record(args: argparse.Namespace) -> int:
@@ -118,15 +76,25 @@ def cmd_export(args: argparse.Namespace) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.trace",
-        description="Record, summarize and export memory-system traces.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+def _add_record_args(parser: argparse.ArgumentParser) -> None:
+    """The run knobs plus what ``record`` and ``export`` capture."""
+    add_run_args(parser)
+    parser.add_argument("--max-requests", type=int, default=200_000,
+                        help="request-trace recording bound")
+    parser.add_argument("--profile", action="store_true",
+                        help="also profile the event loop by callback site")
+    parser.add_argument("--timeline-ns", type=float, default=None,
+                        metavar="NS",
+                        help="also record the windowed timeline, queue "
+                             "depth included (window length in sim-time ns)")
+
+
+def configure_parser(parser: argparse.ArgumentParser) -> None:
+    """Attach the trace subcommands to ``parser`` (the ``trace`` node)."""
+    sub = parser.add_subparsers(dest="trace_command", required=True)
 
     rec_p = sub.add_parser("record", help="run one traced simulation")
-    _add_run_args(rec_p)
+    _add_record_args(rec_p)
     rec_p.add_argument("-o", "--out", default="trace-capture.jsonl",
                        help="capture JSONL path")
     rec_p.set_defaults(func=cmd_record)
@@ -142,23 +110,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     exp_p.add_argument("capture", nargs="?", default=None,
                        help="capture JSONL; omitted = record one now")
-    _add_run_args(exp_p)
+    _add_record_args(exp_p)
     exp_p.add_argument("-o", "--out", default="trace.json",
                        help="Chrome trace JSON path")
     exp_p.set_defaults(func=cmd_export)
-    return parser
-
-
-def main(argv: Optional[List[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
-    try:
-        return args.func(args)
-    except (OSError, ValueError) as exc:
-        # Missing/garbage capture files and unwritable outputs fail
-        # cleanly: 2 = usage/IO error, matching the repro.check CLI.
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    from repro.__main__ import main
+
+    sys.exit(main(["trace", *sys.argv[1:]]))

@@ -125,20 +125,20 @@ class TestCli:
 
 class TestProfileFlame:
     def test_flame_file_round_trips(self, tmp_path, capsys):
-        from repro.bench.cli import main
+        from repro.__main__ import main
         from repro.engine.profiler import parse_collapsed
 
         path = tmp_path / "run.folded"
-        assert main(["profile", "--flame", str(path), "--insts", "2000"]) == 0
+        assert main(["bench", "profile", "--flame", str(path), "--insts", "2000"]) == 0
         stacks = parse_collapsed(path.read_text(encoding="utf-8"))
         assert stacks and all(value > 0 for _frames, value in stacks)
         assert f"flame stacks -> {path}" in capsys.readouterr().out
 
     def test_unwritable_path_exits_2(self, tmp_path, capsys):
-        from repro.bench.cli import main
+        from repro.__main__ import main
 
         path = tmp_path / "missing-dir" / "run.folded"
-        assert main(["profile", "--flame", str(path), "--insts", "2000"]) == 2
+        assert main(["bench", "profile", "--flame", str(path), "--insts", "2000"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
         assert not path.exists()

@@ -3,6 +3,14 @@
 import pytest
 
 from repro.__main__ import build_parser, main
+from repro.system import System
+
+#: Every command that builds the config of one run from the run knobs.
+SINGLE_RUN_COMMANDS = [
+    ["run"], ["compare"], ["faults"], ["bench", "profile"],
+    ["timeline", "record"], ["prefetch", "report"],
+    ["trace", "record"], ["trace", "export"],
+]
 
 
 class TestParser:
@@ -22,6 +30,35 @@ class TestParser:
     def test_bad_system_rejected(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["run", "--system", "rambus"])
+
+    @pytest.mark.parametrize("argv", [
+        ["compare", "--latency"],
+        ["compare", "--utilisation"],
+        ["faults", "--latency"],
+        ["faults", "--utilisation"],
+    ], ids=" ".join)
+    def test_run_only_flags_rejected_elsewhere(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+
+class _Built(Exception):
+    """Stops a command at its first run, carrying that run's config."""
+
+
+class TestRunKnobs:
+    @pytest.mark.parametrize("command", SINGLE_RUN_COMMANDS, ids=" ".join)
+    def test_device_reaches_the_config(self, command, monkeypatch):
+        def stop(machine):
+            raise _Built(machine.config)
+
+        monkeypatch.setattr(System, "run", stop)
+        with pytest.raises(_Built) as built:
+            main([*command, "--workload", "swim", "--insts", "1000",
+                  "--device", "ddr3-1333"])
+        assert built.value.args[0].memory.device == "ddr3-1333"
 
 
 class TestCommands:
@@ -85,6 +122,12 @@ class TestInputErrors:
             ["compare", "--jobs", "0"],
             ["sweep", "k=2", "--jobs", "0", "--no-cache"],
             ["faults", "--jobs", "-1"],
+            ["sweep", "k=2", "--insts", "0", "--no-cache"],
+            ["sweep", "k=2", "--cache-dir", "/dev/null/x"],
+            ["trace", "record", "--max-requests", "-1"],
+            ["bench", "profile", "--top", "-1"],
+            ["run", "--profile", "-3"],
+            ["trace", "summarize", "capture.jsonl", "--top", "-1"],
         ],
         ids=lambda argv: " ".join(argv),
     )

@@ -47,6 +47,18 @@ class TestExperimentsCli:
         assert captured.out == ""
         assert captured.err.splitlines() == ["error: --jobs must be >= 1, got 0"]
 
+    @pytest.mark.parametrize("argv", [
+        ["fig04", "--quick", "--insts", "0"],
+        ["fig04", "--quick", "--cache-dir", "/dev/null/x"],
+        ["fig04", "--quick", "--no-cache", "--export", "/dev/null/x"],
+    ], ids=" ".join)
+    def test_bad_input_fails_before_any_run(self, argv, capsys):
+        assert experiments_main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), lines
+
 
 class TestValidationDrivers:
     def test_saturation_table_shape(self):

@@ -43,10 +43,7 @@ def _traced_run(config):
     tracer = Tracer()
     machine = System(config, PROGRAMS, tracer=tracer)
     result = machine.run()
-    capture = build_capture(
-        result, tracer,
-        check_events=machine.controller.collect_check_events(),
-    )
+    capture = build_capture(machine, result)
     return result, tracer, capture
 
 
@@ -182,20 +179,20 @@ class TestChromeTraceTrack:
 
 class TestPrefetchCli:
     def test_report_text(self, capsys):
-        from repro.prefetch.cli import main
+        from repro.__main__ import main
 
-        code = main(["report", "--workload", "4C-1", "--insts", "2000"])
+        code = main(["prefetch", "report", "--workload", "4C-1", "--insts", "2000"])
         out = capsys.readouterr().out
         assert code == 0
         assert "prefetch lifecycle:" in out
         assert "conservation: issued == sum(outcomes) holds" in out
 
     def test_report_json_and_trace_out(self, capsys, tmp_path):
-        from repro.prefetch.cli import main
+        from repro.__main__ import main
 
         trace_path = tmp_path / "pf.jsonl"
         code = main([
-            "report", "--workload", "4C-1", "--insts", "2000",
+            "prefetch", "report", "--workload", "4C-1", "--insts", "2000",
             "--json", "--trace-out", str(trace_path),
         ])
         out = capsys.readouterr().out
@@ -208,16 +205,16 @@ class TestPrefetchCli:
         assert len(loaded.prefetches) == payload["issued"]
 
     def test_policies_listing(self, capsys):
-        from repro.prefetch.cli import main
+        from repro.__main__ import main
 
-        assert main(["policies"]) == 0
+        assert main(["prefetch", "policies"]) == 0
         assert "region" in capsys.readouterr().out
 
     def test_unknown_policy_exits_2(self, capsys):
-        from repro.prefetch.cli import main
+        from repro.__main__ import main
 
         with pytest.raises(SystemExit):
-            main(["report", "--policy", "bogus"])
+            main(["prefetch", "report", "--policy", "bogus"])
 
     def test_top_level_cli_exposes_prefetch(self, capsys):
         from repro.__main__ import main

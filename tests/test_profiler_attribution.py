@@ -7,6 +7,7 @@ the event level (``Event.origin`` stays unset without a profiler).
 """
 
 import dataclasses
+from functools import partial
 
 import pytest
 
@@ -62,6 +63,22 @@ class TestBuckets:
         assert site == "simulator.Simulator.run"
         assert subsystem == "engine"
         assert callback_site(sim.run) == site
+
+    def test_partial_takes_the_site_of_what_it_wraps(self):
+        sim = Simulator()
+        assert callback_origin(partial(sim.schedule, 5)) == (
+            "simulator.Simulator.schedule", "engine"
+        )
+        nested = partial(partial(sim.schedule, 5), print)
+        assert callback_site(nested) == "simulator.Simulator.schedule"
+
+    def test_real_profile_has_no_partial_site(self):
+        _machine, profiler, _result = profiled_run(insts=2_000)
+        assert "'partial'" not in profiler.sites
+        assert any(
+            site.endswith("ChannelControllerBase._complete")
+            for site in profiler.sites
+        ), sorted(profiler.sites)
 
 
 class TestStacks:
@@ -214,11 +231,7 @@ class TestChromeProfilerTrack:
         profiler = EventLoopProfiler()
         machine.sim.profiler = profiler
         result = machine.run()
-        capture = build_capture(
-            result, tracer,
-            check_events=machine.controller.collect_check_events(),
-            profile=profiler.to_records() + profiler.stack_records(),
-        )
+        capture = build_capture(machine, result)
         doc = chrome_trace(capture)
         assert validate_chrome_trace(doc) == []
         events = doc["traceEvents"]
@@ -242,10 +255,7 @@ class TestChromeProfilerTrack:
         tracer = Tracer()
         machine = System(config, ["swim", "mgrid"], tracer=tracer)
         result = machine.run()
-        capture = build_capture(
-            result, tracer,
-            check_events=machine.controller.collect_check_events(),
-        )
+        capture = build_capture(machine, result)
         doc = chrome_trace(capture)
         assert validate_chrome_trace(doc) == []
         assert not [

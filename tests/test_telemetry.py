@@ -36,6 +36,7 @@ from repro.telemetry import (
     Histogram,
     MetricsRegistry,
     RequestTrace,
+    TelemetryCapture,
     Tracer,
     build_capture,
     chrome_trace,
@@ -295,11 +296,8 @@ _HEADER = '{"version": 1, "format": "repro-telemetry"}\n'
 
 class TestCaptureAndChromeTrace:
     def _capture(self, **kwargs):
-        machine, result, tracer = traced_run(**kwargs)
-        return build_capture(
-            result, tracer,
-            check_events=machine.controller.collect_check_events(),
-        )
+        machine, result, _tracer = traced_run(**kwargs)
+        return build_capture(machine, result)
 
     def test_capture_roundtrip(self, tmp_path):
         capture = self._capture()
@@ -373,6 +371,53 @@ class TestCaptureAndChromeTrace:
         assert "request traces" in text
         assert "latency ns" in text
         assert "AMB hits" in text
+
+
+class TestSummarizeCaptureEdges:
+    def test_empty_capture(self):
+        text = summarize_capture(TelemetryCapture())
+        assert "0 request traces" in text
+        # No completed requests, samples, metrics or profile sections.
+        assert "latency ns:" not in text
+        assert "event-loop profile" not in text
+
+    def test_only_retry_phase_spans(self):
+        # A trace that saw a link retry but never completed: it must not
+        # reach the latency histograms (latency_ps is undefined) and the
+        # completed count stays zero.
+        trace = RequestTrace(req_id=1, kind="read", core_id=0, line_addr=64)
+        trace.mark("retry", 1_000)
+        capture = TelemetryCapture(requests=[trace])
+        text = summarize_capture(capture)
+        assert "1 request traces" in text
+        assert "completed:" not in text
+        assert "latency ns:" not in text
+
+    def test_top_sites_larger_than_site_count(self):
+        capture = TelemetryCapture(
+            profile=[
+                {"site": "a.b", "subsystem": "cpu", "events": 3,
+                 "wall_s": 0.002},
+                {"site": "c.d", "subsystem": "dram", "events": 1,
+                 "wall_s": 0.001},
+                {"stack": ["a.b", "c.d"], "subsystem": "dram", "events": 1,
+                 "wall_s": 0.001},
+            ]
+        )
+        text = summarize_capture(capture, top_sites=50)
+        assert "a.b" in text and "c.d" in text
+        site_lines = [line for line in text.splitlines() if " ms" in line]
+        assert len(site_lines) == 2  # stack records not double-listed
+        assert "subsystem wall time: cpu 67%, dram 33%" in text
+
+    def test_zero_wall_profile_has_no_share_line(self):
+        capture = TelemetryCapture(
+            profile=[{"site": "a.b", "subsystem": "cpu", "events": 1,
+                      "wall_s": 0.0}]
+        )
+        text = summarize_capture(capture)
+        assert "subsystem wall time" not in text
+        assert "a.b" in text
 
 
 # ----------------------------------------------------------------------

@@ -563,7 +563,7 @@ class TestSerialization:
     ], ids=["string-counter", "non-object", "unknown-field", "bad-json"])
     def test_malformed_record_rejected_at_its_line(self, tmp_path, capsys,
                                                     line, reason):
-        from repro.timeline.cli import main
+        from repro.__main__ import main
 
         if line is None:  # the committed fixture CI feeds the CLI
             path = Path(__file__).parent / "fixtures" / "timeline_non_object.jsonl"
@@ -576,7 +576,7 @@ class TestSerialization:
         with pytest.raises(ValueError) as excinfo:
             read_timeline_jsonl(path)
         assert str(excinfo.value).startswith(f"{path}:2: {reason}")
-        assert main(["report", str(path)]) == 2
+        assert main(["timeline", "report", str(path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: {path}:2: {reason}")
         assert "Traceback" not in err
@@ -795,13 +795,13 @@ class TestChromeCounters:
 # ----------------------------------------------------------------------
 
 RECORD_ARGS = [
-    "record", "--workload", "2C-1", "--insts", "3000", "--window-ns", "300",
+    "timeline", "record", "--workload", "2C-1", "--insts", "3000", "--window-ns", "300",
 ]
 
 
 @pytest.fixture(scope="module")
 def recorded(tmp_path_factory):
-    from repro.timeline.cli import main
+    from repro.__main__ import main
 
     root = tmp_path_factory.mktemp("timeline")
     base = root / "base.jsonl"
@@ -820,23 +820,23 @@ class TestCli:
         assert validate_timeline(timeline) == []
 
     def test_report(self, recorded, capsys):
-        from repro.timeline.cli import main
+        from repro.__main__ import main
 
         base, _ = recorded
-        assert main(["report", str(base)]) == 0
+        assert main(["timeline", "report", str(base)]) == 0
         out = capsys.readouterr().out
         assert "fbd / 2C-1" in out
         assert "bandwidth GB/s" in out
 
     def test_export_csv_and_chrome(self, recorded, tmp_path):
         from repro.telemetry import validate_chrome_trace
-        from repro.timeline.cli import main
+        from repro.__main__ import main
 
         _, ap = recorded
         csv = tmp_path / "tl.csv"
         chrome = tmp_path / "tl.trace.json"
         code = main([
-            "export", str(ap), "--csv", str(csv), "--chrome", str(chrome),
+            "timeline", "export", str(ap), "--csv", str(csv), "--chrome", str(chrome),
         ])
         assert code == 0
         assert csv.read_text().splitlines()[0].startswith("index,")
@@ -844,25 +844,25 @@ class TestCli:
         assert validate_chrome_trace(doc) == []
 
     def test_export_without_target_is_usage_error(self, recorded, capsys):
-        from repro.timeline.cli import main
+        from repro.__main__ import main
 
         base, _ = recorded
-        assert main(["export", str(base)]) == 2
+        assert main(["timeline", "export", str(base)]) == 2
         assert "pass --csv" in capsys.readouterr().err
 
     def test_diff(self, recorded, capsys):
-        from repro.timeline.cli import main
+        from repro.__main__ import main
 
         base, ap = recorded
         code = main([
-            "diff", str(base), str(ap), "--labels", "fbd,fbd-ap",
+            "timeline", "diff", str(base), str(ap), "--labels", "fbd,fbd-ap",
         ])
         assert code == 0
         out = capsys.readouterr().out
         assert "fbd vs fbd-ap" in out
 
     def test_diff_mismatched_grid_exits_one(self, recorded, tmp_path):
-        from repro.timeline.cli import main
+        from repro.__main__ import main
 
         base, _ = recorded
         other = tmp_path / "other.jsonl"
@@ -871,19 +871,19 @@ class TestCli:
             "--out", str(other),
         ])
         assert code == 0
-        assert main(["diff", str(base), str(other)]) == 1
+        assert main(["timeline", "diff", str(base), str(other)]) == 1
 
     def test_missing_file_exits_two(self, capsys):
-        from repro.timeline.cli import main
+        from repro.__main__ import main
 
-        assert main(["report", "/no/such/file.jsonl"]) == 2
+        assert main(["timeline", "report", "/no/such/file.jsonl"]) == 2
         assert "error:" in capsys.readouterr().err
 
     def test_bad_labels_rejected(self, recorded, capsys):
-        from repro.timeline.cli import main
+        from repro.__main__ import main
 
         base, ap = recorded
-        code = main(["diff", str(base), str(ap), "--labels", "onlyone"])
+        code = main(["timeline", "diff", str(base), str(ap), "--labels", "onlyone"])
         assert code == 2
 
     def test_main_cli_timeline_flag(self, tmp_path, capsys):

@@ -1,13 +1,17 @@
-"""End-to-end tests of ``python -m repro.trace`` and ``--trace-out``."""
+"""End-to-end tests of ``python -m repro trace`` and ``--trace-out``."""
 
 import json
 
 import pytest
 
+from repro.__main__ import main
 from repro.telemetry import load_capture, validate_chrome_trace
-from repro.trace import main as trace_main
 
 RUN_ARGS = ["--workload", "2C-1", "--insts", "3000"]
+
+
+def trace_main(argv):
+    return main(["trace", *argv])
 
 
 @pytest.fixture(scope="module")
@@ -98,7 +102,18 @@ class TestMainCliTraceOut:
         assert code == 0
         capture = load_capture(path)
         assert capture.requests
+        assert not capture.profile
         assert "[trace:" in capsys.readouterr().out
+
+    def test_run_trace_out_carries_the_profile(self, tmp_path):
+        from repro.__main__ import main as repro_main
+
+        path = tmp_path / "run.jsonl"
+        assert repro_main([
+            "run", "--workload", "swim", "--insts", "3000",
+            "--trace-out", str(path), "--profile",
+        ]) == 0
+        assert load_capture(path).profile
 
 
 class TestExperimentsTraceOut:
