@@ -27,9 +27,6 @@ import dataclasses
 import sys
 from typing import TYPE_CHECKING, Callable, Dict, List, NoReturn, Optional, Tuple
 
-from repro.analysis.latency import LatencyDistribution
-from repro.analysis.report import run_report
-from repro.analysis.utilisation import channel_utilisation_report
 from repro.config import (
     AmbPrefetchConfig,
     Associativity,
@@ -186,6 +183,8 @@ def save_run_capture(
 
 
 def cmd_run(args: argparse.Namespace) -> int:
+    from repro.analysis.report import run_report
+
     tracer = None
     if args.trace_out:
         from repro.telemetry import Tracer
@@ -203,9 +202,13 @@ def cmd_run(args: argparse.Namespace) -> int:
         print()
         print(machine.sim.profiler.tree_report(limit=args.profile))
     if args.latency:
+        from repro.analysis.latency import LatencyDistribution
+
         dist = LatencyDistribution.from_stats(result.mem)
         print(f"\nlatency distribution: {dist.format()}")
     if args.utilisation:
+        from repro.analysis.utilisation import channel_utilisation_report
+
         print("\nlink utilisation:")
         for row in channel_utilisation_report(result.mem):
             print(f"  {row.name:<24} {row.busy_fraction:6.1%}")
@@ -386,17 +389,20 @@ def cmd_cache(args: argparse.Namespace) -> int:
     from repro.experiments.runcache import RunCache
 
     cache = RunCache(args.cache_dir)
-    if args.action == "stats":
+    try:
+        if args.action == "purge":
+            removed = cache.purge()
+            print(f"removed {removed} cache entries from {cache.root}")
+            return 0
         summary = cache.summary()
-        print(f"cache root    {summary['root']}")
-        print(f"entries       {summary['entries']}")
-        print(f"size          {summary['bytes'] / 1e6:.2f} MB")
-        print(f"quarantined   {summary['quarantined']}")
-        print(f"code salt     {summary['salt']}")
-        print(f"format        v{summary['format']}")
-    else:  # purge
-        removed = cache.purge()
-        print(f"removed {removed} cache entries from {cache.root}")
+    except OSError as exc:
+        _fail(str(exc))
+    print(f"cache root    {summary['root']}")
+    print(f"entries       {summary['entries']}")
+    print(f"size          {summary['bytes'] / 1e6:.2f} MB")
+    print(f"quarantined   {summary['quarantined']}")
+    print(f"code salt     {summary['salt']}")
+    print(f"format        v{summary['format']}")
     return 0
 
 

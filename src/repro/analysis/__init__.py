@@ -1,7 +1,1 @@
 """Post-run analysis: latency distributions, utilisation, run reports."""
-
-from repro.analysis.latency import LatencyDistribution
-from repro.analysis.report import run_report
-from repro.analysis.utilisation import channel_utilisation_report
-
-__all__ = ["LatencyDistribution", "run_report", "channel_utilisation_report"]

@@ -11,9 +11,25 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Sequence
 
-import numpy as np
-
 from repro.stats.collector import MemSystemStats
+
+
+def percentile(ordered: Sequence[float], q: float) -> float:
+    """The ``q``-th percentile (0..100) of ascending ``ordered``.
+
+    Linear interpolation between the two order statistics around the
+    virtual index ``(n - 1) * q / 100``, with the same float operations as
+    NumPy's default ``linear`` method, so the two agree bit for bit
+    (``tests/test_analysis.py`` checks it against NumPy when installed).
+    """
+    index = (len(ordered) - 1) * (q / 100)
+    below = int(index)
+    if below >= len(ordered) - 1:
+        return ordered[-1]
+    a, b = ordered[below], ordered[below + 1]
+    t = index - below
+    # Interpolate from the nearer neighbour, as NumPy does.
+    return b - (b - a) * (1 - t) if t >= 0.5 else a + (b - a) * t
 
 
 @dataclass(frozen=True)
@@ -34,15 +50,15 @@ class LatencyDistribution:
         if not samples_ps:
             raise ValueError("no latency samples captured; call "
                              "stats.enable_latency_capture() before the run")
-        arr = np.asarray(samples_ps, dtype=np.float64) / 1000.0
+        ordered = [sample / 1000.0 for sample in sorted(samples_ps)]
         return cls(
-            count=len(arr),
-            mean_ns=float(arr.mean()),
-            p50_ns=float(np.percentile(arr, 50)),
-            p90_ns=float(np.percentile(arr, 90)),
-            p99_ns=float(np.percentile(arr, 99)),
-            max_ns=float(arr.max()),
-            min_ns=float(arr.min()),
+            count=len(ordered),
+            mean_ns=sum(samples_ps) / (1000 * len(ordered)),
+            p50_ns=percentile(ordered, 50),
+            p90_ns=percentile(ordered, 90),
+            p99_ns=percentile(ordered, 99),
+            max_ns=ordered[-1],
+            min_ns=ordered[0],
         )
 
     @classmethod

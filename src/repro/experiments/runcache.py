@@ -169,8 +169,17 @@ class RunCache:
     # -- maintenance ---------------------------------------------------
 
     def entries(self) -> Iterator[Path]:
-        """All live (non-quarantined) entry files."""
+        """All live (non-quarantined) entry files.
+
+        A root that does not exist yet holds none.  Raises
+        ``NotADirectoryError`` when the root, or the nearest path above it
+        that exists, is not a directory: no cache can live there.
+        """
         if not self.root.is_dir():
+            found = next(p for p in (self.root, *self.root.parents) if p.exists())
+            if not found.is_dir():
+                raise NotADirectoryError(
+                    f"cache directory {self.root}: {found} is not a directory")
             return
         for shard in sorted(self.root.iterdir()):
             if not shard.is_dir() or shard.name == "quarantine":

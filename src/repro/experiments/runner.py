@@ -152,9 +152,11 @@ class ExperimentContext:
         config = self._normalize(config)
         key = (config, tuple(programs))
         if key not in self._cache:
-            result = self._load_from_disk(config, key[1])
+            disk_key = self._disk_key(config, key[1])
+            result = self._load_from_disk(disk_key)
             if result is None:
                 result = self._run_fresh(config, key[1])
+                self._store_to_disk(disk_key, result)
             self._cache[key] = result
         return self._cache[key]
 
@@ -168,6 +170,7 @@ class ExperimentContext:
         ``{"memo": .., "disk": .., "fresh": ..}``.
         """
         missing: List[Tuple[SystemConfig, Tuple[str, ...]]] = []
+        disk_keys: List[Optional[str]] = []
         queued = set()
         counts = {"memo": 0, "disk": 0, "fresh": 0}
         for config, programs in pairs:
@@ -178,27 +181,30 @@ class ExperimentContext:
                 continue
             if key in queued:
                 continue
-            result = self._load_from_disk(config, key[1])
+            disk_key = self._disk_key(config, key[1])
+            result = self._load_from_disk(disk_key)
             if result is not None:
                 self._cache[key] = result
                 counts["disk"] += 1
                 continue
             queued.add(key)
             missing.append((config, key[1]))
+            disk_keys.append(disk_key)
         counts["fresh"] = len(missing)
         if not missing:
             return counts
         if self.trace_dir is not None:
-            for config, programs in missing:
-                self._cache[(config, programs)] = self._run_fresh(config, programs)
+            for (config, programs), disk_key in zip(missing, disk_keys):
+                result = self._run_fresh(config, programs)
+                self._store_to_disk(disk_key, result)
+                self._cache[(config, programs)] = result
             return counts
 
         from repro.experiments.parallel import execute_runs
 
         def on_result(index: int, result: SimulationResult, wall: float) -> None:
-            config, programs = missing[index]
-            self._store_to_disk(config, programs, result)
-            self._note_fresh(result, wall, programs)
+            self._store_to_disk(disk_keys[index], result)
+            self._note_fresh(result, wall, missing[index][1])
 
         results = execute_runs(missing, jobs=self.jobs, on_result=on_result)
         for pair, result in zip(missing, results):
@@ -217,7 +223,6 @@ class ExperimentContext:
         result = (run_system(config, programs) if self.trace_dir is None
                   else self._run_traced(config, programs))
         wall = time.perf_counter() - start  # repro: ignore[wall-clock] — heartbeat wall time
-        self._store_to_disk(config, programs, result)
         self._note_fresh(result, wall, programs)
         return result
 
@@ -238,27 +243,27 @@ class ExperimentContext:
                 )
             )
 
-    def _load_from_disk(
+    def _disk_key(
         self, config: SystemConfig, programs: Tuple[str, ...]
-    ) -> Optional[SimulationResult]:
+    ) -> Optional[str]:
+        """The run's cache key, built once per run (None without a cache)."""
         if self.cache is None:
             return None
         from repro.experiments.runcache import run_key
 
-        result = self.cache.load(run_key(config, programs))
+        return run_key(config, programs)
+
+    def _load_from_disk(self, disk_key: Optional[str]) -> Optional[SimulationResult]:
+        if self.cache is None or disk_key is None:
+            return None
+        result = self.cache.load(disk_key)
         if result is not None:
             self.disk_hits += 1
         return result
 
-    def _store_to_disk(
-        self, config: SystemConfig, programs: Tuple[str, ...],
-        result: SimulationResult,
-    ) -> None:
-        if self.cache is None:
-            return
-        from repro.experiments.runcache import run_key
-
-        self.cache.store(run_key(config, programs), result)
+    def _store_to_disk(self, disk_key: Optional[str], result: SimulationResult) -> None:
+        if self.cache is not None and disk_key is not None:
+            self.cache.store(disk_key, result)
 
     def _run_traced(
         self, config: SystemConfig, programs: Tuple[str, ...]

@@ -6,33 +6,3 @@ memory-system counters every window and derives per-window bandwidth,
 latency percentiles, queue occupancy, prefetch behaviour, fault retries
 and a per-command energy breakdown (repro.power.EnergyAccountant).
 """
-
-from repro.timeline.collector import TimelineCollector
-from repro.timeline.diff import TimelineDiff, diff_timelines, format_diff
-from repro.timeline.export import (
-    read_timeline_jsonl,
-    timeline_csv_lines,
-    validate_timeline,
-    write_timeline_csv,
-    write_timeline_jsonl,
-)
-from repro.timeline.phases import PhaseChange, detect_phases
-from repro.timeline.records import TimelineResult, WindowRecord
-from repro.timeline.report import timeline_report
-
-__all__ = [
-    "PhaseChange",
-    "TimelineCollector",
-    "TimelineDiff",
-    "TimelineResult",
-    "WindowRecord",
-    "detect_phases",
-    "diff_timelines",
-    "format_diff",
-    "read_timeline_jsonl",
-    "timeline_csv_lines",
-    "timeline_report",
-    "validate_timeline",
-    "write_timeline_csv",
-    "write_timeline_jsonl",
-]

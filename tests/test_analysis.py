@@ -2,6 +2,7 @@
 reports."""
 
 import dataclasses
+import random
 
 import pytest
 
@@ -59,6 +60,43 @@ class TestLatencyDistribution:
     def test_format(self):
         dist = LatencyDistribution.from_samples_ps([63_000])
         assert "p99" in dist.format()
+
+
+def _oracle_cases():
+    rng = random.Random(2007)
+    cases = {
+        "n=1": [63_000],
+        "n=2": [63_000, 100_000],
+        "all-equal": [70_500] * 17,
+        "ties": [63_000] * 5 + [80_000] * 4 + [163_000] * 3,
+        "odd": [rng.randint(50_000, 900_000) for _ in range(101)],
+        "even": [rng.randint(50_000, 900_000) for _ in range(100)],
+    }
+    for i in range(40):
+        n = rng.randint(1, 700)
+        cases[f"random-{i}"] = [rng.randint(1, 5_000_000) for _ in range(n)]
+    return cases
+
+
+ORACLE_CASES = _oracle_cases()
+
+
+class TestPercentileOracle:
+    """The pure-Python summary equals NumPy's on the same samples."""
+
+    @pytest.mark.parametrize("samples", list(ORACLE_CASES.values()),
+                             ids=list(ORACLE_CASES))
+    def test_matches_numpy(self, samples):
+        np = pytest.importorskip("numpy")
+        dist = LatencyDistribution.from_samples_ps(samples)
+        arr = np.asarray(samples, dtype=np.float64) / 1000.0
+        assert dist.count == len(samples)
+        assert dist.p50_ns == float(np.percentile(arr, 50))
+        assert dist.p90_ns == float(np.percentile(arr, 90))
+        assert dist.p99_ns == float(np.percentile(arr, 99))
+        assert dist.min_ns == float(arr.min())
+        assert dist.max_ns == float(arr.max())
+        assert dist.mean_ns == pytest.approx(float(arr.mean()), rel=1e-12)
 
 
 class TestHistogram:

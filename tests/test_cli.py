@@ -124,6 +124,8 @@ class TestInputErrors:
             ["faults", "--jobs", "-1"],
             ["sweep", "k=2", "--insts", "0", "--no-cache"],
             ["sweep", "k=2", "--cache-dir", "/dev/null/x"],
+            ["cache", "stats", "--cache-dir", "/dev/null/x"],
+            ["cache", "purge", "--cache-dir", "/dev/null/x"],
             ["trace", "record", "--max-requests", "-1"],
             ["bench", "profile", "--top", "-1"],
             ["run", "--profile", "-3"],
@@ -139,3 +141,30 @@ class TestInputErrors:
         assert "Traceback" not in captured.err and captured.out == ""
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: "), lines
+
+
+class TestCacheDir:
+    """``repro cache`` refuses a root no cache can live in and reports an
+    empty cache for one it could create."""
+
+    @pytest.mark.parametrize("action", ["stats", "purge"])
+    @pytest.mark.parametrize("under", ["", "sub/dir"], ids=["file", "under-file"])
+    def test_file_in_the_way_exits_2(self, action, under, tmp_path, capsys):
+        blocker = tmp_path / "not-a-dir"
+        blocker.write_text("")
+        with pytest.raises(SystemExit) as exc:
+            main(["cache", action, "--cache-dir", str(blocker / under)])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: cache directory {blocker / under}: {blocker} "
+            "is not a directory\n")
+
+    def test_creatable_root_is_an_empty_cache(self, tmp_path, capsys):
+        root = tmp_path / "new" / "cache"
+        assert main(["cache", "stats", "--cache-dir", str(root)]) == 0
+        assert "entries       0" in capsys.readouterr().out
+        assert main(["cache", "purge", "--cache-dir", str(root)]) == 0
+        assert "removed 0 cache entries" in capsys.readouterr().out
+        assert not root.exists()

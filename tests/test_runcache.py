@@ -310,3 +310,22 @@ class TestContextIntegration:
         b = ExperimentContext(instructions=INSTS * 2, cache=tmp_path)
         b.run(config, PROGRAMS)
         assert b.fresh_runs == 1 and b.disk_hits == 0
+
+    @pytest.mark.parametrize("entry", ["run", "prefetch"])
+    def test_a_fresh_run_builds_its_key_once(self, tmp_path, monkeypatch, entry):
+        from repro.experiments import runcache
+
+        built = []
+        real = runcache.run_key
+        monkeypatch.setattr(runcache, "run_key",
+                            lambda *args: built.append(args) or real(*args))
+        ctx = ExperimentContext(instructions=INSTS, cache=tmp_path)
+        pairs = [(fbdimm_baseline(num_cores=1), PROGRAMS),
+                 (fbdimm_amb_prefetch(num_cores=1), PROGRAMS)]
+        if entry == "run":
+            for config, programs in pairs:
+                ctx.run(config, programs)
+        else:
+            ctx.prefetch(pairs)
+        assert ctx.fresh_runs == 2 and ctx.cache.stats.stores == 2
+        assert len(built) == 2
