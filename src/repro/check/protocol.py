@@ -28,14 +28,16 @@ Checked rules (rule ids in parentheses):
   post-reset recovery replay (``retry-budget``).
 
 Two stages check a run.  :func:`journals_clean` decides whether it is
-clean: it audits the journals where they sit, with no event list and no
-global sort.  Each bank log runs the bank rules in log order; each rank's
-sorted ACT times give tRRD (neighbours) and tFAW (``act[i] - act[i-4]``);
-tWTR breaks when a RD of the rank comes at or after a WR's instant but
-before the WR's data end plus tWTR; each bus's sorted burst
-starts give the bus rules; and each channel's frame journals give the
-frame and retry rules, southbound overcommit from each frame's final
-counts (exact: counts only grow).  Every audit is exact except two
+clean: it audits the journals where they sit, one channel at a time,
+with no event list and no global sort.  Each bank log runs the bank
+rules in log order; each rank's sorted ACT times give tRRD (neighbours)
+and tFAW (``act[i] - act[i-4]``); tWTR breaks when a RD of the rank
+comes at or after a WR's instant but before the WR's data end plus
+tWTR; each bus's sorted burst starts give the bus rules; and the
+channel's frame journals give the frame and retry rules, southbound
+overcommit from each frame's final slot count (exact: counts only
+grow), northbound reuse from the sorted line starts and ends.  Every
+audit is exact except two
 cases, which it reports as not clean: a bank log out of time order, and
 a RD and a WR of one rank at the same instant, where the replay's tie
 order decides tWTR.  A run that is not clean is replayed event by event
@@ -49,10 +51,11 @@ as bank-busy time, not as REF commands in the trace).
 
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_left
-from collections import Counter
 from dataclasses import dataclass, field
-from operator import itemgetter, sub
+from itertools import chain, compress, islice, repeat
+from operator import add, eq, itemgetter, lt, sub
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.check.trace import (
@@ -430,16 +433,37 @@ def journals_clean(
 
     False means replay to find out: a rule is broken, or the run is one of
     the two cases the audit leaves to the replay (module docstring).
+    Every rule is local to a channel, so the audit takes one channel at a
+    time and holds nothing of it once it moves on to the next.
     """
     if params.kind not in MEMORY_KINDS:
         return False
+    bank_groups: Dict[int, List[BankJournal]] = {}
+    for journal in banks:
+        bank_groups.setdefault(journal[0][0], []).append(journal)
+    link_groups: Dict[int, List[LinkJournal]] = {}
+    for journal in links:
+        link_groups.setdefault(journal[0], []).append(journal)
+    for channel in bank_groups.keys() | link_groups.keys():
+        if not _banks_clean(params, bank_groups.get(channel, ())):
+            return False
+        if not _links_clean(params, link_groups.get(channel, ())):
+            return False
+    return True
+
+
+def _banks_clean(params: TraceParams, journals: Iterable[BankJournal]) -> bool:
+    """The bank, rank and data-bus rules over one channel's bank journals."""
     t = params.timing
     tRC, tRP, tRAS, tRCD = t.tRC, t.tRP, t.tRAS, t.tRCD
     tRPD, tWPD = t.tRPD, t.tWPD
-    # rank -> (ACT, RD, WR command times)
-    ranks: Dict[Tuple[int, int, int], Tuple[List[int], List[int], List[int]]] = {}
-    for (channel, dimm, rank, _), log in banks:
-        acts, rds, wrs = ranks.setdefault((channel, dimm, rank), ([], [], []))
+    # (dimm, rank) -> ACT, RD and WR command times, in log order
+    ranks: Dict[Tuple[int, int], Tuple[array, array, array]] = {}
+    for (_, dimm, rank, _), log in journals:
+        columns = ranks.get((dimm, rank))
+        if columns is None:
+            columns = ranks[dimm, rank] = (array("q"), array("q"), array("q"))
+        acts, rds, wrs = columns
         last_act = last_pre = last_rd = last_wr = previous = _NEVER
         open_row = False
         it = iter(log)
@@ -471,78 +495,97 @@ def journals_clean(
                 last_wr = time_ps
                 wrs.append(time_ps)
 
-    ddr2 = params.kind == "ddr2"
     wr_reach = t.tWL + t.burst + t.tWTR  # WR command to its tWTR window end
-    # bus -> burst starts (FB-DIMM) or (start, tag) pairs (DDR2)
-    buses: Dict[Tuple[int, ...], list] = {}
-    for (channel, dimm, rank), (acts, rds, wrs) in ranks.items():
-        acts.sort()
-        if len(acts) > 1 and min(map(sub, acts[1:], acts)) < t.tRRD:
+    times: list = []
+    for acts, rds, wrs in ranks.values():
+        times = sorted(acts)
+        if len(times) > 1 and min(map(sub, islice(times, 1, None), times)) < t.tRRD:
             return False
-        if t.tFAW and len(acts) > 4 and min(map(sub, acts[4:], acts)) < t.tFAW:
+        if (t.tFAW and len(times) > 4
+                and min(map(sub, islice(times, 4, None), times)) < t.tFAW):
             return False
-        rds.sort()
+        times = sorted(rds)
         for wr in wrs:
-            i = bisect_left(rds, wr)
-            if i < len(rds) and rds[i] - wr < wr_reach:
+            i = bisect_left(times, wr)
+            if i < len(times) and times[i] - wr < wr_reach:
                 return False
-        if ddr2:
-            bus = buses.setdefault((channel,), [])
-            bus += [(rd + t.tCL, (dimm, rank, "RD")) for rd in rds]
-            bus += [(wr + t.tWL, (dimm, rank, "WR")) for wr in wrs]
-        else:
-            bus = buses.setdefault((channel, dimm), [])
-            bus += [rd + t.tCL for rd in rds]
-            bus += [wr + t.tWL for wr in wrs]
-    burst = t.burst
-    for bus in buses.values():
-        bus.sort()
-        if not ddr2:
-            if len(bus) > 1 and min(map(sub, bus[1:], bus)) < burst:
-                return False
-            continue
-        # Equal starts count as suspect whatever the burst length: the
-        # replay's tie order would decide which burst comes first.
-        overlap, turnaround = max(burst, 1), burst + params.switch_gap_ps
-        for (start1, tag1), (start2, tag2) in zip(bus, bus[1:]):
-            gap = start2 - start1
-            if gap < overlap or (tag1 != tag2 and gap < turnaround):
-                return False
+    del times  # the last rank's: one sorted list alive at a time
 
+    tCL, tWL, burst = t.tCL, t.tWL, t.burst
+    if params.kind == "fbdimm":
+        # One data bus per DIMM, behind its AMB, built and checked in turn.
+        dimms: Dict[int, list] = {}
+        for (dimm, _), columns in ranks.items():
+            dimms.setdefault(dimm, []).append(columns)
+        for rank_columns in dimms.values():
+            bus: List[int] = []
+            for _, rds, wrs in rank_columns:
+                bus += map(tCL.__add__, rds)
+                bus += map(tWL.__add__, wrs)
+            bus.sort()
+            if len(bus) > 1 and min(map(sub, islice(bus, 1, None), bus)) < burst:
+                return False
+        return True
+    # DDR2: one bus per channel, whose bursts carry a (rank, direction)
+    # tag.  Each burst is one int, start * scale + tag, so the bus sorts
+    # by start with no tuple per burst.
+    scale = 2 * len(ranks)
+    bus = []
+    for tag, (_, rds, wrs) in enumerate(ranks.values()):
+        bus += map((tCL * scale + 2 * tag).__add__, map(scale.__mul__, rds))
+        bus += map((tWL * scale + 2 * tag + 1).__add__, map(scale.__mul__, wrs))
+    del ranks
+    bus.sort()
+    # Equal starts count as suspect whatever the burst length: the
+    # replay's tie order would decide which burst comes first.
+    overlap, turnaround = max(burst, 1), burst + params.switch_gap_ps
+    for first, second in zip(bus, islice(bus, 1, None)):
+        gap = second // scale - first // scale
+        if gap < overlap or ((second - first) % scale and gap < turnaround):
+            return False
+    return True
+
+
+def _links_clean(params: TraceParams, journals: Iterable[LinkJournal]) -> bool:
+    """The frame and retry rules over one channel's link journals."""
     frame_ps = params.frame_ps
     phase = params.nb_phase_ps
     budget = params.max_retries
-    for _, south, north in links:
+    for _, south, north in journals:
         if not south and not north:
             continue
-        if ddr2 or frame_ps <= 0:
+        if params.kind == "ddr2" or frame_ps <= 0:
             return False
         # Slots of the flat triples: south (code, start, retry), north
         # (start, frames, retry).
         if budget and max(
-            max(south[2::3], default=0), max(north[2::3], default=0)
+            max(islice(south, 2, None, 3), default=0),
+            max(islice(north, 2, None, 3), default=0),
         ) > budget + 1:
             return False
         # A southbound frame holds three commands, or one command plus
-        # data: with each data booking weighing two slots, at most three.
-        starts = south[1::3]
-        weights = Counter(starts)
-        weights.update([start for code, start in zip(south[0::3], starts)
-                        if code != SB_CMD])
-        if (any([start % frame_ps for start in weights])
-                or max(weights.values(), default=0) > 3):
+        # data: with each data booking listed twice, no frame start may
+        # appear four times in the sorted slot starts.
+        slots = sorted(chain(
+            islice(south, 1, None, 3),
+            compress(islice(south, 1, None, 3),
+                     map(SB_CMD.__ne__, islice(south, 0, None, 3))),
+        ))
+        if (any(map(frame_ps.__rmod__, slots))
+                or any(map(eq, slots, islice(slots, 3, None)))):
             return False
-        # Northbound lines by start (a stable sort, so lines that start
-        # together keep journal order): each must begin at or after the
-        # end of the one before it.
-        starts, frames = north[0::3], north[1::3]
-        order = sorted(range(len(starts)), key=starts.__getitem__)
-        offsets = [starts[i] - phase for i in order]
-        if any([offset % frame_ps for offset in offsets]):
+        # Northbound lines, each [start, start + frames * frame_ps), must
+        # sit on the shifted grid and be pairwise disjoint: with starts
+        # and ends sorted apart, each start at or after the end before it.
+        starts = sorted(islice(north, 0, None, 3))
+        if any(map(frame_ps.__rmod__, map(sub, starts, repeat(phase)))):
             return False
-        firsts = [offset // frame_ps for offset in offsets]
-        ends = [first + max(1, frames[i]) for first, i in zip(firsts, order)]
-        if min(map(sub, firsts[1:], ends), default=0) < 0:
+        ends = sorted(map(
+            add, islice(north, 0, None, 3),
+            map(frame_ps.__mul__, map(max, islice(north, 1, None, 3),
+                                      repeat(1))),
+        ))
+        if any(map(lt, islice(starts, 1, None), ends)):
             return False
     return True
 

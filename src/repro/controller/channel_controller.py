@@ -79,8 +79,8 @@ def _fold(fold: Dict[str, str], records: Iterable[object]) -> Dict[str, int]:
 class ChannelControllerBase:
     """Queueing, scheduling and completion plumbing shared by both kinds."""
 
-    #: Whether _kick calls _prune at the first kick of every tick.  A
-    #: channel whose reservations move no grant when pruned late prunes
+    #: Whether _kick calls _prune before the first issue of every tick.
+    #: A channel whose reservations move no grant when pruned late prunes
     #: on growth instead (see FbdimmChannelController._issue).
     _prune_each_tick = True
 
@@ -178,12 +178,6 @@ class ChannelControllerBase:
         self._wake = None
         self._wake_now_tick = -1
         now = self.sim.now
-        if self._prune_each_tick and now != self._pruned_at:
-            # prune_before(now) is idempotent at a fixed now (reservations
-            # never end in the past), so repeated kicks within one tick
-            # skip the rescan without changing any backfill search.
-            self._prune(now)
-            self._pruned_at = now
         while True:
             reads = self.read_q if self.inflight_reads < self.max_read_inflight else self._EMPTY
             writes = (
@@ -208,6 +202,14 @@ class ChannelControllerBase:
                 self.inflight_reads += 1
             req.issue_time = now
             self.stats.note_activity(now)
+            if self._prune_each_tick and now != self._pruned_at:
+                # Before the tick's first grant, once.  Exact: the
+                # scheduler's probes read no bus, and prunes at t1 <= t2
+                # with only grants starting at t1 or later in between
+                # leave what one prune at t2 leaves
+                # (TaggedBusResource.prune_before).
+                self._prune(now)
+                self._pruned_at = now
             self._issue(req)
 
     def _start_refresh(self, rank_banks: Sequence[Sequence[Bank]]) -> None:
@@ -295,7 +297,8 @@ class ChannelControllerBase:
 
     def _prune(self, now: int) -> None:
         """Drop expired bus reservations (keeps backfill searches short);
-        called once per tick while ``_prune_each_tick`` is set."""
+        called before each tick's first issue while ``_prune_each_tick``
+        is set."""
         raise NotImplementedError
 
     def _probe(self, req: MemoryRequest) -> "tuple[int, bool]":
@@ -358,9 +361,10 @@ class Ddr2ChannelController(ChannelControllerBase):
         ])
 
     def _prune(self, now: int) -> None:
-        # Every tick, not lazily: the tagged data bus's prune timing shows
-        # in its grants (TaggedBusResource.prune_before).  Emptiness guards
-        # saved here beat the (very frequent) no-op calls.
+        # Before every tick's first grant, not lazily: the tagged data
+        # bus's prune timing shows in its grants
+        # (TaggedBusResource.prune_before).  Emptiness guards saved here
+        # beat the frequent no-op calls.
         if len(self.data_bus._intervals) > 1:
             self.data_bus.prune_before(now)
         if self.command_bus._intervals:

@@ -242,16 +242,16 @@ class Core:
         self.data_mshr.release()
 
     def _dispatch_read(self, event: TraceEvent) -> bool:
-        status, entry = self.l2.probe(event.line_addr, self.sim.now)
+        status, waiters = self.l2.probe(event.line_addr, self.sim.now)
         if status == "hit":
             self.stats.l2_prefetch_hits += 1
             return True
         if status == "inflight":
-            assert entry is not None
+            assert waiters is not None
             self.stats.l2_merges += 1
             token = -next(self._merge_tokens)
             self.outstanding_reads[token] = event.inst
-            entry.waiters.append(lambda t=token: self._read_settled(t))
+            waiters.append(lambda t=token: self._read_settled(t))
             return True
         if not self._acquire_mshrs():
             self.stats.mshr_stalls += 1

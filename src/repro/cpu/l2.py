@@ -7,22 +7,26 @@ fills the L2 ahead of its demand access, turning that access into an L2
 hit (or a shorter wait, if the fill is still in flight).
 
 The table holds both in-flight and completed fills, evicting completed
-ones FIFO beyond the L2's capacity in lines.
+ones FIFO beyond the L2's capacity in lines.  A fill is one slot of a
+plain dict (line -> completion time, in fill order); the few lines with
+merged demands also have a waiter list in a second dict.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
-from dataclasses import dataclass
-from typing import Callable, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
+#: The ready time of a fill still in flight: above every completion time,
+#: so one ``<=`` tells a hit from an in-flight fill.
+_IN_FLIGHT = float("inf")
+#: Evictions between rebuilds of the fill dict.  A dict keeps a hole for
+#: each deleted slot until it resizes, and the FIFO walk starts by
+#: stepping over every hole left at the front, so without the rebuild a
+#: table held at capacity would pay a walk as long as its recent
+#: eviction history on every fill.
+_COMPACT_EVERY = 2048
 
-@dataclass
-class FillEntry:
-    """State of one prefetched line."""
-
-    ready_time: Optional[int]  # None while the memory request is in flight
-    waiters: List[Callable[[], None]]
+Waiters = List[Callable[[], None]]
 
 
 class L2FillTable:
@@ -32,7 +36,12 @@ class L2FillTable:
         if capacity_lines < 1:
             raise ValueError("capacity must be >= 1")
         self.capacity = capacity_lines
-        self._entries: "OrderedDict[int, FillEntry]" = OrderedDict()
+        #: line -> completion time (``_IN_FLIGHT`` until it completes),
+        #: oldest fill first.
+        self._ready: Dict[int, float] = {}
+        #: line -> demands merged with its fill; only lines that have some.
+        self._waiters: Dict[int, Waiters] = {}
+        self._evictions = 0
         self.fills_started = 0
         self.fills_completed = 0
         self.demand_hits = 0
@@ -40,45 +49,50 @@ class L2FillTable:
 
     def start_fill(self, line_addr: int) -> None:
         """Register an in-flight prefetch for ``line_addr``."""
-        if line_addr in self._entries:
+        if line_addr in self._ready:
             return
-        self._entries[line_addr] = FillEntry(ready_time=None, waiters=[])
+        self._ready[line_addr] = _IN_FLIGHT
         self.fills_started += 1
-        self._evict_beyond_capacity()
+        if len(self._ready) > self.capacity:
+            self._evict_beyond_capacity()
 
     def complete_fill(self, line_addr: int, time_ps: int) -> None:
         """The prefetch's memory request finished; wake merged demands."""
-        entry = self._entries.get(line_addr)
-        if entry is None:  # evicted or invalidated while in flight
+        if line_addr not in self._ready:  # evicted or invalidated in flight
             return
-        entry.ready_time = time_ps
+        self._ready[line_addr] = time_ps
         self.fills_completed += 1
-        if entry.waiters:
-            waiters, entry.waiters = entry.waiters, []
+        waiters = self._waiters.pop(line_addr, None)
+        if waiters:
             for waiter in waiters:
                 waiter()
 
-    def probe(self, line_addr: int, now: int) -> "tuple[str, Optional[FillEntry]]":
+    def probe(self, line_addr: int, now: int) -> Tuple[str, Optional[Waiters]]:
         """Classify a demand access against the fill table.
 
         Returns one of:
-            ("hit", entry)    — line resident, demand is an L2 hit;
-            ("inflight", entry) — fill outstanding, demand merges with it;
-            ("miss", None)    — no fill, demand must go to memory.
+            ("hit", None)          — line resident, demand is an L2 hit;
+            ("inflight", waiters)  — fill outstanding: the demand merges
+                                     by appending its wake-up callback to
+                                     ``waiters``;
+            ("miss", None)         — no fill, demand must go to memory.
         """
-        entry = self._entries.get(line_addr)
-        if entry is None:
+        ready = self._ready.get(line_addr)
+        if ready is None:
             return "miss", None
-        if entry.ready_time is not None and entry.ready_time <= now:
+        if ready <= now:
             self.demand_hits += 1
-            return "hit", entry
+            return "hit", None
         self.demand_merges += 1
-        return "inflight", entry
+        waiters = self._waiters.get(line_addr)
+        if waiters is None:
+            waiters = self._waiters[line_addr] = []
+        return "inflight", waiters
 
     def has_line(self, line_addr: int) -> bool:
         """True when a fill (in flight or done) exists — used to squash a
         redundant software prefetch."""
-        return line_addr in self._entries
+        return line_addr in self._ready
 
     def invalidate(self, line_addr: int) -> None:
         """A store overwrote the line.
@@ -86,18 +100,24 @@ class L2FillTable:
         Any demand that had merged with the in-flight fill is satisfied by
         store forwarding, so its waiters are woken rather than dropped.
         """
-        entry = self._entries.pop(line_addr, None)
-        if entry is not None and entry.waiters:
-            for waiter in entry.waiters:
+        if self._ready.pop(line_addr, None) is None:
+            return
+        waiters = self._waiters.pop(line_addr, None)
+        if waiters:
+            for waiter in waiters:
                 waiter()
 
     def _evict_beyond_capacity(self) -> None:
-        while len(self._entries) > self.capacity:
+        ready, waiters = self._ready, self._waiters
+        while len(ready) > self.capacity:
             # Evict the oldest fill that nobody waits on; in-flight state
             # with merged demands must never be dropped.
-            for line_addr, entry in self._entries.items():
-                if entry.ready_time is not None and not entry.waiters:
-                    del self._entries[line_addr]
+            for line_addr, ready_time in ready.items():
+                if ready_time is not _IN_FLIGHT and not waiters.get(line_addr):
+                    del ready[line_addr]
                     break
             else:
                 break
+            self._evictions += 1
+            if self._evictions % _COMPACT_EVERY == 0:
+                self._ready = ready = dict(ready)

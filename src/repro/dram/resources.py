@@ -137,9 +137,12 @@ class TaggedBusResource:
         Unlike :meth:`BusResource.prune_before`, *when* this runs is part
         of the model: an older expired burst within one switch gap of
         ``time_ps`` still pushes a differently-tagged grant until it is
-        pruned (``tests/test_prune_timing.py`` pins a case).  The DDR2
-        controller therefore prunes this bus every tick; do not make that
-        lazy without accepting changed results.
+        pruned (``tests/test_prune_timing.py`` pins a case).  Pruning just
+        before the first grant of each tick that grants is exact: prunes
+        at ``t1 <= t2`` with only reservations starting at ``t1`` or later
+        in between leave what one prune at ``t2`` leaves, so ticks with no
+        grant need none.  Pruning after a tick's first grant, or only once
+        the bus has grown past a bound, changes results.
         """
         intervals = self._intervals
         if len(intervals) <= 1:

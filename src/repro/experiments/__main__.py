@@ -148,7 +148,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    invocation_start = time.time()  # repro: ignore[wall-clock] — progress reporting
     pairs = [pair for name in names for pair in PLANS[name](ctx)]
     if pairs:
         heartbeat.begin("prefetch")
@@ -157,9 +156,13 @@ def main(argv: Optional[List[str]] = None) -> int:
             f"[prefetch: {counts['fresh']} simulated (--jobs {ctx.jobs}), "
             f"{counts['disk']} served from cache]\n"
         )
+    # The ETA extrapolates the render loop alone: the up-front prefetch
+    # above already ran every planned simulation.
+    loop_start = time.time()  # repro: ignore[wall-clock] — progress reporting
     for position, name in enumerate(names):
         heartbeat.begin(name)
         start = time.time()  # repro: ignore[wall-clock] — progress reporting, not model time
+        runs_before = ctx.runs_executed
         tables = EXPERIMENTS[name](ctx)
         for index, table in enumerate(tables):
             print(table.format())
@@ -175,9 +178,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         remaining = len(names) - done
         eta = ""
         if remaining:
-            total = time.time() - invocation_start  # repro: ignore[wall-clock] — progress
+            total = time.time() - loop_start  # repro: ignore[wall-clock] — progress
             eta = f", ETA ~{total / done * remaining:.0f}s for {remaining} more"
-        print(f"[{name}: {elapsed:.1f}s, {ctx.runs_executed} fresh runs{eta}]\n")
+        fresh = ctx.runs_executed - runs_before
+        print(f"[{name}: {elapsed:.1f}s, {fresh} fresh runs{eta}]\n")
     served = ctx.disk_hits + ctx.fresh_runs
     fraction = ctx.disk_hits / served if served else 0.0
     if ctx.cache is not None:

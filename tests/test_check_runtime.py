@@ -256,6 +256,44 @@ class TestJournalMemory:
         assert per_command <= self.MAX_BYTES_PER_COMMAND, per_command
 
 
+class TestAuditMemory:
+    """What the audit of a clean run allocates at its peak, per journalled
+    record: ``check_protocol_violations()`` under ``tracemalloc``.
+
+    The audit takes one channel at a time, with each rank's ACT, RD and
+    WR times in integer arrays and one rank's or one bus's sorted times
+    alive at once: 12 B a record (faulted FB-DIMM) and 8 B (DDR2) at 50k
+    insts/core.  The audit that held every channel's ranks and buses as
+    Python-int lists at once, and counted southbound slots in a
+    ``Counter``, peaked at 42 B and 86 B.
+    """
+
+    MAX_PEAK_BYTES_PER_RECORD = 20
+
+    @pytest.mark.parametrize("make", [make for make, _ in TestCheckCost.CONFIGS],
+                             ids=TestCheckCost.IDS)
+    def test_peak_bytes_per_journalled_record(self, make):
+        config = replace(make(), instructions_per_core=50_000,
+                         check_protocol=True)
+        system = System(config, ["swim", "wupwise"])
+        system.run()
+        controller = system.controller
+        journals = TestJournalMemory._journals(controller)
+        records = sum(map(len, journals)) // 3
+        assert records > 2000
+        # A first pass outside the window: lazy imports are not the
+        # audit's cost.
+        assert controller.check_protocol_violations() == []
+        gc.collect()
+        tracemalloc.start()
+        try:
+            assert controller.check_protocol_violations() == []
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak / records <= self.MAX_PEAK_BYTES_PER_RECORD, peak / records
+
+
 class TestCleanRunSkipsReplay:
     def test_observed_run_builds_no_check_event(self):
         """``fbd-ap-observed`` at 20k insts/core, every observer on: the

@@ -47,6 +47,40 @@ class TestExperimentsCli:
         assert captured.out == ""
         assert captured.err.splitlines() == ["error: --jobs must be >= 1, got 0"]
 
+    def test_progress_line_counts_the_render_loop_only(self, monkeypatch,
+                                                       capsys):
+        """A slow up-front prefetch does not inflate the ETA, and each
+        line counts its own experiment's fresh runs, not the total."""
+        import types
+
+        import repro.experiments.__main__ as cli
+
+        clock = [0.0]
+        monkeypatch.setattr(cli, "time",
+                            types.SimpleNamespace(time=lambda: clock[0]))
+
+        def prefetch(ctx, pairs):
+            clock[0] += 1000.0
+            return {"fresh": 0, "disk": 0}
+
+        def experiment(ctx):
+            clock[0] += 1.0
+            ctx.fresh_runs += 2
+            return []
+
+        monkeypatch.setattr(ExperimentContext, "prefetch", prefetch)
+        monkeypatch.setattr(cli, "EXPERIMENTS",
+                            {"a": experiment, "b": experiment, "c": experiment})
+        monkeypatch.setattr(cli, "PLANS", dict.fromkeys("abc", lambda ctx: [0]))
+        assert cli.main(["all", "--no-cache"]) == 0
+        lines = [line for line in capsys.readouterr().out.splitlines()
+                 if line.startswith("[") and "fresh runs" in line]
+        assert lines == [
+            "[a: 1.0s, 2 fresh runs, ETA ~2s for 2 more]",
+            "[b: 1.0s, 2 fresh runs, ETA ~1s for 1 more]",
+            "[c: 1.0s, 2 fresh runs]",
+        ]
+
     @pytest.mark.parametrize("argv", [
         ["fig04", "--quick", "--insts", "0"],
         ["fig04", "--quick", "--cache-dir", "/dev/null/x"],
@@ -66,6 +100,18 @@ class TestValidationDrivers:
         assert table.column("stream_cores") == [1, 2, 4, 8]
         for row in table.rows:
             assert 0 < row["peak_fraction"] <= 1.0
+
+    def test_saturation_stays_under_the_northbound_peak(self):
+        """Read-only streams use only the northbound links, so no row may
+        exceed their peak (the 8-core row sits within 1% of it)."""
+        memory = fbdimm_baseline().memory
+        # 8 B per transfer on one northbound link per physical channel.
+        peak = 8 * memory.data_rate_mts / 1000.0 * memory.physical_channels
+        assert peak == pytest.approx(memory.peak_bandwidth_gbs() / 1.5)
+        table = validation.run_saturation(ExperimentContext(instructions=5_000))
+        for row in table.rows:
+            assert row["bandwidth_gbs"] <= peak, row
+        assert table.rows[-1]["bandwidth_gbs"] >= 0.95 * peak
 
     def test_pointer_chase_idle(self):
         table = validation.run_pointer_chase(ExperimentContext(instructions=6_000))

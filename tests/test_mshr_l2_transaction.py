@@ -56,8 +56,9 @@ class TestL2FillTable:
     def test_inflight_then_hit(self):
         l2 = L2FillTable(16)
         l2.start_fill(5)
-        status, entry = l2.probe(5, now=10)
+        status, waiters = l2.probe(5, now=10)
         assert status == "inflight"
+        assert waiters == []
         l2.complete_fill(5, time_ps=20)
         status, _ = l2.probe(5, now=30)
         assert status == "hit"
@@ -74,9 +75,9 @@ class TestL2FillTable:
     def test_waiters_fire_on_completion(self):
         l2 = L2FillTable(16)
         l2.start_fill(5)
-        _, entry = l2.probe(5, now=0)
+        _, waiters = l2.probe(5, now=0)
         woken = []
-        entry.waiters.append(lambda: woken.append(1))
+        waiters.append(lambda: woken.append(1))
         l2.complete_fill(5, time_ps=10)
         assert woken == [1]
 
@@ -84,9 +85,9 @@ class TestL2FillTable:
         """A store to an in-flight fill must not strand merged demands."""
         l2 = L2FillTable(16)
         l2.start_fill(5)
-        _, entry = l2.probe(5, now=0)
+        _, waiters = l2.probe(5, now=0)
         woken = []
-        entry.waiters.append(lambda: woken.append(1))
+        waiters.append(lambda: woken.append(1))
         l2.invalidate(5)
         assert woken == [1]
         assert not l2.has_line(5)
@@ -104,8 +105,8 @@ class TestL2FillTable:
         l2 = L2FillTable(1)
         l2.start_fill(1)
         l2.complete_fill(1, 100)
-        _, entry = l2.probe(1, now=0)  # inflight (ready in future)
-        entry.waiters.append(lambda: None)
+        _, waiters = l2.probe(1, now=0)  # inflight (ready in future)
+        waiters.append(lambda: None)
         l2.start_fill(2)
         assert l2.has_line(1), "waited-on entry must survive eviction"
 

@@ -15,6 +15,9 @@ the same ``(rule, time_ps, message, first, second)`` list.
 ``journals_clean`` must be sound: whenever it passes a mutated journal,
 the replay reports nothing; and ``check_protocol_violations()`` on a real
 run, its journals mutated in place, returns exactly the replay's list.
+It must also answer exactly as ``tests/_legacy_audit.py``, the frozen
+audit that held every channel's ranks and buses at once, on the same
+mutated journals and on every self-test case.
 """
 
 import dataclasses
@@ -25,12 +28,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import tests._legacy_audit as legacy_audit
 import tests._legacy_protocol as legacy
 from repro.check.protocol import (
     MAX_VIOLATIONS,
     ProtocolChecker,
     journals_clean,
 )
+from repro.check.selftest import cases as self_test_cases
 from repro.check.trace import (
     EVENT_KINDS,
     FRAME_EVENTS,
@@ -243,6 +248,40 @@ def test_clean_journals_replay_clean(journals, name, ops, seed, presorted):
         assert ProtocolChecker(params).check(ordered) == []
 
 
+@settings(max_examples=300, deadline=None)
+@given(
+    name=st.sampled_from(AUDITED),
+    ops=st.lists(
+        st.sampled_from(
+            ["shift", "drop", "duplicate", "bank", "row", "retry", "kind",
+             "off-grid"]
+        ),
+        max_size=4,
+    ),
+    seed=st.integers(0, 2**32 - 1),
+    presorted=st.booleans(),
+)
+def test_audit_matches_frozen_audit(journals, name, ops, seed, presorted):
+    params, journal = journals[name]
+    rnd = random.Random(seed)
+    events = list(journal)
+    for op in ops:
+        _mutate(rnd, params, events, op)
+    if presorted:
+        events.sort(key=itemgetter(0))
+    banks, links = event_journals(events)
+    assert journals_clean(params, banks, links) == legacy_audit.journals_clean(
+        params, banks, links)
+
+
+@pytest.mark.parametrize("case", self_test_cases(), ids=lambda c: c.name)
+def test_self_test_cases_match_frozen_audit(case):
+    events = sorted(case.events, key=itemgetter(0))
+    banks, links = event_journals(events)
+    assert journals_clean(case.params, banks, links) == (
+        legacy_audit.journals_clean(case.params, banks, links))
+
+
 @pytest.mark.parametrize("name", AUDITED)
 def test_real_runs_pass_the_audit(controllers, journals, name):
     controller = controllers[name]
@@ -298,7 +337,8 @@ def _mutate_in_place(rnd, params, lists, op):
 )
 def test_mutated_run_reports_the_replay(controllers, name, ops, seed):
     """Mutate a real run's journals where they sit (restored afterwards):
-    the two-stage check returns exactly the replay's violation list."""
+    the two-stage check returns exactly the replay's violation list, and
+    the audit answers as the frozen one does."""
     controller = controllers[name]
     params = controller.check_params()
     lists = _journal_lists(controller)
@@ -310,6 +350,12 @@ def test_mutated_run_reports_the_replay(controllers, name, ops, seed):
         expected = ProtocolChecker(params).check(
             controller.collect_check_events())
         assert controller.check_protocol_violations() == expected
+        banks, links = [], []
+        for channel in controller.channels:
+            banks += channel.bank_journals()
+            links += channel.link_journals()
+        assert journals_clean(params, banks, links) == (
+            legacy_audit.journals_clean(params, banks, links))
     finally:
         for (journal, _, _), original in zip(lists, saved):
             journal[:] = original

@@ -10,8 +10,9 @@ pruned.
 
 ``TaggedBusResource`` is different: an expired burst within one switch
 gap of ``now`` still pushes a differently-tagged grant, so its prune is
-visible and the DDR2 controller must keep pruning it every tick.  The
-last test pins that counterexample.
+visible.  The DDR2 controller prunes it once per tick that issues, just
+before the first grant; the last two tests check that this grants what
+pruning every tick grants, and pin the counterexample to pruning later.
 """
 
 from hypothesis import example, given, settings
@@ -104,6 +105,40 @@ def test_northbound_grants_ignore_prune_timing(steps, phase):
     )
     assert grants == pruned_grants
     assert plain.busy_ps == pruned.busy_ps
+
+
+#: Ticks of a tagged bus: advance ``now`` (0 stays in the tick), then
+#: book ``(offset, duration, tag)`` bursts at ``now + offset``, none at
+#: all on an idle tick.
+TICKS = st.lists(
+    st.tuples(
+        st.integers(0, 40),
+        st.lists(
+            st.tuples(st.integers(0, 30), st.integers(1, 12),
+                      st.integers(0, 2)),
+            max_size=3,
+        ),
+    ),
+    min_size=1,
+    max_size=40,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(ticks=TICKS, gap=st.integers(0, 15))
+def test_tagged_bus_prune_before_first_grant_matches_every_tick(ticks, gap):
+    every = TaggedBusResource("every", switch_gap_ps=gap)
+    issuing = TaggedBusResource("issuing", switch_gap_ps=gap)
+    now = 0
+    for advance, bursts in ticks:
+        now += advance
+        every.prune_before(now)
+        if bursts:
+            issuing.prune_before(now)
+        for offset, duration, tag in bursts:
+            assert (every.reserve(now + offset, duration, tag)
+                    == issuing.reserve(now + offset, duration, tag))
+    assert every.busy_ps == issuing.busy_ps
 
 
 def test_tagged_bus_prune_is_visible_in_grants():
