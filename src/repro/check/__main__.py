@@ -6,7 +6,7 @@ Modes (combinable; default with no flags is trace checking):
   command traces (written by ``SystemConfig(check_protocol=True)`` runs
   or by hand; see :mod:`repro.check.trace` for the format);
 * ``python -m repro.check lint [PATH ...]`` — the static-analysis engine
-  (determinism + unit-flow + shared-state + strict-typing rules; see
+  (determinism + unit-flow + shared-state rules; see
   :mod:`repro.check.lint.cli` for its options);
 * ``--self-test`` — run the golden known-bad suites (seeded protocol
   traces and seeded lint fixtures);
@@ -25,7 +25,7 @@ from typing import List
 
 from repro.check.config_audit import audit_system, errors_only
 from repro.check.lint.selftest import run_self_test as run_lint_self_test
-from repro.check.protocol import ProtocolChecker
+from repro.check.protocol import check_trace
 from repro.check.selftest import run_self_test
 from repro.check.trace import load_events
 
@@ -46,7 +46,7 @@ def _check_traces(paths: List[str]) -> int:
         except ValueError as exc:  # already located as path:line:
             print(exc, file=sys.stderr)
             return EXIT_USAGE
-        violations = ProtocolChecker(params).check(events)
+        violations = check_trace(params, events)
         if violations:
             status = EXIT_FINDINGS
             print(f"{path}: {len(violations)} violation(s)")

@@ -1,9 +1,9 @@
 """Simulator-domain static analysis engine (``python -m repro.check lint``).
 
 A plugin registry of AST rules over the repo's own source: the four
-determinism rules from PR 1 plus unit-flow (``unit-mix``/``unit-return``),
-worker shared-state and strict-typing (``untyped-def``) analyses.  See ``docs/STATIC_ANALYSIS.md`` for the rule
-catalogue, suppression syntax and the baseline workflow.
+determinism rules from PR 1 plus unit-flow (``unit-mix``/``unit-return``)
+and worker shared-state analyses.  See ``docs/STATIC_ANALYSIS.md`` for
+the rule catalogue, suppression syntax and the baseline workflow.
 """
 
 from repro.check.lint.baseline import (

@@ -192,20 +192,6 @@ def cases() -> List[LintSelfTestCase]:
         (),
     ))
 
-    # -- untyped-def -----------------------------------------------------
-    out.append(_one(
-        "bad-untyped-def", "power/mod.py",
-        "def scale(x):\n    return x\n", "untyped-def",
-    ))
-    out.append(_one(
-        "good-typed-def", "power/mod.py",
-        "def scale(x: float) -> float:\n    return x\n",
-    ))
-    out.append(_one(
-        "good-untyped-def-tests-exempt", "tests/test_mod.py",
-        "def helper(x):\n    return x\n",
-    ))
-
     # -- engine plumbing -------------------------------------------------
     out.append(_one(
         "bad-syntax-error", "engine/broken.py",

@@ -3,10 +3,10 @@
 Each case is a small hand-built trace with exactly one seeded defect and
 the rule id the checker must report for it — plus known-good traces that
 must pass untouched.  ``python -m repro.check --self-test`` (run in CI)
-fails if any seeded defect goes unflagged or any clean trace is flagged,
-by the replay or by the journal audit (``journals_clean``), which guards
-the guard: a refactor that quietly blinds a rule is caught the same way
-a scheduler bug would be.
+fails if any seeded defect goes unflagged or any clean trace is flagged
+by the journal audit (``check_journals``, through ``event_journals``),
+which guards the guard: a refactor that quietly blinds a rule is caught
+the same way a scheduler bug would be.
 """
 
 from __future__ import annotations
@@ -14,13 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import List, Tuple
 
-from repro.check.protocol import ProtocolChecker, Violation, journals_clean
-from repro.check.trace import (
-    CheckEvent,
-    TraceParams,
-    default_params,
-    event_journals,
-)
+from repro.check.protocol import check_trace
+from repro.check.trace import CheckEvent, TraceParams, default_params
 from repro.dram.timing import TimingPs
 
 
@@ -311,16 +306,7 @@ def run_self_test() -> Tuple[int, List[str]]:
     failures: List[str] = []
     all_cases = cases()
     for case in all_cases:
-        events = sorted(case.events, key=lambda e: e.time_ps)
-        violations: List[Violation] = ProtocolChecker(case.params).check(events)
-        if journals_clean(case.params, *event_journals(events)) == bool(
-            case.expect_rules
-        ):
-            failures.append(
-                f"{case.name}: journal audit "
-                + ("passed a seeded defect" if case.expect_rules
-                   else "flagged a clean trace")
-            )
+        violations = check_trace(case.params, case.events)
         rules = {v.rule for v in violations}
         if not case.expect_rules:
             if violations:

@@ -98,6 +98,10 @@ class TraceParams:
         max_retries: Fault-injection retry budget; 0 disables the
             retry-budget rule.  A journalled replay may reach at most
             ``max_retries + 1`` (the post-reset recovery replay).
+
+    Construction raises ValueError for values no channel has: an unknown
+    kind, a negative timing, an FB-DIMM frame grid that is not one, a
+    negative gap or budget, or no banks.
     """
 
     kind: str
@@ -108,8 +112,31 @@ class TraceParams:
     banks_per_dimm: int = 4
     max_retries: int = 0
 
+    def __post_init__(self) -> None:
+        if self.kind not in MEMORY_KINDS:
+            raise ValueError(f"unknown memory kind {self.kind!r}")
+        for name, value in vars(self.timing).items():
+            if value < 0:
+                raise ValueError(
+                    f"timing.{name} must not be negative, got {value}")
+        if self.kind == "fbdimm":
+            if self.frame_ps <= 0:
+                raise ValueError(f"frame_ps must be positive in an fbdimm "
+                                 f"trace, got {self.frame_ps}")
+            if not 0 <= self.nb_phase_ps < self.frame_ps:
+                raise ValueError(f"nb_phase_ps must lie in [0, frame_ps), "
+                                 f"got {self.nb_phase_ps}")
+        for name in ("switch_gap_ps", "max_retries"):
+            if getattr(self, name) < 0:
+                raise ValueError(
+                    f"{name} must not be negative, got {getattr(self, name)}")
+        if self.banks_per_dimm < 1:
+            raise ValueError(f"banks_per_dimm must be at least 1, "
+                             f"got {self.banks_per_dimm}")
+
     @classmethod
-    def from_memory_config(cls, config: MemoryConfig) -> "TraceParams":
+    def from_memory_config(cls, config: MemoryConfig,
+                           max_retries: int = 0) -> "TraceParams":
         """Derive checker parameters from a simulator memory config."""
         timing = TimingPs.from_config(
             config.timings, config.dram_clock_ps, config.burst_clocks,
@@ -122,12 +149,14 @@ class TraceParams:
                 frame_ps=config.frame_ps,
                 nb_phase_ps=ns(config.command_delay_ns) % config.frame_ps,
                 banks_per_dimm=config.banks_per_dimm,
+                max_retries=max_retries,
             )
         return cls(
             kind="ddr2",
             timing=timing,
             switch_gap_ps=round(config.ddr2_switch_gap_clocks * config.dram_clock_ps),
             banks_per_dimm=config.banks_per_dimm,
+            max_retries=max_retries,
         )
 
     def to_dict(self) -> Dict[str, object]:
@@ -142,8 +171,6 @@ class TraceParams:
         kwargs["timing"] = TimingPs(
             **_checked_kwargs("params.timing", kwargs["timing"], TimingPs)
         )
-        if kwargs["kind"] not in MEMORY_KINDS:
-            raise ValueError(f"unknown memory kind {kwargs['kind']!r}")
         return cls(**kwargs)
 
 

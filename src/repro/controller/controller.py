@@ -237,38 +237,27 @@ class MemoryController:
         journalled replay may exceed ``max_retries + 1`` (the +1 is the
         post-reset recovery replay).
         """
-        import dataclasses
-
         from repro.check.trace import TraceParams
 
-        params = TraceParams.from_memory_config(self.config)
+        max_retries = 0
         if self.faults is not None and self.faults.enabled:
-            params = dataclasses.replace(
-                params, max_retries=self.faults.max_retries
-            )
-        return params
+            max_retries = self.faults.max_retries
+        return TraceParams.from_memory_config(self.config, max_retries)
 
     def check_protocol_violations(self) -> "list":
-        """Check the journalled command stream against the protocol rules.
+        """Check the journalled command stream against the protocol rules
+        where it sits (``repro.check.protocol.check_journals``)."""
+        from repro.check.protocol import check_journals
 
-        ``journals_clean`` audits the journals where they sit; only a run
-        it cannot pass is replayed through ``ProtocolChecker``, which
-        writes every violation report (``repro.check.protocol``).
-        """
-        from repro.check.protocol import ProtocolChecker, journals_clean
-
-        params = self.check_params()
         banks: list = []
         links: list = []
         for channel in self.channels:
             banks += channel.bank_journals()
             links += channel.link_journals()
-        # The journal and the checker's state create no reference cycles,
+        # The journal and the check's state create no reference cycles,
         # so collector passes over the (large) journal are pure overhead.
         with gc_paused():
-            if journals_clean(params, banks, links):
-                return []
-            return ProtocolChecker(params).check(self.collect_check_events())
+            return check_journals(self.check_params(), banks, links)
 
     def mark_measurement_start(self) -> None:
         """Discard warm-up activity: measurement restarts from now.

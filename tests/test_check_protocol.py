@@ -1,6 +1,7 @@
 """Protocol checker: rules, self-test suite, JSONL round-trip, CLI."""
 
 import json
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -9,11 +10,10 @@ from pathlib import Path
 import pytest
 
 from repro.check.protocol import (
-    ProtocolChecker,
     ProtocolViolationError,
     Violation,
+    check_journals,
     check_trace,
-    journals_clean,
 )
 from repro.check.selftest import cases, run_self_test
 from repro.check.trace import (
@@ -49,26 +49,48 @@ class TestSelfTestSuite:
             seeded.update(case.expect_rules)
         assert seeded == RULES
 
-    def test_every_rule_has_a_case_the_journal_audit_flags(self):
-        flagged = set()
+    def test_every_rule_reports_its_location(self):
+        """Each rule family reports at its own level: a bank, a rank, a
+        bus (the channel on DDR2, the DIMM on FB-DIMM) or a link."""
+        shapes = {
+            rule: r"ch0\.dimm0\.rank\d\.bank\d" for rule in (
+                "row-state", "tRCD", "tRAS", "tRPD", "tWPD", "tRP", "tRC")
+        }
+        shapes.update({rule: r"ch0\.dimm0\.rank0"
+                       for rule in ("tRRD", "tFAW", "tWTR")})
+        shapes.update({"bus-turnaround": "ch0",
+                       "frame-overcommit": r"ch0\.southbound",
+                       "frame-reuse": r"ch0\.northbound",
+                       "retry-budget": r"ch0\.southbound",
+                       "frame-align": r"ch0\.(south|north)bound"})
+        seen = set()
         for case in cases():
-            events = sorted(case.events, key=lambda e: e.time_ps)
-            if not journals_clean(case.params, *event_journals(events)):
-                flagged.update(case.expect_rules)
-        assert flagged == RULES
+            for violation in check_trace(case.params, case.events):
+                if violation.rule == "burst-overlap":
+                    shape = ("ch0" if case.params.kind == "ddr2"
+                             else r"ch0\.dimm0")
+                else:
+                    shape = shapes[violation.rule]
+                assert re.fullmatch(shape, violation.location), violation
+                assert violation.location in violation.format()
+                seen.add(violation.rule)
+        assert seen == RULES
 
 
 class TestJournalAudit:
-    """The two cases the audit leaves to the replay, which finds them
-    clean here: the audit errs only toward replaying."""
+    """Orders and ties: no report depends on the order of records in a
+    journal."""
 
     def test_bank_log_out_of_time_order(self):
+        """An out-of-order log reports what its time-sorted form does."""
         params = default_params("fbdimm")
         case = {c.name: c for c in cases()}["good-close-page-read"]
         events = sorted(case.events, key=lambda e: e.time_ps)
-        assert journals_clean(params, *event_journals(events))
-        assert not journals_clean(params, *event_journals(events[::-1]))
-        assert ProtocolChecker(params).check(events) == []
+        assert check_journals(params, *event_journals(events)) == []
+        assert check_journals(params, *event_journals(events[::-1])) == []
+        bad = {c.name: c for c in cases()}["bad-trcd"]
+        assert check_trace(bad.params, bad.events[::-1]) == check_trace(
+            bad.params, bad.events)
 
     def test_time_order_decides_a_bank_rule(self):
         """In log order the PRE follows the last RD by more than tRPD; in
@@ -82,15 +104,29 @@ class TestJournalAudit:
             CheckEvent(t.tRAS + t.tRPD - 1, "PRE", dimm=0, rank=0, bank=0,
                        row=5),
         ]
-        replayed = ProtocolChecker(params).check(
-            sorted(log_order, key=lambda e: e.time_ps))
-        assert [v.rule for v in replayed] == ["tRPD"]
-        assert not journals_clean(params, *event_journals(log_order))
+        report = check_journals(params, *event_journals(log_order))
+        assert [(v.rule, v.time_ps, v.location) for v in report] == [
+            ("tRPD", t.tRAS + t.tRPD - 1, "ch0.dimm0.rank0.bank0")]
+        assert report == check_trace(
+            params, sorted(log_order, key=lambda e: e.time_ps))
+
+    def test_commands_at_one_instant_of_one_bank(self):
+        """Records at one instant are taken ACT, RD, WR, PRE, whatever
+        their log order: an ACT logged after its RD still opens the row."""
+        params = replace(default_params("fbdimm"),
+                         timing=replace(default_params().timing, tRCD=0))
+        events = [
+            CheckEvent(0, "RD", dimm=0, rank=0, bank=0, row=5),
+            CheckEvent(0, "ACT", dimm=0, rank=0, bank=0, row=5),
+            CheckEvent(params.timing.tRAS, "PRE", dimm=0, rank=0, bank=0,
+                       row=5),
+        ]
+        assert check_trace(params, events) == []
 
     def test_rd_and_wr_of_one_rank_at_one_instant(self):
-        """The replay takes the RD first (journal order), so the WR's data
-        end does not bind it; a write latency short enough to keep the
-        bursts apart leaves no other rule broken."""
+        """tWTR binds a RD that comes strictly after a WR of its rank, so
+        a WR at the RD's own instant does not; a write latency short
+        enough to keep the bursts apart leaves no other rule broken."""
         params = default_params("fbdimm")
         t = replace(params.timing, tWL=0)
         params = replace(params, timing=t)
@@ -102,29 +138,50 @@ class TestJournalAudit:
             CheckEvent(2 * t.tRAS, "PRE", dimm=0, rank=0, bank=0, row=5),
             CheckEvent(2 * t.tRAS, "PRE", dimm=0, rank=0, bank=1, row=5),
         ]
-        assert ProtocolChecker(params).check(events) == []
-        assert not journals_clean(params, *event_journals(events))
+        assert check_trace(params, events) == []
+        # One picosecond later the RD is inside the WR's window.
+        late = [e._replace(time_ps=e.time_ps + 1) if e.kind == "RD" else e
+                for e in events]
+        assert [v.rule for v in check_trace(params, late)] == ["tWTR"]
 
-    def test_unknown_memory_kind_is_replayed(self):
-        bad = TraceParams(kind="ddr5", timing=default_params().timing)
-        assert not journals_clean(bad, [], [])
+    def test_unknown_memory_kind_is_rejected(self):
+        with pytest.raises(ValueError, match="unknown memory kind 'ddr5'"):
+            TraceParams(kind="ddr5", timing=default_params().timing)
 
 
 class TestCheckerBasics:
-    def test_unsorted_trace_rejected(self):
+    def test_unsorted_trace_reports_as_sorted(self):
         params = default_params("fbdimm")
         events = [
             CheckEvent(1000, "ACT", dimm=0, rank=0, bank=0, row=1),
             CheckEvent(0, "ACT", dimm=0, rank=0, bank=1, row=1),
         ]
-        with pytest.raises(ValueError, match="not time-sorted"):
-            ProtocolChecker(params).check(events)
+        report = check_trace(params, events)
+        assert [(v.rule, v.time_ps, v.location) for v in report] == [
+            ("tRRD", 1000, "ch0.dimm0.rank0")]
+        assert report == check_trace(params, events[::-1])
 
-    def test_unknown_kind_rejected(self):
+    @pytest.mark.parametrize("change, field", [
+        (dict(kind="ddr5"), "kind"),
+        (dict(frame_ps=0), "frame_ps"),
+        (dict(frame_ps=-5), "frame_ps"),
+        (dict(nb_phase_ps=-1), "nb_phase_ps"),
+        (dict(nb_phase_ps=6000), "nb_phase_ps"),
+        (dict(switch_gap_ps=-1), "switch_gap_ps"),
+        (dict(max_retries=-1), "max_retries"),
+        (dict(banks_per_dimm=0), "banks_per_dimm"),
+    ])
+    def test_params_validated_at_construction(self, change, field):
         params = default_params("fbdimm")
-        bad = TraceParams(kind="ddr5", timing=params.timing)
-        with pytest.raises(ValueError, match="ddr5"):
-            ProtocolChecker(bad)
+        assert params.frame_ps == 6000
+        with pytest.raises(ValueError, match=field if field != "kind"
+                           else "unknown memory kind"):
+            replace(params, **change)
+
+    def test_negative_timing_rejected(self):
+        params = default_params("ddr2")
+        with pytest.raises(ValueError, match="timing.tRCD"):
+            replace(params, timing=replace(params.timing, tRCD=-15000))
 
     def test_banks_and_channels_are_independent(self):
         """The same instant on different channels/banks never conflicts."""
@@ -147,10 +204,10 @@ class TestCheckerBasics:
         )
         assert check_trace(params, events) == []
 
-    def test_unknown_event_kind_rejected_at_dispatch(self):
+    def test_unknown_event_kind_rejected(self):
         params = default_params("fbdimm")
         with pytest.raises(ValueError, match="unknown check-event kind 'NOP'"):
-            ProtocolChecker(params).check([CheckEvent(0, "NOP")])
+            check_trace(params, [CheckEvent(0, "NOP")])
 
     def test_event_is_a_plain_tuple(self):
         event = CheckEvent(5, "ACT", dimm=0, rank=1, bank=2, row=3)
@@ -165,7 +222,9 @@ class TestCheckerBasics:
 
     def test_violation_error_formats_and_truncates(self):
         violations = [
-            Violation(rule="tRCD", time_ps=i, message=f"v{i}") for i in range(15)
+            Violation(rule="tRCD", time_ps=i, location="ch0.dimm0.rank0.bank0",
+                      message=f"v{i}")
+            for i in range(15)
         ]
         err = ProtocolViolationError(violations)
         text = str(err)
@@ -331,3 +390,20 @@ class TestCli:
         self._expect_located(tmp_path, [
             self._header(), '{"t": 0, "c": "SB_CMD"}', '{"t": 0, "c": "NOP"}',
         ], 3, "unknown check-event kind 'NOP'")
+
+    @pytest.mark.parametrize("change, field", [
+        (dict(frame_ps=-5), "frame_ps"),
+        (dict(timing=dict(default_params().timing.__dict__, tRCD=-15000)),
+         "timing.tRCD"),
+    ])
+    def test_invalid_header_value_is_usage_error(self, tmp_path, change,
+                                                 field):
+        """A header value no channel has fails at line 1, naming the field,
+        before any record is checked."""
+        params = dict(default_params("fbdimm").to_dict(), **change)
+        self._expect_located(tmp_path, [
+            json.dumps({"version": 1, "params": params}),
+            '{"t": 0, "c": "SB_CMD"}',
+        ], 1, field)
+        proc = self._run(str(tmp_path / "trace.jsonl"))
+        assert len(proc.stderr.splitlines()) == 1, proc.stderr

@@ -7,7 +7,7 @@ from dataclasses import replace
 
 import pytest
 
-from repro.check.protocol import ProtocolChecker, ProtocolViolationError
+from repro.check.protocol import ProtocolViolationError
 from repro.check.trace import CheckEvent, TraceParams
 from repro.config import (
     InterleaveScheme,
@@ -16,6 +16,7 @@ from repro.config import (
     fbdimm_amb_prefetch,
     fbdimm_baseline,
 )
+from repro.dram.commands import PRE
 from repro.system import System
 from repro.workloads.spec import PROGRAMS
 
@@ -98,7 +99,9 @@ class TestRuntimePlumbing:
         from repro.check.protocol import Violation
         from repro.controller.controller import MemoryController
 
-        planted = [Violation(rule="tRCD", time_ps=0, message="planted")]
+        planted = [Violation(rule="tRCD", time_ps=0,
+                             location="ch0.dimm0.rank0.bank0",
+                             message="planted")]
         monkeypatch.setattr(
             MemoryController, "check_protocol_violations", lambda self: planted
         )
@@ -114,15 +117,13 @@ class TestCheckCost:
     """Deterministic cost proxy for the post-run check: Python-level calls,
     counted with ``sys.setprofile``.
 
-    A clean run pays only the journal audit (``journals_clean``).  The
-    replay, ``collect_check_events()`` + ``ProtocolChecker.check``, runs
-    only when the audit does not pass a run; it is profiled directly.
-    Its old figures were measured with this same harness on the checker
-    this one replaced (frozen-dataclass events with a ``__post_init__``
-    kind check, ``enum.value`` per journalled command, and a throwaway
-    ``_BankState``/``_RankState``/``_FrameBook`` per event from
-    ``dict.setdefault``): 9.89 calls per event on the faulted FB-DIMM
-    journal below, 13.22 on the DDR2 one.
+    The journal audit (``check_journals``) keeps its per-record work in C
+    or in its bank loop, so its calls count ranks and channels, not
+    events, and a run that breaks a rule pays only for the violations it
+    reports.  The figures beside each config were measured with this
+    same harness on the first event replay (frozen-dataclass events, a
+    throwaway state object per event): 9.89 calls per event on the
+    faulted FB-DIMM journal below, 13.22 on the DDR2 one.
     """
 
     CONFIGS = [
@@ -164,25 +165,38 @@ class TestCheckCost:
         channels = {e.channel for e in events if not e.is_dram_command}
         return banks, ranks, channels
 
-    @pytest.mark.parametrize("make, old_calls_per_event", CONFIGS, ids=IDS)
-    def test_calls_scale_with_states_not_events(self, make,
-                                                old_calls_per_event):
+    @staticmethod
+    def _break_one_rule(controller):
+        """Move one journalled PRE back 1 ps so that exactly one rule
+        breaks; returns the journal and the slot of the moved time."""
+        for channel in controller.channels:
+            for _, log in channel.bank_journals():
+                for i in range(0, len(log), 3):
+                    if log[i] != PRE:
+                        continue
+                    log[i + 1] -= 1
+                    if len(controller.check_protocol_violations()) == 1:
+                        return log, i + 1
+                    log[i + 1] += 1
+        raise AssertionError("no PRE sits on a timing bound")
+
+    @pytest.mark.parametrize("make", [make for make, _ in CONFIGS], ids=IDS)
+    def test_broken_run_calls_do_not_scale_with_events(self, make):
         controller = self._controller(make())
-        params = controller.check_params()
         events = controller.collect_check_events()
-        violations, names = self._profiled(
-            lambda: ProtocolChecker(params).check(
-                controller.collect_check_events())
-        )
-        assert violations == []
         assert len(events) > 500
-        banks, ranks, channels = self._states(events)
-        # One state object per distinct bank, rank and channel, plus the
-        # checker.
-        assert names.count("__init__") <= (
-            len(banks) + len(ranks) + len(channels) + 8
-        )
-        assert len(names) / len(events) <= old_calls_per_event / 2
+        log, slot = self._break_one_rule(controller)
+        try:
+            violations, names = self._profiled(
+                controller.check_protocol_violations)
+        finally:
+            log[slot] += 1
+        assert len(violations) == 1
+        _, ranks, channels = self._states(events)
+        # The clean-run bound below, plus flagging and reporting the one
+        # violation.
+        assert len(names) <= 8 * (len(ranks) + len(channels)) + 50 + 10, (
+            names)
 
     @pytest.mark.parametrize("make", [make for make, _ in CONFIGS], ids=IDS)
     def test_clean_run_calls_do_not_scale_with_events(self, make):

@@ -6,6 +6,8 @@ imported cannot hide an import.  NumPy is not a runtime dependency (the
 latency percentiles are pure Python), and the timeline's collector,
 diff, export, phases and report code, the fault sweep and the
 ``repro.experiments`` package load only in the commands that use them.
+A run under the protocol check loads the checker and its journal model,
+not the lint engine, the config audit or the self-test suite.
 """
 
 import subprocess
@@ -47,6 +49,19 @@ CommandEnergyModel().energy_of(result.mem)
 print(" ".join(sorted(sys.modules)))
 """
 
+_CHECKED_RUN = """
+import dataclasses
+import sys
+
+from repro.config import fbdimm_amb_prefetch
+from repro.system import System
+
+config = dataclasses.replace(fbdimm_amb_prefetch(num_cores=2),
+                             instructions_per_core=2000, check_protocol=True)
+assert System(config, ["swim", "wupwise"]).run().protocol_violations == []
+print(" ".join(sorted(sys.modules)))
+"""
+
 #: ``python -m repro`` with every NumPy import made to fail.
 _CLI_WITHOUT_NUMPY = """
 import runpy
@@ -78,3 +93,15 @@ def test_run_latency_needs_no_numpy():
                    "--insts", "2000", "--latency")
     assert proc.returncode == 0, proc.stderr
     assert "latency distribution: n=" in proc.stdout
+
+
+def test_checked_run_loads_only_the_protocol_check():
+    proc = _python(_CHECKED_RUN)
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(proc.stdout.split())
+    assert "repro.check.protocol" in loaded
+    assert sorted(
+        name for name in loaded
+        if name.startswith("repro.check.lint")
+        or name in ("repro.check.config_audit", "repro.check.selftest")
+    ) == []

@@ -1,42 +1,41 @@
-"""Differential property suite: the protocol checker vs its frozen oracle,
-and the journal audit vs the checker.
+"""Differential property suite: the protocol check vs its frozen oracle.
 
-``repro.check.protocol`` dispatches on the event kind and builds its
-per-bank, per-rank and per-channel state once per key;
-``tests/_legacy_protocol.py`` is the frozen checker it replaced, which
-dispatched on ``is_dram_command`` and built a throwaway state object on
-every event.  Hypothesis replays real journals from short runs (DDR2,
-FB-DIMM, FB-DIMM with AMB prefetch, the same with link faults and
-replays, and a tFAW device) with random mutations: an event shifted by
-±k ps, dropped, copied up to three times, moved to another bank or row, given another
-kind, or (frames) moved off the frame grid.  Both checkers must return
-the same ``(rule, time_ps, message, first, second)`` list.
+``repro.check.protocol.check_journals`` audits journals where they sit;
+``tests/_legacy_protocol.py`` is the frozen event replay it replaced.
+Hypothesis takes real journals from short runs (DDR2, FB-DIMM, FB-DIMM
+with AMB prefetch, the same with link faults and replays, controller-side
+prefetch, and a tFAW device) and mutates them at random: an event shifted
+by ±k ps, dropped, copied up to three times, moved to another bank or
+row, given another kind or replay attempt, or (frames) moved off the
+frame grid.
 
-``journals_clean`` must be sound: whenever it passes a mutated journal,
-the replay reports nothing; and ``check_protocol_violations()`` on a real
-run, its journals mutated in place, returns exactly the replay's list.
-It must also answer exactly as ``tests/_legacy_audit.py``, the frozen
-audit that held every channel's ranks and buses at once, on the same
-mutated journals and on every self-test case.
+The oracle is fed the events in one canonical order, ``(time_ps,
+command code, channel, dimm, rank, bank)`` with frame events at code 0;
+the check takes them in list order or sorted.  With both caps lifted the
+check must report the oracle's ``{(rule, location, time_ps)}`` set, each
+oracle violation located through the table in the protocol module's
+docstring, and with the caps on exactly the earliest
+``min(n, MAX_VIOLATIONS)`` of that set.  ``check_protocol_violations()``
+on a real run, its journals mutated in place, must do the same.
 """
 
 import dataclasses
 import random
+import sys
+from contextlib import contextmanager
 from operator import itemgetter
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import tests._legacy_audit as legacy_audit
+import repro.check.protocol as protocol
 import tests._legacy_protocol as legacy
-from repro.check.protocol import (
-    MAX_VIOLATIONS,
-    ProtocolChecker,
-    journals_clean,
-)
+from repro.check.protocol import MAX_VIOLATIONS, check_journals, check_trace
 from repro.check.selftest import cases as self_test_cases
 from repro.check.trace import (
+    DRAM_COMMANDS,
     EVENT_KINDS,
     FRAME_EVENTS,
     event_journals,
@@ -97,18 +96,64 @@ def journals(controllers):
     return runs
 
 
-def _report(checker_cls, params, events):
-    return [
-        (v.rule, v.time_ps, v.message, v.first, v.second)
-        for v in checker_cls(params).check(events)
-    ]
+BANK_RULES = {"row-state", "tRCD", "tRAS", "tRPD", "tWPD", "tRP", "tRC"}
+RANK_RULES = {"tRRD", "tFAW", "tWTR"}
+BUS_RULES = {"burst-overlap", "bus-turnaround"}
 
 
-def _assert_same(params, events):
-    old = _report(legacy.ProtocolChecker, params, events)
-    new = _report(ProtocolChecker, params, events)
-    assert new == old
-    return new
+def _canonical(event):
+    code = (DRAM_COMMANDS.index(event.kind) if event.kind in DRAM_COMMANDS
+            else 0)
+    return (event.time_ps, code, event.channel, event.dimm, event.rank,
+            event.bank)
+
+
+def _location(params, violation):
+    """Where the check reports an oracle violation (the location table)."""
+    e = violation.second
+    if violation.rule in BANK_RULES:
+        return f"ch{e.channel}.dimm{e.dimm}.rank{e.rank}.bank{e.bank}"
+    if violation.rule in RANK_RULES:
+        return f"ch{e.channel}.dimm{e.dimm}.rank{e.rank}"
+    if violation.rule in BUS_RULES:
+        return (f"ch{e.channel}" if params.kind == "ddr2"
+                else f"ch{e.channel}.dimm{e.dimm}")
+    link = "northbound" if e.kind == "NB_LINE" else "southbound"
+    return f"ch{e.channel}.{link}"
+
+
+@contextmanager
+def _uncapped():
+    with mock.patch.object(legacy, "MAX_VIOLATIONS", sys.maxsize), \
+            mock.patch.object(protocol, "MAX_VIOLATIONS", sys.maxsize):
+        yield
+
+
+def _keys(violations):
+    keys = [(v.rule, v.location, v.time_ps) for v in violations]
+    assert len(set(keys)) == len(keys), "one violation per key"
+    return keys
+
+
+def _earliest(keys):
+    return sorted(keys, key=itemgetter(2, 0, 1))[:MAX_VIOLATIONS]
+
+
+def _assert_reports_oracle(params, events, check=None):
+    """``check()`` (default: ``check_trace`` over ``events`` in list
+    order) reports the oracle's located set, and capped, its earliest
+    entries.  Returns that set."""
+    if check is None:
+        def check():
+            return check_trace(params, events)
+    with _uncapped():
+        replayed = legacy.ProtocolChecker(params).check(
+            sorted(events, key=_canonical))
+        expected = {(v.rule, _location(params, v), v.time_ps)
+                    for v in replayed}
+        assert set(_keys(check())) == expected
+    assert _keys(check()) == _earliest(expected)
+    return expected
 
 
 def _mutate(rnd, params, events, op):
@@ -146,23 +191,21 @@ def _mutate(rnd, params, events, op):
         )
 
 
-MUTATIONS = st.lists(
-    st.sampled_from(
-        ["shift", "drop", "duplicate", "bank", "row", "kind", "off-grid"]
-    ),
-    max_size=6,
-)
+OPS = ["shift", "drop", "duplicate", "bank", "row", "kind", "retry",
+       "off-grid"]
 
 
 @settings(max_examples=200, deadline=None)
 @given(
     name=st.sampled_from(["ddr2", "fbd", "fbd-ap", "fbd-ap-faults",
                           "ddr4-2400"]),
-    ops=MUTATIONS,
+    ops=st.lists(st.sampled_from(OPS), max_size=6),
     seed=st.integers(0, 2**32 - 1),
     window=st.integers(0, 400),
+    presorted=st.booleans(),
 )
-def test_mutated_journals_match_legacy(journals, name, ops, seed, window):
+def test_mutated_journals_match_legacy(journals, name, ops, seed, window,
+                                       presorted):
     params, journal = journals[name]
     rnd = random.Random(seed)
     # A window of the journal keeps each example fast; mutations land
@@ -171,25 +214,54 @@ def test_mutated_journals_match_legacy(journals, name, ops, seed, window):
     events = list(journal[start:start + window])
     for op in ops:
         _mutate(rnd, params, events, op)
-    events.sort(key=itemgetter(0))
-    _assert_same(params, events)
+    if presorted:
+        events.sort(key=itemgetter(0))
+    _assert_reports_oracle(params, events)
+
+
+#: The runs mutated whole: link faults and replays, DDR2 bus turnaround,
+#: controller-side prefetch buffering, and a tFAW device.
+AUDITED = ["fbd-ap-faults", "ddr2", "fbd-ctl", "ddr4-2400"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    name=st.sampled_from(AUDITED),
+    ops=st.lists(st.sampled_from(OPS), min_size=1, max_size=4),
+    seed=st.integers(0, 2**32 - 1),
+    presorted=st.booleans(),
+)
+def test_mutated_whole_journals_match_legacy(journals, name, ops, seed,
+                                             presorted):
+    """Whole journals, so an unmutated stream is clean and any report is
+    the mutation's.  Journals are built from the mutated events in list
+    order (banks out of time order when a shift passes a neighbour) or
+    time-sorted."""
+    params, journal = journals[name]
+    rnd = random.Random(seed)
+    events = list(journal)
+    for op in ops:
+        _mutate(rnd, params, events, op)
+    if presorted:
+        events.sort(key=itemgetter(0))
+    _assert_reports_oracle(params, events)
 
 
 @pytest.mark.parametrize("name", ["ddr2", "fbd", "fbd-ap", "fbd-ap-faults",
                                   "ddr4-2400"])
 def test_whole_journals_clean_and_equal(journals, name):
     params, journal = journals[name]
-    assert _assert_same(params, journal) == []
+    assert _assert_reports_oracle(params, journal) == set()
 
 
 @pytest.mark.parametrize("name", ["ddr2", "fbd-ap-faults", "ddr4-2400"])
 def test_violation_cap_matches_legacy(journals, name):
-    """Time-compressed journals break rules on nearly every event, so the
-    checkers stop at MAX_VIOLATIONS (plus the post-loop burst rules)."""
+    """Time-compressed journals break rules on nearly every event: the
+    report is the earliest MAX_VIOLATIONS of the oracle's set."""
     params, journal = journals[name]
     events = [e._replace(time_ps=e.time_ps // 16) for e in journal]
-    report = _assert_same(params, events)
-    assert len(report) >= MAX_VIOLATIONS
+    assert len(_assert_reports_oracle(params, events)) > MAX_VIOLATIONS
+    assert len(check_trace(params, events)) == MAX_VIOLATIONS
 
 
 @pytest.mark.parametrize("copies", [1, 2, 3])
@@ -201,7 +273,7 @@ def test_overfilled_frames_match_legacy(journals, copies):
     for event in journal:
         events.extend([event] * (1 + copies if event.kind in FRAME_EVENTS
                                  else 1))
-    rules = {r[0] for r in _assert_same(params, events)}
+    rules = {key[0] for key in _assert_reports_oracle(params, events)}
     assert {"frame-reuse", "frame-overcommit"} <= rules
 
 
@@ -210,90 +282,28 @@ def test_retry_budget_rule_matches_legacy(journals):
     tight = dataclasses.replace(params, max_retries=1)
     events = [e._replace(retry=e.retry + 2) if e.kind in FRAME_EVENTS else e
               for e in journal]
-    report = _assert_same(tight, events)
-    assert {r[0] for r in report} >= {"retry-budget"}
-
-
-#: The runs the journal audit is checked on: link faults and replays, DDR2
-#: bus turnaround, controller-side prefetch buffering, and a tFAW device.
-AUDITED = ["fbd-ap-faults", "ddr2", "fbd-ctl", "ddr4-2400"]
-
-
-@settings(max_examples=300, deadline=None)
-@given(
-    name=st.sampled_from(AUDITED),
-    ops=st.lists(
-        st.sampled_from(
-            ["shift", "drop", "duplicate", "bank", "row", "retry", "kind",
-             "off-grid"]
-        ),
-        min_size=1, max_size=4,
-    ),
-    seed=st.integers(0, 2**32 - 1),
-    presorted=st.booleans(),
-)
-def test_clean_journals_replay_clean(journals, name, ops, seed, presorted):
-    """Whole journals, so an unmutated stream is clean and any report is
-    the mutation's.  Journals are built from the mutated events in list
-    order (banks out of time order when a shift passes a neighbour) or
-    time-sorted."""
-    params, journal = journals[name]
-    rnd = random.Random(seed)
-    events = list(journal)
-    for op in ops:
-        _mutate(rnd, params, events, op)
-    ordered = sorted(events, key=itemgetter(0))
-    if journals_clean(params, *event_journals(ordered if presorted
-                                              else events)):
-        assert ProtocolChecker(params).check(ordered) == []
-
-
-@settings(max_examples=300, deadline=None)
-@given(
-    name=st.sampled_from(AUDITED),
-    ops=st.lists(
-        st.sampled_from(
-            ["shift", "drop", "duplicate", "bank", "row", "retry", "kind",
-             "off-grid"]
-        ),
-        max_size=4,
-    ),
-    seed=st.integers(0, 2**32 - 1),
-    presorted=st.booleans(),
-)
-def test_audit_matches_frozen_audit(journals, name, ops, seed, presorted):
-    params, journal = journals[name]
-    rnd = random.Random(seed)
-    events = list(journal)
-    for op in ops:
-        _mutate(rnd, params, events, op)
-    if presorted:
-        events.sort(key=itemgetter(0))
-    banks, links = event_journals(events)
-    assert journals_clean(params, banks, links) == legacy_audit.journals_clean(
-        params, banks, links)
+    report = _assert_reports_oracle(tight, events)
+    assert {key[0] for key in report} >= {"retry-budget"}
 
 
 @pytest.mark.parametrize("case", self_test_cases(), ids=lambda c: c.name)
-def test_self_test_cases_match_frozen_audit(case):
-    events = sorted(case.events, key=itemgetter(0))
-    banks, links = event_journals(events)
-    assert journals_clean(case.params, banks, links) == (
-        legacy_audit.journals_clean(case.params, banks, links))
+def test_self_test_cases_match_legacy(case):
+    report = _assert_reports_oracle(case.params, case.events)
+    assert {key[0] for key in report} == set(case.expect_rules)
 
 
 @pytest.mark.parametrize("name", AUDITED)
-def test_real_runs_pass_the_audit(controllers, journals, name):
+def test_real_runs_pass_the_check(controllers, journals, name):
     controller = controllers[name]
     params, events = journals[name]
     banks, links = [], []
     for channel in controller.channels:
         banks += channel.bank_journals()
         links += channel.link_journals()
-    assert journals_clean(params, banks, links)
+    assert check_journals(params, banks, links) == []
     assert controller.check_protocol_violations() == []
-    # The soundness test builds its journals with event_journals: on a
-    # real run they hold exactly the events the journals do.
+    # The differential builds its journals with event_journals: on a real
+    # run they hold exactly the events the journals do.
     assert sorted(journal_events(*event_journals(events))) == sorted(events)
 
 
@@ -337,8 +347,7 @@ def _mutate_in_place(rnd, params, lists, op):
 )
 def test_mutated_run_reports_the_replay(controllers, name, ops, seed):
     """Mutate a real run's journals where they sit (restored afterwards):
-    the two-stage check returns exactly the replay's violation list, and
-    the audit answers as the frozen one does."""
+    ``check_protocol_violations()`` reports what the oracle replays."""
     controller = controllers[name]
     params = controller.check_params()
     lists = _journal_lists(controller)
@@ -347,15 +356,8 @@ def test_mutated_run_reports_the_replay(controllers, name, ops, seed):
     try:
         for op in ops:
             _mutate_in_place(rnd, params, lists, op)
-        expected = ProtocolChecker(params).check(
-            controller.collect_check_events())
-        assert controller.check_protocol_violations() == expected
-        banks, links = [], []
-        for channel in controller.channels:
-            banks += channel.bank_journals()
-            links += channel.link_journals()
-        assert journals_clean(params, banks, links) == (
-            legacy_audit.journals_clean(params, banks, links))
+        _assert_reports_oracle(params, controller.collect_check_events(),
+                               controller.check_protocol_violations)
     finally:
         for (journal, _, _), original in zip(lists, saved):
             journal[:] = original

@@ -12,7 +12,7 @@ import dataclasses
 
 import pytest
 
-from repro.check.protocol import ProtocolChecker, check_trace
+from repro.check.protocol import check_trace
 from repro.check.trace import (
     CheckEvent,
     TraceParams,
@@ -86,7 +86,7 @@ class TestOfflineJournalReplay:
         assert loaded_params.max_retries == config.faults.max_retries
         # The retry annotation survives the JSONL round trip ("rt" code).
         assert any(e.retry > 0 for e in loaded_events)
-        violations = ProtocolChecker(loaded_params).check(loaded_events)
+        violations = check_trace(loaded_params, loaded_events)
         assert violations == []
 
 
