@@ -66,7 +66,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import chain, compress, islice, repeat
 from operator import add, attrgetter, eq, itemgetter, lt, mul, sub
-from typing import Dict, Iterable, List, Tuple
+from typing import Dict, Iterable, Iterator, List, Tuple
 
 from repro.check.trace import (
     DRAM_COMMANDS,
@@ -149,8 +149,20 @@ def check_journals(
 
 
 def check_trace(params: TraceParams, events: Iterable[CheckEvent]) -> List[Violation]:
-    """:func:`check_journals` over check events, in any order."""
-    return check_journals(params, *event_journals(events))
+    """:func:`check_journals` over check events, in any order.
+
+    Raises ValueError for a DRAM command outside the geometry of
+    ``params`` (:meth:`TraceParams.check_location`).
+    """
+    return check_journals(params, *event_journals(_located(params, events)))
+
+
+def _located(params: TraceParams,
+             events: Iterable[CheckEvent]) -> Iterator[CheckEvent]:
+    check = params.check_location
+    for event in events:
+        check(event)
+        yield event
 
 
 def _flag(found: _Found, rule: str, location: str, time_ps: int,

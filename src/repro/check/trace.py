@@ -94,7 +94,8 @@ class TraceParams:
         frame_ps: FB-DIMM frame period (two DRAM clocks).
         nb_phase_ps: Northbound frame-grid phase offset.
         switch_gap_ps: DDR2 data-bus turnaround/rank-switch bubble.
-        banks_per_dimm: Logic banks per rank (for location sanity checks).
+        banks_per_dimm: Logic banks per rank: a DRAM command's bank index
+            must lie in ``[0, banks_per_dimm)`` (:meth:`check_location`).
         max_retries: Fault-injection retry budget; 0 disables the
             retry-budget rule.  A journalled replay may reach at most
             ``max_retries + 1`` (the post-reset recovery replay).
@@ -158,6 +159,19 @@ class TraceParams:
             banks_per_dimm=config.banks_per_dimm,
             max_retries=max_retries,
         )
+
+    def check_location(self, event: CheckEvent) -> None:
+        """Raise ValueError when a DRAM command names a place no channel
+        with these parameters has: a bank outside ``[0, banks_per_dimm)``
+        or a negative channel, DIMM or rank.  Frame events carry no DRAM
+        location and always pass."""
+        if event.kind not in DRAM_COMMANDS:
+            return
+        if (not 0 <= event.bank < self.banks_per_dimm
+                or min(event.channel, event.dimm, event.rank) < 0):
+            raise ValueError(
+                f"{event.kind} at {event.location()} lies outside the trace's "
+                f"geometry ({self.banks_per_dimm} banks per rank)")
 
     def to_dict(self) -> Dict[str, object]:
         data = asdict(self)
@@ -381,6 +395,9 @@ def _parse_header(line: str) -> TraceParams:
     header = _parse_json(line)
     if not isinstance(header, dict):
         raise ValueError(f"header must be a JSON object, got {header!r}")
+    unknown = sorted(set(header) - {"version", "params"})
+    if unknown:
+        raise ValueError(f"header: unknown field(s) {', '.join(unknown)}")
     if header.get("version") != FORMAT_VERSION:
         raise ValueError(
             f"unsupported check-trace version {header.get('version')!r}"
@@ -392,7 +409,8 @@ def load_events(path: Union[str, Path]) -> Tuple[TraceParams, List[CheckEvent]]:
     """Load a saved check trace: (params, time-sorted events).
 
     Raises OSError when the file cannot be read, and ValueError prefixed
-    ``path:line:`` for a malformed header or record.
+    ``path:line:`` for a malformed header or record, or a DRAM command
+    outside the header's geometry (:meth:`TraceParams.check_location`).
     """
     path = Path(path)
     line_no = 1
@@ -402,7 +420,9 @@ def load_events(path: Union[str, Path]) -> Tuple[TraceParams, List[CheckEvent]]:
             params = _parse_header(handle.readline())
             for line_no, line in enumerate(handle, start=2):
                 if line.strip():
-                    events.append(record_to_event(_parse_json(line)))
+                    event = record_to_event(_parse_json(line))
+                    params.check_location(event)
+                    events.append(event)
         except ValueError as exc:
             raise ValueError(f"{path}:{line_no}: {exc}") from exc
     events.sort(key=itemgetter(0))

@@ -33,7 +33,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 from repro.channel.amb import Amb
 from repro.channel.ddr2_bus import Ddr2Dimm
 from repro.channel.fbdimm_link import FbdimmLinks
-from repro.config import FaultConfig, MemoryConfig, PrefetchLocation
+from repro.config import FaultConfig, MemoryConfig, PagePolicy, PrefetchLocation
 from repro.faults.retry import ChannelFaults
 from repro.controller.prefetch_buffer import PrefetchBuffer
 from repro.controller.scheduler import HitFirstScheduler
@@ -105,7 +105,13 @@ class ChannelControllerBase:
         #: The channel's distinct prefetch buffers (none without
         #: prefetching); their counters fold into the device counters.
         self.prefetch_buffers: "Sequence[PrefetchBuffer]" = ()
-        self.scheduler = HitFirstScheduler(config.write_drain_threshold)
+        # Only an open row makes a hit here; FB-DIMM prefetch buffers add
+        # read hits of their own (FbdimmChannelController).
+        open_page = config.page_policy is PagePolicy.OPEN_PAGE
+        self.scheduler = HitFirstScheduler(
+            config.write_drain_threshold,
+            reads_can_hit=open_page, writes_can_hit=open_page,
+        )
         # Cached bound methods for the kick loop: building the bound-method
         # objects anew on every select call is measurable at this call rate.
         self._select = self.scheduler.select
@@ -397,7 +403,7 @@ class FbdimmChannelController(ChannelControllerBase):
 
     # The links and the AMB buses only ever take reservations at or after
     # now, so an expired entry can never move a grant: _issue prunes a
-    # structure only once it outgrows its bound.
+    # structure only once it outgrows its limit (see _issue).
     _prune_each_tick = False
 
     def __init__(
@@ -455,19 +461,28 @@ class FbdimmChannelController(ChannelControllerBase):
             ))
             self.buffers = [shared] * dimms
             self.prefetch_buffers = (shared,)
+        if self.buffers:
+            self.scheduler.reads_can_hit = True
         # Prune bounds: how many entries the in-flight caps can keep booked
         # at once.  A read books one command slot and returns one line
         # north (its whole group under controller-side buffering); a
         # prefetching read books one AMB-bus burst per group line; a write
         # books its data frames and one burst.  An AMB bus carries one
         # DIMM's share, and its gap search scans expired entries too, so
-        # its bound is that even share.
+        # its bound is that even share and it is pruned whenever it
+        # exceeds it.  A link's lookups touch only frames at or after
+        # now, so its expired frames cost memory, not time: a link is
+        # pruned once it exceeds both its bound and twice its size after
+        # the last prune, which makes the pruning O(1) amortised per
+        # booking.
         group = self._region_lines if self._pf_enabled else 1
         north_lines = 1 if self._buffer_at_amb else group
         reads, writes = self.max_read_inflight, self.max_write_inflight
         self._north_bound = reads * north_lines * self.links.read_frames
         self._south_bound = reads + writes * self.links.write_frames
         self._bus_bound = (reads * group + writes) // len(self.ambs)
+        self._north_limit = self._north_bound
+        self._south_limit = self._south_bound
 
     def attach_lifecycle(self, lifecycle: "PrefetchLifecycle") -> None:
         """Arm per-prefetch lifecycle tracking on this channel.
@@ -544,10 +559,13 @@ class FbdimmChannelController(ChannelControllerBase):
         # Only issues book: check the links and the one AMB bus it used.
         now = self.sim.now
         links = self.links
-        if len(links.north._taken) > self._north_bound:
-            links.north.prune_before(now)
-        if len(links.south._frames) > self._south_bound:
-            links.south.prune_before(now)
+        north, south = links.north, links.south
+        if len(north._taken) > self._north_limit:
+            north.prune_before(now)
+            self._north_limit = max(self._north_bound, 2 * len(north._taken))
+        if len(south._frames) > self._south_limit:
+            south.prune_before(now)
+            self._south_limit = max(self._south_bound, 2 * len(south._frames))
         bus = self.ambs[req.mapped.dimm].data_bus
         if len(bus._intervals) > self._bus_bound:
             bus.prune_before(now)

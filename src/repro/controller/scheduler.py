@@ -16,6 +16,12 @@ under FB-DIMM prefetching, a line the prefetch buffer holds or is filling
 (Section 3.2).  The scheduler calls it once per candidate it scans, and
 the controller binds each request's bank and tag-store set at submit, so
 that one call is the whole cost of looking at a candidate.
+
+The controller also says per queue whether a hit can exist at all: reads
+hit only under open page or with a prefetch buffer, writes only under open
+page.  A queue that cannot hit issues its first ready candidate without
+probing the rest of the window, which is the pick the full scan would
+make (its hit flags are all False).
 """
 
 from __future__ import annotations
@@ -36,9 +42,17 @@ Probe = Callable[[MemoryRequest], Tuple[int, bool]]
 class HitFirstScheduler:
     """Chooses the next request from a channel's read and write queues."""
 
-    def __init__(self, write_drain_threshold: int) -> None:
+    def __init__(
+        self,
+        write_drain_threshold: int,
+        reads_can_hit: bool = True,
+        writes_can_hit: bool = True,
+    ) -> None:
         self.write_drain_threshold = max(1, write_drain_threshold)
         self._draining_writes = False
+        #: Whether a probe of that queue's requests may ever report a hit.
+        self.reads_can_hit = reads_can_hit
+        self.writes_can_hit = writes_can_hit
 
     def _writes_win(self, reads: Deque[MemoryRequest], writes: Deque[MemoryRequest]) -> bool:
         if not writes:
@@ -69,7 +83,8 @@ class HitFirstScheduler:
                 request's commands could begin, and whether it would hit
                 the open row (or the FB-DIMM prefetch buffer, which the
                 controller treats as the ultimate "hit").  Called once per
-                scanned candidate; must not change any state.
+                scanned candidate; must not change any state, and must
+                never report a hit for a queue declared unable to hit.
 
         Returns:
             (request, earliest_start, is_write_queue) for the winner, or
@@ -94,13 +109,16 @@ class HitFirstScheduler:
         # ready preferred miss beats the whole other queue, and the
         # non-preferred queue's future candidates only matter when the
         # preferred queue is empty.  The probe is side-effect-free, so
-        # probing fewer candidates cannot change the outcome.
+        # probing fewer candidates cannot change the outcome.  In a queue
+        # that cannot hit, the first ready candidate is already the best.
         if prefer_writes:
             first, first_is_write = writes, True
             second, second_is_write = reads, False
+            first_hits, second_hits = self.writes_can_hit, self.reads_can_hit
         else:
             first, first_is_write = reads, False
             second, second_is_write = writes, True
+            first_hits, second_hits = self.reads_can_hit, self.writes_can_hit
 
         ready_req: Optional[MemoryRequest] = None
         futures: Optional[list] = None
@@ -114,6 +132,8 @@ class HitFirstScheduler:
                 if hit:
                     return req, est, first_is_write
                 if ready_req is None:
+                    if not first_hits:
+                        return req, now, first_is_write
                     ready_req = req
             elif ready_req is None:
                 if futures is None:
@@ -134,6 +154,8 @@ class HitFirstScheduler:
                 if hit:
                     return req, est, second_is_write
                 if ready2 is None:
+                    if not second_hits:
+                        return req, now, second_is_write
                     ready2 = req
             elif ready2 is None and futures is None:
                 if futures2 is None:

@@ -44,8 +44,8 @@ class CoreStats:
     sw_prefetches_dropped: int = 0  # no MSHR free
     hw_prefetches_issued: int = 0  # stream prefetcher (optional)
     writes_issued: int = 0
-    rob_stalls: int = 0
-    mshr_stalls: int = 0
+    rob_stalls: int = 0  # episodes parked behind the ROB window
+    mshr_stalls: int = 0  # episodes blocked on a full MSHR pool
     store_stalls: int = 0
 
 
@@ -99,9 +99,12 @@ class Core:
         self.progress_inst = 0
         self.progress_time = 0
         self.pending: Optional[TraceEvent] = None
-        self._pending_inst = 0
+        #: The last fetched event's instruction (-1 before the first), so
+        #: one comparison per fetch enforces strictly increasing order.
+        self._pending_inst = -1
         self._pending_action = self._try_process
-        self.outstanding_reads: Dict[int, int] = {}  # token -> inst index
+        #: token -> inst index, in dispatch (hence instruction) order.
+        self.outstanding_reads: Dict[int, int] = {}
         self.stores_outstanding = 0
         self.blocked: Optional[str] = None
         self.finished = False
@@ -132,10 +135,15 @@ class Core:
 
     def _window_limit(self) -> Optional[int]:
         """Farthest instruction the front end may reach: the oldest
-        outstanding demand miss plus the ROB size (None = unbounded)."""
-        if not self.outstanding_reads:
+        outstanding demand miss plus the ROB size (None = unbounded).
+
+        Reads enter ``outstanding_reads`` in trace order, which
+        _fetch_next keeps strictly increasing, so the oldest is the first.
+        """
+        reads = self.outstanding_reads
+        if not reads:
             return None
-        return min(self.outstanding_reads.values()) + self.config.rob_entries
+        return next(iter(reads.values())) + self.config.rob_entries
 
     def _fetch_next(self) -> None:
         try:
@@ -148,6 +156,11 @@ class Core:
             self._pending_action = self._finish
             self._schedule_pending()
             return
+        if event.inst <= self._pending_inst:
+            raise ValueError(
+                f"core {self.core_id}: trace order violated: inst "
+                f"{event.inst} after {self._pending_inst}"
+            )
         if event.inst >= self.target:
             self.pending = None
             self._pending_inst = self.target
@@ -187,15 +200,29 @@ class Core:
         self._check_warmup()
         self.on_finished(self)
 
-    def _resume(self) -> None:
-        """Wake-up from a limiter or completion; retry the pending step."""
+    def resume(self) -> None:
+        """Wake-up from a limiter or completion; retry the pending step.
+
+        ``blocked`` stays set through the retry, so a retry that blocks
+        again continues the same stall episode.
+        """
         if self.finished or self.blocked is None:
             return
         if self.blocked == "rob":
             self._schedule_pending()
-            return
-        self.blocked = None
-        self._pending_action()
+        else:
+            self._pending_action()
+
+    def needs_slot(self) -> bool:
+        """Limiter hook: whether the blocked read still needs an MSHR.
+
+        A read whose line has since entered the L2 hits or merges without
+        one; a core with nothing pending (finished) needs none either.
+        Asked of every waiter still queued behind a taken slot, so it
+        reads the fill table directly instead of calling ``has_line``.
+        """
+        pending = self.pending
+        return pending is not None and pending.line_addr not in self.l2._ready
 
     def _try_process(self) -> None:
         if self.finished or self.pending is None:
@@ -229,11 +256,11 @@ class Core:
     def _acquire_mshrs(self) -> bool:
         """Take one data-cache MSHR and one shared-L2 MSHR, or neither."""
         if not self.data_mshr.try_acquire():
-            self.data_mshr.add_waiter(self._resume)
+            self.data_mshr.add_waiter(self)
             return False
         if not self.l2_mshr.try_acquire():
             self.data_mshr.release()
-            self.l2_mshr.add_waiter(self._resume)
+            self.l2_mshr.add_waiter(self)
             return False
         return True
 
@@ -254,8 +281,9 @@ class Core:
             waiters.append(lambda t=token: self._read_settled(t))
             return True
         if not self._acquire_mshrs():
-            self.stats.mshr_stalls += 1
-            self.blocked = "mshr"
+            if self.blocked != "mshr":
+                self.stats.mshr_stalls += 1
+                self.blocked = "mshr"
             return False
         self.stats.demand_misses += 1
         request = MemoryRequest(
@@ -316,7 +344,7 @@ class Core:
     def _read_settled(self, token: int) -> None:
         self.outstanding_reads.pop(token, None)
         if self.blocked == "rob":
-            self._resume()
+            self.resume()
 
     def _dispatch_prefetch(self, event: TraceEvent) -> bool:
         if self.l2.has_line(event.line_addr):
@@ -366,4 +394,4 @@ class Core:
     def _store_done(self, request: MemoryRequest) -> None:
         self.stores_outstanding -= 1
         if self.blocked == "store":
-            self._resume()
+            self.resume()

@@ -9,7 +9,8 @@ restore exactly the values that went in.
 The codec is driven entirely by the dataclass field types, so it needs no
 per-class registration:
 
-* dataclasses    -> JSON objects keyed by field name; a class may name
+* dataclasses    -> JSON objects keyed by field name (a key that names no
+  field is a :class:`ValueError` at decode time); a class may name
   late-added fields in an ``ENCODE_OPTIONAL_FIELDS`` class attribute and
   those are *elided while at their defaults*, so growing a config dataclass
   does not reshuffle the canonical text (and hence cache keys / conformance
@@ -186,7 +187,12 @@ def _dataclass_decoder(cls: Any) -> Codec:
                 (f.name, _decoder(hints.get(f.name, Any)))
                 for f in dataclasses.fields(cls)
             ]
-        return cls(**{name: field(raw[name]) for name, field in plan if name in raw})
+        kwargs = {name: field(raw[name]) for name, field in plan if name in raw}
+        if len(kwargs) != len(raw):
+            unknown = sorted(set(raw) - {name for name, _ in plan})
+            raise ValueError(
+                f"unknown field(s) for {cls.__name__}: {', '.join(unknown)}")
+        return cls(**kwargs)
 
     return decode
 

@@ -4,13 +4,17 @@ For a fixed tree, interpreter and input, the number of Python ``call``
 events a run makes is exact, so a change to it is a change to the code,
 never to the host.  This test pins, per workload, the calls each
 top-level ``src/repro`` entry (``controller``, ``engine``,
-``system.py``, ...) makes during one ``run_system``; stdlib and
-builtins are not counted.  Three workloads are the single-run workloads
-of ``perfbench/`` at a small size: ``fbd-ap-8c``, ``ddr2-4c`` and
-``fbd-ap-observed`` at 20 000 insts/core, seed 12345.  The fourth,
-``fbd-ap-traced``, is ``fbd-ap-8c`` with a request ``Tracer`` attached
-and ``tracer.traces()`` built inside the counted window, so it pins the
-tracer's on-cost.
+``system.py``, ...) makes during one run; stdlib and builtins are not
+counted.  Three workloads are the single-run workloads of
+``perfbench/`` at a small size: ``fbd-ap-8c``, ``ddr2-4c`` and
+``fbd-ap-observed`` at 20 000 insts/core, seed 12345, each one
+``run_system``.  ``fbd-ap-traced`` is ``fbd-ap-8c`` with a request
+``Tracer`` attached and ``tracer.traces()`` built inside the counted
+window, so it pins the tracer's on-cost.  ``stream-8c`` is the saturated
+shape of the validation experiment: eight ``stream`` cores on
+``fbdimm_baseline`` with a 12-instruction gap, through
+``repro.experiments.validation._run_streams``, where cores queue on the
+shared L2 MSHRs.
 
 Counting procedure, per workload: one untraced run first (a cold run
 adds the calls of first-use caches and lazy imports), then
@@ -34,12 +38,13 @@ import json
 import sys
 from collections import Counter
 from pathlib import Path
-from typing import Callable, Dict, List, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 import pytest
 
 import repro
 from repro import config as presets
+from repro.experiments.validation import _run_streams
 from repro.system import run_system
 from repro.telemetry import Tracer
 from repro.workloads.multiprog import workload_programs
@@ -50,13 +55,17 @@ INSTS = 20_000
 SEED = 12345
 
 #: name -> (preset builder in repro.config, Table 3 mix, every observer
-#: on, request tracer attached)
-WORKLOADS: Dict[str, Tuple[str, str, bool, bool]] = {
+#: on, request tracer attached); a mix of None runs STREAM_CORES stream
+#: cores instead (see the module docstring).
+WORKLOADS: Dict[str, Tuple[str, Optional[str], bool, bool]] = {
     "fbd-ap-8c": ("fbdimm_amb_prefetch", "8C-1", False, False),
     "ddr2-4c": ("ddr2_baseline", "4C-1", False, False),
     "fbd-ap-observed": ("fbdimm_amb_prefetch", "8C-1", True, False),
     "fbd-ap-traced": ("fbdimm_amb_prefetch", "8C-1", False, True),
+    "stream-8c": ("fbdimm_baseline", None, False, False),
 }
+STREAM_CORES = 8
+STREAM_GAP = 12
 
 REPRO_ROOT = Path(repro.__file__).resolve().parent
 
@@ -64,6 +73,7 @@ REPRO_ROOT = Path(repro.__file__).resolve().parent
 def build(name: str):
     """The workload's config and programs, as ``perfbench`` builds them."""
     preset, mix, observed, _ = WORKLOADS[name]
+    assert mix is not None, f"{name} runs stream cores, not a mix"
     programs = workload_programs(mix)
     config = getattr(presets, preset)(num_cores=len(programs))
     if observed:
@@ -107,9 +117,15 @@ def count_calls(fn: Callable[[], object]) -> Dict[str, int]:
     return dict(sorted(counts.items()))
 
 
-def measure(config, programs, traced: bool = False) -> Dict[str, int]:
-    """Warm, collect, then count one ``run_system(config, programs)``,
-    with a ``Tracer`` attached and its traces built when ``traced``."""
+def workload_run(name: str) -> Callable[[], object]:
+    """One run of the workload: ``run_system(config, programs)``, with a
+    ``Tracer`` attached and its traces built when the workload is traced,
+    or the stream cores."""
+    preset, mix, _, traced = WORKLOADS[name]
+    if mix is None:
+        base = getattr(presets, preset)()
+        return lambda: _run_streams(base, STREAM_CORES, STREAM_GAP, INSTS)
+    config, programs = build(name)
 
     def run() -> None:
         tracer = Tracer() if traced else None
@@ -117,6 +133,11 @@ def measure(config, programs, traced: bool = False) -> Dict[str, int]:
         if tracer is not None:
             tracer.traces()
 
+    return run
+
+
+def measure(run: Callable[[], object]) -> Dict[str, int]:
+    """Warm, collect, then count one ``run()``."""
     run()
     gc.collect()
     return count_calls(run)
@@ -150,7 +171,7 @@ class TestCallBudget:
     @pytest.mark.parametrize("name", list(WORKLOADS))
     def test_calls_match_golden(self, name):
         golden = load_golden()["workloads"][name]
-        lines = drift(golden, measure(*build(name), traced=WORKLOADS[name][3]))
+        lines = drift(golden, measure(workload_run(name)))
         assert not lines, (
             f"{name}: Python calls per layer changed. 'up' is a regression; "
             "'down' is a saving to re-pin with "
@@ -171,7 +192,7 @@ class TestCallBudget:
 
         monkeypatch.setattr(ChannelControllerBase, "submit", planted)
         golden = load_golden()["workloads"]["ddr2-4c"]
-        lines = drift(golden, measure(*build("ddr2-4c")))
+        lines = drift(golden, measure(workload_run("ddr2-4c")))
         assert len(lines) == 1 and lines[0].startswith("controller: ")
         assert lines[0].endswith("(up)")
 
@@ -186,7 +207,7 @@ def refresh() -> None:
         "workloads": {},
     }
     for name in WORKLOADS:
-        counts = measure(*build(name), traced=WORKLOADS[name][3])
+        counts = measure(workload_run(name))
         golden["workloads"][name] = counts
         print(f"{name}: {sum(counts.values())} calls")
     GOLDEN_PATH.write_text(json.dumps(golden, indent=1, sort_keys=True) + "\n")

@@ -258,6 +258,55 @@ class TestTraceIo:
             load_events(path)
 
 
+#: DRAM commands no default FB-DIMM channel (4 banks per rank) has.
+OUT_OF_GEOMETRY = [
+    ("bank 9", dict(bank=9)),
+    ("bank -2", dict(bank=-2)),
+    ("bank 4", dict(bank=4)),
+    ("channel -1", dict(channel=-1)),
+    ("dimm -1", dict(dimm=-1)),
+    ("rank -1", dict(rank=-1)),
+]
+
+
+def _act_rd_pre(**where):
+    """An in-spec ACT/RD/PRE sequence, moved to ``where``."""
+    place = dict(dict(channel=0, dimm=0, rank=0, bank=1), **where)
+    return [CheckEvent(0, "ACT", row=5, **place),
+            CheckEvent(15_000, "RD", row=5, **place),
+            CheckEvent(45_000, "PRE", row=5, **place)]
+
+
+class TestGeometry:
+    """A DRAM command must name a bank, rank, DIMM and channel the trace's
+    geometry has."""
+
+    def test_in_geometry_sequence_is_clean(self):
+        assert check_trace(default_params("fbdimm"), _act_rd_pre()) == []
+
+    @pytest.mark.parametrize("name, where", OUT_OF_GEOMETRY,
+                             ids=[name for name, _ in OUT_OF_GEOMETRY])
+    def test_check_trace_rejects(self, name, where):
+        with pytest.raises(ValueError, match="outside the trace's geometry"):
+            check_trace(default_params("fbdimm"), _act_rd_pre(**where))
+
+    @pytest.mark.parametrize("name, where", OUT_OF_GEOMETRY,
+                             ids=[name for name, _ in OUT_OF_GEOMETRY])
+    def test_load_events_locates_the_line(self, tmp_path, name, where):
+        path = tmp_path / "trace.jsonl"
+        save_events(path, default_params("fbdimm"),
+                    [CheckEvent(0, "SB_CMD")] + _act_rd_pre(**where))
+        with pytest.raises(ValueError) as info:
+            load_events(path)
+        assert str(info.value).startswith(f"{path}:3: ACT at ")
+        assert "outside the trace's geometry (4 banks per rank)" \
+            in str(info.value)
+
+    def test_frame_events_carry_no_location(self):
+        params = default_params("fbdimm")
+        params.check_location(CheckEvent(0, "NB_LINE", frames=2))
+
+
 class TestRecordValidation:
     def test_round_trip_elides_defaults(self):
         event = CheckEvent(7, "NB_LINE", channel=1, frames=2, retry=1)
@@ -385,6 +434,29 @@ class TestCli:
         self._expect_located(tmp_path, [
             self._header(), '{"t": 0, "c": "SB_CMD"}', '{"t": 6000,',
         ], 3, "not valid JSON")
+
+    def test_bank_outside_geometry_is_usage_error(self, tmp_path):
+        self._expect_located(tmp_path, [
+            self._header(), '{"t": 0, "c": "SB_CMD"}',
+            '{"t": 3000, "c": "ACT", "ch": 0, "d": 0, "r": 0, "b": 9, '
+            '"row": 17}',
+        ], 3, "ACT at ch0.dimm0.rank0.bank9 lies outside the trace's "
+              "geometry")
+        proc = self._run(str(tmp_path / "trace.jsonl"))
+        assert len(proc.stderr.splitlines()) == 1, proc.stderr
+
+    @pytest.mark.parametrize("header, message", [
+        ({"nonsense": 1}, "header: unknown field(s) nonsense"),
+        ({"params": dict(default_params("fbdimm").to_dict(), nonsense=1)},
+         "params: unknown field(s) nonsense"),
+    ], ids=["header", "params"])
+    def test_unknown_header_key_is_usage_error(self, tmp_path, header,
+                                               message):
+        full = dict({"version": 1, "params": default_params("fbdimm").to_dict()},
+                    **header)
+        self._expect_located(tmp_path, [
+            json.dumps(full), '{"t": 0, "c": "SB_CMD"}',
+        ], 1, message)
 
     def test_unknown_kind_is_located(self, tmp_path):
         self._expect_located(tmp_path, [

@@ -124,6 +124,18 @@ class TestDemandReads:
         assert core.stats.demand_misses == 2
 
 
+class TestTraceOrder:
+    @pytest.mark.parametrize("second", [50, 49], ids=["repeated", "earlier"])
+    def test_non_increasing_trace_is_rejected(self, second):
+        """The ROB window reads the oldest outstanding read as the first
+        one, which needs strictly increasing instruction order."""
+        events = [TraceEvent(50, TraceKind.READ, 1),
+                  TraceEvent(second, TraceKind.READ, 2)]
+        with pytest.raises(ValueError, match=f"core 0: trace order violated: "
+                                             f"inst {second} after 50"):
+            run_core(events)
+
+
 class TestSoftwarePrefetch:
     def test_prefetch_turns_demand_into_hit(self):
         events = [

@@ -31,13 +31,14 @@ Coverage:
 * the six scenarios of the retired golden-number harness (``golden:*``),
   at its budget and each config's own seed;
 * one short run per path no other case reaches (``reach:*``): refresh,
-  power-down residency, retry-budget drops and degraded mode, and the
-  windowed lifecycle, fault-retry and open-page fields.
+  power-down residency, retry-budget drops and degraded mode, the
+  windowed lifecycle, fault-retry and open-page fields, and cores that
+  stall on full MSHR pools.
 
 The reach gate (``test_every_counter_and_window_field_is_reached``)
-proves the digests cover every counter: each ``MemSystemStats`` counter
-and each ``WindowRecord`` field must be nonzero in at least one case, or
-sit in :data:`UNREACHED` with its reason.  It reads the runs the digest
+proves the digests cover every counter: each ``MemSystemStats`` and
+``CoreStats`` counter and each ``WindowRecord`` field must be nonzero in
+at least one case, or sit in :data:`UNREACHED` with its reason.  It reads the runs the digest
 tests already made, so no case is simulated twice.
 
 Regenerate after an *intentional* model change with::
@@ -81,10 +82,12 @@ from repro.experiments import (
     prefetch_location,
 )
 from repro.experiments.runner import ExperimentContext
+from repro.cpu.core import CoreStats
 from repro.serialize import canonical_dumps
 from repro.stats.collector import COUNTERS
 from repro.system import run_system
 from repro.timeline.records import WindowRecord
+from repro.workloads.multiprog import workload_programs
 
 GOLDEN_PATH = Path(__file__).parent / "goldens" / "engine_conformance.json"
 
@@ -293,6 +296,11 @@ def _reach_cases() -> "dict[str, list]":
     parity, _ = _buffer_variants()["variant:lifecycle-amb-parity"]
     open_page = ddr2_baseline(num_cores=2, logic_channels=1).with_memory(
         page_policy=PagePolicy.OPEN_PAGE).with_timeline(window_ns=500.0)
+    # Eight cores share two L2 MSHRs and have two data-cache MSHRs each,
+    # so reads block on both pools and releases hand slots on.
+    eight = fbdimm_amb_prefetch(num_cores=8)
+    mshr = dataclasses.replace(eight, cpu=dataclasses.replace(
+        eight.cpu, data_mshr_entries=2, l2_mshr_entries=2))
     return {
         "reach:refresh": [(_budget(refresh, 20_000), _BENCH_PROGRAMS)],
         "reach:powerdown": [(_budget(powerdown, 3000), ("gap",))],
@@ -301,6 +309,7 @@ def _reach_cases() -> "dict[str, list]":
             (_budget(parity.with_timeline(window_ns=500.0)), two)
         ],
         "reach:open-page-windows": [(_budget(open_page), two)],
+        "reach:mshr": [(_budget(mshr), tuple(workload_programs("8C-1")))],
     }
 
 
@@ -328,10 +337,12 @@ CASE_NAMES = (
 )
 
 _COUNTER_NAMES = tuple(f.name for f in COUNTERS)
+_CORE_STATS = tuple(f.name for f in dataclasses.fields(CoreStats))
 _WINDOW_FIELDS = tuple(f.name for f in dataclasses.fields(WindowRecord))
 
-#: Counters (``MemSystemStats.<name>``) and window fields
-#: (``WindowRecord.<name>``) that no case moves, each with the reason.
+#: Counters (``MemSystemStats.<name>``, ``CoreStats.<name>``) and window
+#: fields (``WindowRecord.<name>``) that no case moves, each with the
+#: reason.
 #: The reach gate fails on any other zero, and on an entry here that some
 #: case does move, so the map cannot go stale.
 UNREACHED = {
@@ -341,6 +352,18 @@ UNREACHED = {
         "by tests/test_bank.py::TestFourActivateWindow)"
     ),
     "MemSystemStats.faw_stall_ps": "the delay of faw_stalls; zero for the same reason",
+    "CoreStats.store_stalls": (
+        "no SPEC profile keeps 32 writes (the default store buffer) in "
+        "flight on one core; pinned at core level by "
+        "tests/test_core.py::TestWrites::test_store_buffer_fills_and_stalls"
+    ),
+    "CoreStats.sw_prefetches_squashed": (
+        "a SPEC trace prefetches only the line its own read takes "
+        "sw_prefetch_distance later, in a private address slice, so no "
+        "case prefetches a line twice; pinned at core level by "
+        "tests/test_core.py::TestSoftwarePrefetch::"
+        "test_duplicate_prefetch_squashed"
+    ),
 }
 
 
@@ -362,6 +385,8 @@ def digest_case(pairs) -> CaseRun:
         run_digests.append(hashlib.sha256(text.encode()).hexdigest())
         reached.update(f"MemSystemStats.{name}" for name in _COUNTER_NAMES
                        if getattr(result.mem, name))
+        reached.update(f"CoreStats.{name}" for name in _CORE_STATS
+                       if any(getattr(core, name) for core in result.core_stats))
         windows = result.timeline.windows if result.timeline else ()
         for window in windows:
             reached.update(f"WindowRecord.{name}" for name in _WINDOW_FIELDS
@@ -430,6 +455,7 @@ class TestConformance:
         for name in CASE_NAMES:
             reached |= case_run(name).reached
         every = ({f"MemSystemStats.{name}" for name in _COUNTER_NAMES}
+                 | {f"CoreStats.{name}" for name in _CORE_STATS}
                  | {f"WindowRecord.{name}" for name in _WINDOW_FIELDS})
         unreached = sorted(every - reached - set(UNREACHED))
         assert not unreached, (

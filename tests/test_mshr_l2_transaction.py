@@ -7,6 +7,23 @@ from repro.cpu.l2 import L2FillTable
 from repro.cpu.mshr import Limiter
 
 
+class _Waiter:
+    """A limiter waiter that logs its wake-ups and, given a pool, takes a
+    slot from it when it needs one."""
+
+    def __init__(self, name, calls, pool=None):
+        self.name, self.calls, self.pool = name, calls, pool
+        self.slot = True
+
+    def needs_slot(self):
+        return self.slot
+
+    def resume(self):
+        self.calls.append(self.name)
+        if self.pool is not None and self.slot:
+            assert self.pool.try_acquire()
+
+
 class TestLimiter:
     def test_acquire_until_full(self):
         lim = Limiter(2)
@@ -29,19 +46,42 @@ class TestLimiter:
         lim = Limiter(1)
         lim.try_acquire()
         calls = []
-        lim.add_waiter(lambda: calls.append(1))
+        lim.add_waiter(_Waiter("a", calls))
         lim.release()
-        assert calls == [1]
+        assert calls == ["a"]
         lim.try_acquire()
         lim.release()
-        assert calls == [1]  # one-shot
+        assert calls == ["a"]  # one-shot
 
-    def test_peak_tracking(self):
-        lim = Limiter(3)
+    def test_release_hands_the_slot_to_the_oldest_waiter(self):
+        """One free slot wakes the first waiter that takes it; the rest
+        stay queued, in order, without being woken."""
+        lim = Limiter(1)
         lim.try_acquire()
-        lim.try_acquire()
+        calls = []
+        waiters = [_Waiter(name, calls, lim) for name in "abc"]
+        for waiter in waiters:
+            lim.add_waiter(waiter)
         lim.release()
-        assert lim.peak == 2
+        assert calls == ["a"]
+        assert lim._waiters == waiters[1:]
+        lim.release()
+        assert calls == ["a", "b"]
+        assert lim._waiters == waiters[2:]
+
+    def test_release_wakes_waiters_that_need_no_slot(self):
+        """A waiter that no longer needs a slot is woken even when the
+        pool stays full, and keeps the others' order intact."""
+        lim = Limiter(1)
+        lim.try_acquire()
+        calls = []
+        a, b, c = (_Waiter(name, calls, lim) for name in "abc")
+        b.slot = False
+        for waiter in (a, b, c):
+            lim.add_waiter(waiter)
+        lim.release()  # a takes the slot, b merges, c waits
+        assert calls == ["a", "b"]
+        assert lim._waiters == [c]
 
     def test_zero_capacity_rejected(self):
         with pytest.raises(ValueError):

@@ -214,6 +214,11 @@ def _non_numeric_core_key(raw):
     return raw
 
 
+def _unknown_config_key(raw):
+    raw["config"]["nonsense"] = 1
+    return raw
+
+
 def _mem_as_list(raw):
     raw["mem"] = [raw["mem"]]
     return raw
@@ -232,9 +237,10 @@ class TestPayloadBoundaryFuzz:
             _drop_elapsed,
             _unknown_enum,
             _non_numeric_core_key,
+            _unknown_config_key,
         ],
         ids=["payload-list", "mem-list", "missing-elapsed", "unknown-enum",
-             "non-numeric-key"],
+             "non-numeric-key", "unknown-config-key"],
     )
     def test_undecodable_payload_quarantines(self, tmp_path, small_result, rewrite):
         cache = RunCache(tmp_path)
@@ -255,6 +261,27 @@ class TestPayloadBoundaryFuzz:
         assert cache.stats.quarantined == 1
         assert not path.exists()
         assert [p.name for p in cache.quarantined()] == [path.name]
+
+
+    def test_unknown_key_entry_is_recomputed(self, tmp_path):
+        """A checksummed entry naming a field no dataclass has is not
+        served with the key dropped: it is quarantined and the run
+        recomputed."""
+        ctx = ExperimentContext(instructions=INSTS, cache=tmp_path)
+        first = ctx.run(fbdimm_baseline(num_cores=1), PROGRAMS)
+        [path] = list(ctx.cache.entries())
+        header, payload = path.read_text().splitlines()
+        raw = _unknown_config_key(json.loads(payload))
+        payload = canonical_dumps(raw)
+        header = json.loads(header)
+        header["payload_sha256"] = hashlib.sha256(payload.encode()).hexdigest()
+        path.write_text(canonical_dumps(header) + "\n" + payload + "\n")
+
+        again = ExperimentContext(instructions=INSTS, cache=tmp_path)
+        second = again.run(fbdimm_baseline(num_cores=1), PROGRAMS)
+        assert again.fresh_runs == 1 and again.disk_hits == 0
+        assert again.cache.stats.quarantined == 1
+        assert second.canonical_json() == first.canonical_json()
 
 
 class TestWarmDecodeCost:

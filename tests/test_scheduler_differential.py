@@ -6,8 +6,9 @@ two-callback version (``estimate`` then ``row_hit``) it replaced.
 Hypothesis drives random call sequences through both: queues that grow
 past ``SCAN_WINDOW``, estimates before, at and after ``now``, random hits
 and ``schedulable_at``, random drain thresholds, and picks that are
-sometimes issued (removed) between calls.  Every call must return the same
-``(req, est, is_write)`` and leave the same write-drain state.
+sometimes issued (removed) between calls, and queues the scheduler is
+told cannot hit.  Every call must return the same ``(req, est,
+is_write)`` and leave the same write-drain state.
 """
 
 import random
@@ -49,12 +50,20 @@ def _offset(rnd, now, at_or_before):
     threshold=st.integers(0, 40),
     steps=STEPS,
     hit_rate=st.sampled_from([0.0, 0.2, 0.6, 1.0]),
+    reads_can_hit=st.booleans(),
+    writes_can_hit=st.booleans(),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_probe_select_matches_legacy(threshold, steps, hit_rate, seed):
+def test_probe_select_matches_legacy(threshold, steps, hit_rate, reads_can_hit,
+                                     writes_can_hit, seed):
+    """Queues the scheduler is told cannot hit get probes whose hit flag
+    is always False, which the legacy oracle sees too."""
     rnd = random.Random(seed)
-    new = HitFirstScheduler(threshold)
+    new = HitFirstScheduler(threshold, reads_can_hit=reads_can_hit,
+                            writes_can_hit=writes_can_hit)
     old = legacy.HitFirstScheduler(threshold)
+    can_hit = {RequestKind.DEMAND_READ: reads_can_hit,
+               RequestKind.WRITE: writes_can_hit}
     reads: deque = deque()
     writes: deque = deque()
     now = 0
@@ -80,7 +89,8 @@ def test_probe_select_matches_legacy(threshold, steps, hit_rate, seed):
                 _offset(rnd, now, ready) if rnd.random() < 0.5 else -1
             )
             answers[req.req_id] = (
-                _offset(rnd, now, ready), rnd.random() < hit_rate
+                _offset(rnd, now, ready),
+                can_hit[req.kind] and rnd.random() < hit_rate,
             )
 
         probes: Counter = Counter()
@@ -100,6 +110,12 @@ def test_probe_select_matches_legacy(threshold, steps, hit_rate, seed):
         # One probe per candidate, and only candidates inside the window.
         assert all(count == 1 for count in probes.values())
         assert len(probes) <= 2 * SCAN_WINDOW
+        # A pick from a queue that cannot hit is its first ready candidate
+        # (or a future one), so nothing behind a ready pick was probed.
+        if got is not None and got[1] <= now and not can_hit[got[0].kind]:
+            queue = writes if got[2] else reads
+            behind = list(queue)[list(queue).index(got[0]) + 1:]
+            assert not any(req.req_id in probes for req in behind)
         if issue and got is not None:
             req, _, is_write = got
             (writes if is_write else reads).remove(req)

@@ -87,10 +87,18 @@ class TestConfigRoundTrip:
         assert restored == config
         assert canonical_dumps(restored.to_dict()) == canonical_dumps(config.to_dict())
 
-    def test_unknown_keys_are_ignored(self):
+    @pytest.mark.parametrize("where", ["top", "nested"])
+    def test_unknown_keys_are_rejected(self, where):
         raw = fbdimm_baseline().to_dict()
-        raw["from_the_future"] = 42
-        assert SystemConfig.from_dict(raw) == fbdimm_baseline()
+        (raw if where == "top" else raw["memory"])["nonsense"] = 1
+        owner = "SystemConfig" if where == "top" else "MemoryConfig"
+        with pytest.raises(ValueError,
+                           match=f"unknown field\\(s\\) for {owner}: nonsense"):
+            SystemConfig.from_dict(raw)
+
+    def test_only_unknown_key_is_rejected(self):
+        with pytest.raises(ValueError, match="nonsense"):
+            SystemConfig.from_dict({"nonsense": 1})
 
     def test_missing_keys_take_field_defaults(self):
         raw = fbdimm_baseline().to_dict()

@@ -379,11 +379,43 @@ def test_synthetic_values_match_legacy(data, hint):
 def test_mismatched_raw_decodes_the_same(hint, raw):
     """Raw JSON that need not fit its hint: both decoders return the same
     value or raise the same error (non-object dataclass payloads, fixed
-    tuples of the wrong length, non-numeric int/float keys, ...)."""
-    _assert_same_outcome(
-        _outcome(serialize.decode_value, raw, hint),
-        _outcome(legacy.decode_value, raw, hint),
-    )
+    tuples of the wrong length, non-numeric int/float keys, ...).  The one
+    deliberate difference: where the legacy decoder dropped an object key
+    that names no field of its dataclass, the new one raises."""
+    new = _outcome(serialize.decode_value, raw, hint)
+    if new[0] == "raised" and new[1] is ValueError \
+            and new[2].startswith("unknown field(s) for "):
+        owner, names = new[2][len("unknown field(s) for "):].split(": ", 1)
+        fields = {f.name for f in dataclasses.fields(_dataclasses_in(hint)[owner])}
+        for name in names.split(", "):
+            assert name not in fields and name in _object_keys(raw), name
+        return
+    _assert_same_outcome(new, _outcome(legacy.decode_value, raw, hint))
+
+
+def _dataclasses_in(hint, found=None):
+    """Name -> class of every dataclass ``hint`` can decode, nested ones
+    included."""
+    found = {} if found is None else found
+    for arg in typing.get_args(hint):
+        _dataclasses_in(arg, found)
+    if dataclasses.is_dataclass(hint) and hint.__name__ not in found:
+        found[hint.__name__] = hint
+        for nested in typing.get_type_hints(hint).values():
+            _dataclasses_in(nested, found)
+    return found
+
+
+def _object_keys(raw):
+    """Every key of every JSON object inside ``raw``."""
+    if isinstance(raw, dict):
+        keys = set(raw)
+        for value in raw.values():
+            keys |= _object_keys(value)
+        return keys
+    if isinstance(raw, list):
+        return set().union(*map(_object_keys, raw)) if raw else set()
+    return set()
 
 
 class Opaque:
