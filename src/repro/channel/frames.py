@@ -18,10 +18,13 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
-from repro.dram.commands import SB_CMD, SB_DATA
+from repro.dram.commands import MID_SHIFT, SB_CMD, SB_DATA, TIME_SHIFT
 
 if TYPE_CHECKING:
     from array import array
+
+#: Each southbound slot's journal tag: its code in the record's middle field.
+_CMD_TAG, _DATA_TAG = SB_CMD << MID_SHIFT, SB_DATA << MID_SHIFT
 
 #: Southbound frame capacity per Section 2.
 COMMANDS_PER_FRAME = 3
@@ -165,11 +168,11 @@ class SouthboundLink:
         #: frame index -> [command_count, carries_data]
         self._frames: Dict[int, List] = {}
         self.frames_used = 0
-        #: Optional booking journal for the protocol checker: a flat
-        #: ``array('q')`` of ``(slot code, frame_start_ps, retry_attempt)``
-        #: triples, the code ``SB_CMD`` or ``SB_DATA``
-        #: (``repro.dram.commands``).  Attempt 0 is the original transfer;
-        #: retries of a CRC-corrupted transfer book real frames too and
+        #: Optional booking journal for the protocol checker: an
+        #: ``array('q')`` of one packed ``(frame_start_ps, slot code,
+        #: retry_attempt)`` int per slot, the code ``SB_CMD`` or
+        #: ``SB_DATA`` (``repro.dram.commands``).  Attempt 0 is the
+        #: original transfer; retries of a CRC-corrupted transfer book real frames too and
         #: carry their attempt number so the checker can audit the retry
         #: budget.  None keeps the hot path lean.
         self.journal: Optional[array] = None
@@ -216,7 +219,7 @@ class SouthboundLink:
             index += 1
         start = index * frame_ps
         if self.journal is not None:
-            self.journal.extend((SB_CMD, start, retry))
+            self.journal.append(start << TIME_SHIFT | _CMD_TAG | retry)
         return start
 
     def reserve_write_data(
@@ -251,7 +254,7 @@ class SouthboundLink:
             if first_start is None:
                 first_start = start
             if journal is not None:
-                journal.extend((SB_DATA, start, retry))
+                journal.append(start << TIME_SHIFT | _DATA_TAG | retry)
             placed += 1
             last_end = start + frame_ps
             index += 1
@@ -301,9 +304,9 @@ class NorthboundLink:
         self.phase_ps = phase_ps
         self._taken: Dict[int, bool] = {}
         self.frames_used = 0
-        #: Optional booking journal for the protocol checker: a flat
-        #: ``array('q')`` of ``(first_frame_start_ps, frames,
-        #: retry_attempt)`` triples, one per line.
+        #: Optional booking journal for the protocol checker: an
+        #: ``array('q')`` of one packed ``(first_frame_start_ps, frames,
+        #: retry_attempt)`` int per line (``repro.dram.commands``).
         self.journal: Optional[array] = None
 
     def enable_journal(self) -> None:
@@ -350,7 +353,8 @@ class NorthboundLink:
         self.frames_used += frames_needed
         start = index * frame_ps + phase_ps
         if self.journal is not None:
-            self.journal.extend((start, frames_needed, retry))
+            self.journal.append(
+                start << TIME_SHIFT | frames_needed << MID_SHIFT | retry)
         return start, start + frames_needed * frame_ps
 
     @property

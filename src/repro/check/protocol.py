@@ -35,8 +35,8 @@ Checked rules (rule ids in parentheses) and the location each reports:
 no event list, and holds nothing of a channel once it moves on:
 
 * each bank log is walked in ``(time, command)`` order, which is ACT,
-  RD, WR, PRE at one instant: a log strictly increasing in time as it
-  stands, any other log after a stable sort;
+  RD, WR, PRE at one instant: the order its packed records
+  (``repro.dram.commands``) sort in as plain ints;
 * each rank's sorted ACT times give tRRD (neighbours) and tFAW
   (``act[i] - act[i-4]``); a RD breaks tWTR when a WR of its rank
   strictly before it has a data end less than tWTR before it;
@@ -65,7 +65,7 @@ from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import chain, compress, islice, repeat
-from operator import add, attrgetter, eq, itemgetter, lt, mul, sub
+from operator import add, and_, attrgetter, eq, lt, mul, rshift, sub
 from typing import Dict, Iterable, Iterator, List, Tuple
 
 from repro.check.trace import (
@@ -76,7 +76,16 @@ from repro.check.trace import (
     TraceParams,
     event_journals,
 )
-from repro.dram.commands import ACT, PRE, RD, SB_CMD
+from repro.dram.commands import (
+    ACT,
+    LOW_MASK,
+    MID_MASK,
+    MID_SHIFT,
+    PRE,
+    RD,
+    TIME_SHIFT,
+    unpack_record,
+)
 
 #: Cap on violations kept per check run; a broken trace would otherwise
 #: produce one report per command.
@@ -115,7 +124,6 @@ _Found = Dict[Tuple[str, str], Dict[int, str]]
 _NEVER = float("-inf")
 #: Past every time an ``array('q')`` journal can hold.
 _AFTER_ALL = 1 << 63
-_BANK_RULES = ("row-state", "tRCD", "tRAS", "tRPD", "tWPD", "tRP", "tRC")
 
 
 def check_journals(
@@ -194,6 +202,7 @@ def _check_banks(params: TraceParams, channel: int,
     t = params.timing
     tRC, tRP, tRAS, tRCD = t.tRC, t.tRP, t.tRAS, t.tRCD
     tRPD, tWPD = t.tRPD, t.tWPD
+    time_shift, mid_shift, mid_mask = TIME_SHIFT, MID_SHIFT, MID_MASK
     # (dimm, rank) -> ACT, RD and WR command times, in walk order
     ranks: Dict[Tuple[int, int], Tuple[array, array, array]] = {}
     for (_, dimm, rank, bank), log in journals:
@@ -202,71 +211,57 @@ def _check_banks(params: TraceParams, channel: int,
             columns = ranks[dimm, rank] = (array("q"), array("q"), array("q"))
         acts, rds, wrs = columns
         location = f"ch{channel}.dimm{dimm}.rank{rank}.bank{bank}"
-        it = iter(log)
-        records: Iterable[Tuple[int, int, int]] = zip(it, it, it)
-        resorted = False
-        while True:
-            marks = len(acts), len(rds), len(wrs)
-            last_act = last_pre = last_rd = last_wr = previous = _NEVER
-            open_row = False
-            for code, time_ps, _ in records:
-                if time_ps <= previous and not resorted:
-                    break
-                previous = time_ps
-                if code == ACT:
-                    if open_row:
-                        _flag(found, "row-state", location, time_ps,
-                              "ACT while a row is already open (missing PRE)")
-                    if time_ps - last_act < tRC:
-                        _flag(found, "tRC", location, time_ps,
-                              _gap("ACT after ACT", time_ps, last_act, tRC))
-                    if time_ps - last_pre < tRP:
-                        _flag(found, "tRP", location, time_ps,
-                              _gap("ACT after PRE", time_ps, last_pre, tRP))
-                    open_row = True
-                    last_act = time_ps
-                    last_rd = last_wr = _NEVER
-                    acts.append(time_ps)
-                elif code == PRE:
-                    if not open_row:
-                        _flag(found, "row-state", location, time_ps,
-                              "PRE with no row open")
-                    if time_ps - last_act < tRAS:
-                        _flag(found, "tRAS", location, time_ps,
-                              _gap("PRE after ACT", time_ps, last_act, tRAS))
-                    if time_ps - last_rd < tRPD:
-                        _flag(found, "tRPD", location, time_ps,
-                              _gap("PRE after RD", time_ps, last_rd, tRPD))
-                    if time_ps - last_wr < tWPD:
-                        _flag(found, "tWPD", location, time_ps,
-                              _gap("PRE after WR", time_ps, last_wr, tWPD))
-                    open_row = False
-                    last_pre = time_ps
-                else:
-                    if not open_row:
-                        _flag(found, "row-state", location, time_ps,
-                              f"{DRAM_COMMANDS[code]} with no row open")
-                    if time_ps - last_act < tRCD:
-                        _flag(found, "tRCD", location, time_ps,
-                              _gap(f"{DRAM_COMMANDS[code]} after ACT",
-                                   time_ps, last_act, tRCD))
-                    if code == RD:
-                        last_rd = time_ps
-                        rds.append(time_ps)
-                    else:
-                        last_wr = time_ps
-                        wrs.append(time_ps)
+        last_act = last_pre = last_rd = last_wr = _NEVER
+        open_row = False
+        # Packed records sort by (time, command), the walk order (rows,
+        # which no rule reads, break ties); timsort takes one pass over a
+        # log already in order, as every clean run's is.
+        for record in sorted(log):
+            time_ps = record >> time_shift
+            code = record >> mid_shift & mid_mask
+            if code == ACT:
+                if open_row:
+                    _flag(found, "row-state", location, time_ps,
+                          "ACT while a row is already open (missing PRE)")
+                if time_ps - last_act < tRC:
+                    _flag(found, "tRC", location, time_ps,
+                          _gap("ACT after ACT", time_ps, last_act, tRC))
+                if time_ps - last_pre < tRP:
+                    _flag(found, "tRP", location, time_ps,
+                          _gap("ACT after PRE", time_ps, last_pre, tRP))
+                open_row = True
+                last_act = time_ps
+                last_rd = last_wr = _NEVER
+                acts.append(time_ps)
+            elif code == PRE:
+                if not open_row:
+                    _flag(found, "row-state", location, time_ps,
+                          "PRE with no row open")
+                if time_ps - last_act < tRAS:
+                    _flag(found, "tRAS", location, time_ps,
+                          _gap("PRE after ACT", time_ps, last_act, tRAS))
+                if time_ps - last_rd < tRPD:
+                    _flag(found, "tRPD", location, time_ps,
+                          _gap("PRE after RD", time_ps, last_rd, tRPD))
+                if time_ps - last_wr < tWPD:
+                    _flag(found, "tWPD", location, time_ps,
+                          _gap("PRE after WR", time_ps, last_wr, tWPD))
+                open_row = False
+                last_pre = time_ps
             else:
-                break
-            # Out of time order: undo this bank's walk, then walk its log
-            # stably sorted by (time, command).
-            for column, mark in zip(columns, marks):
-                del column[mark:]
-            for rule in _BANK_RULES:
-                found.pop((rule, location), None)
-            it = iter(log)
-            records = sorted(zip(it, it, it), key=itemgetter(1, 0))
-            resorted = True
+                if not open_row:
+                    _flag(found, "row-state", location, time_ps,
+                          f"{DRAM_COMMANDS[code]} with no row open")
+                if time_ps - last_act < tRCD:
+                    _flag(found, "tRCD", location, time_ps,
+                          _gap(f"{DRAM_COMMANDS[code]} after ACT",
+                               time_ps, last_act, tRCD))
+                if code == RD:
+                    last_rd = time_ps
+                    rds.append(time_ps)
+                else:
+                    last_wr = time_ps
+                    wrs.append(time_ps)
 
     # Gap rules over each rank's sorted ACT times: times[i] must follow
     # times[i - lag] by at least the minimum.
@@ -361,29 +356,29 @@ def _check_banks(params: TraceParams, channel: int,
 
 def _check_links(params: TraceParams, channel: int,
                  journals: Iterable[LinkJournal], found: _Found) -> None:
-    """The frame and retry rules over one channel's link journals, flat
-    triples: south ``(code, start, retry)``, north ``(start, frames,
-    retry)``."""
+    """The frame and retry rules over one channel's link journals, packed
+    records (``repro.dram.commands``): south ``(start, code, retry)``,
+    north ``(start, frames, retry)``."""
     frame_ps = params.frame_ps
     phase = params.nb_phase_ps
     budget = params.max_retries
     south_at, north_at = f"ch{channel}.southbound", f"ch{channel}.northbound"
+    # A field is one C-level pass: ``map(rshift, journal, shifts)``.
+    shifts, masks = repeat(TIME_SHIFT), repeat(LOW_MASK)
+    code_bits = repeat(MID_MASK << MID_SHIFT)
     for _, south, north in journals:
         if params.kind == "ddr2":
-            for location, journal, slot in ((south_at, south, 1),
-                                            (north_at, north, 0)):
-                for time_ps in sorted(islice(journal, slot, None, 3)):
+            for location, journal in ((south_at, south), (north_at, north)):
+                for time_ps in sorted(map(rshift, journal, shifts)):
                     _flag(found, "frame-align", location, time_ps,
                           "frame event in a ddr2 trace")
             continue
         if budget:
-            for location, journal, slot in ((south_at, south, 1),
-                                            (north_at, north, 0)):
-                for time_ps, retry in sorted(compress(
-                    zip(islice(journal, slot, None, 3),
-                        islice(journal, 2, None, 3)),
-                    map((budget + 1).__lt__, islice(journal, 2, None, 3)),
-                )):
+            for location, journal in ((south_at, south), (north_at, north)):
+                late = list(compress(journal, map(
+                    (budget + 1).__lt__, map(and_, journal, masks))))
+                for time_ps, retry in sorted(zip(map(rshift, late, shifts),
+                                                 map(and_, late, masks))):
                     _flag(found, "retry-budget", location, time_ps,
                           f"replay attempt {retry} exceeds the retry budget "
                           f"of {budget} (+1 recovery replay)")
@@ -391,9 +386,8 @@ def _check_links(params: TraceParams, channel: int,
         # data: with each data booking listed twice, no frame start may
         # appear four times in the sorted slot starts.
         slots = sorted(chain(
-            islice(south, 1, None, 3),
-            compress(islice(south, 1, None, 3),
-                     map(SB_CMD.__ne__, islice(south, 0, None, 3))),
+            map(rshift, south, shifts),
+            map(rshift, compress(south, map(and_, south, code_bits)), shifts),
         ))
         off_grid = list(compress(slots, map(frame_ps.__rmod__, slots)))
         if off_grid:
@@ -411,9 +405,11 @@ def _check_links(params: TraceParams, channel: int,
         # sit on the shifted grid and be pairwise disjoint: with starts
         # and ends sorted apart, a start before the end ahead of it
         # overlaps a line booked before it.
-        starts = sorted(islice(north, 0, None, 3))
-        ends = sorted(map(add, islice(north, 0, None, 3), map(
-            frame_ps.__mul__, map(max, islice(north, 1, None, 3), repeat(1)))))
+        starts = sorted(map(rshift, north, shifts))
+        frames = map(and_, map(rshift, north, repeat(MID_SHIFT)),
+                     repeat(MID_MASK))
+        ends = sorted(map(add, map(rshift, north, shifts), map(
+            frame_ps.__mul__, map(max, frames, repeat(1)))))
         off_grid = list(compress(starts, map(frame_ps.__rmod__,
                                              map(sub, starts, repeat(phase)))))
         if off_grid:
@@ -422,8 +418,7 @@ def _check_links(params: TraceParams, channel: int,
                       f"northbound line start off the {frame_ps}ps grid "
                       f"(phase {phase}ps)")
             lines = [(start, start + max(frames, 1) * frame_ps)
-                     for start, frames in zip(islice(north, 0, None, 3),
-                                              islice(north, 1, None, 3))
+                     for start, frames, _ in map(unpack_record, north)
                      if not (start - phase) % frame_ps]
             starts = sorted(start for start, _ in lines)
             ends = sorted(end for _, end in lines)

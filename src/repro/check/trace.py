@@ -27,7 +27,18 @@ from typing import (
 )
 
 from repro.config import DRAM_CLOCK_PS, MemoryConfig, MemoryKind
-from repro.dram.commands import COMMANDS_BY_CODE, CommandType
+from repro.dram.commands import (
+    BANK_FIELDS,
+    COMMANDS_BY_CODE,
+    LOW_MASK,
+    MID_MASK,
+    MID_SHIFT,
+    NORTH_FIELDS,
+    SOUTH_FIELDS,
+    TIME_SHIFT,
+    CommandType,
+    pack_record,
+)
 from repro.dram.timing import TimingPs
 from repro.engine.simulator import ns
 
@@ -239,21 +250,43 @@ def default_params(kind: str = "fbdimm") -> TraceParams:
 # ----------------------------------------------------------------------
 
 #: ``((channel, dimm, rank, bank), command_log)``: one bank's journal,
-#: ``(command code, time_ps, row)`` triples in a flat ``array('q')`` in the
-#: order the bank issued them (``Bank.command_log``).
+#: one packed ``(time_ps, command code, row)`` int per command in an
+#: ``array('q')``, in the order the bank issued them (``Bank.command_log``;
+#: the packing is ``repro.dram.commands.pack_record``'s).
 BankJournal = Tuple[Tuple[int, int, int, int], array]
 #: ``(channel, southbound, northbound)``: one FB-DIMM channel's frame
-#: bookings as flat ``array('q')`` triples, ``(slot code, start, retry)``
-#: southbound and ``(start, frames, retry)`` northbound (see
-#: ``repro.channel.frames``).
+#: bookings, packed ``(start, slot code, retry)`` ints southbound and
+#: ``(start, frames, retry)`` northbound (see ``repro.channel.frames``).
 LinkJournal = Tuple[int, array, array]
 
 
 def bank_commands(log: Iterable[int]) -> Iterator[Tuple[CommandType, int, int]]:
     """A bank journal's ``(command, time_ps, row)`` records, in log order."""
-    it = iter(log)
-    # zip draws from the three arguments in turn: code, time, row.
-    return zip(map(COMMANDS_BY_CODE.__getitem__, it), it, it)
+    return ((COMMANDS_BY_CODE[record >> MID_SHIFT & MID_MASK],
+             record >> TIME_SHIFT, record & LOW_MASK) for record in log)
+
+
+def event_record(event: CheckEvent) -> int:
+    """``event`` as a record of its journal (``repro.dram.commands``).
+
+    Raises ValueError for an unknown kind, or naming the field whose
+    value does not fit: a time, row, frame count or replay attempt that
+    is negative or too large.
+    """
+    kind = event.kind
+    try:
+        if kind in DRAM_COMMANDS:
+            return pack_record(event.time_ps, DRAM_COMMANDS.index(kind),
+                               event.row, BANK_FIELDS)
+        if kind == "NB_LINE":
+            return pack_record(event.time_ps, event.frames, event.retry,
+                               NORTH_FIELDS)
+        if kind in FRAME_EVENTS:
+            return pack_record(event.time_ps, FRAME_EVENTS.index(kind),
+                               event.retry, SOUTH_FIELDS)
+    except ValueError as exc:
+        raise ValueError(f"{kind} {exc}") from None
+    raise ValueError(f"unknown check-event kind {kind!r}")
 
 
 def journal_events(
@@ -263,24 +296,23 @@ def journal_events(
     in journal order (not time-sorted).  :func:`event_journals` inverts it."""
     events: List[CheckEvent] = []
     for (channel, dimm, rank, bank), log in banks:
-        # ``_value_`` rather than ``.value``: a plain attribute read, not a
-        # property call per command.
         events += [
-            CheckEvent(time_ps, command._value_, channel, dimm, rank, bank,
-                       row, 1, 0)
-            for command, time_ps, row in bank_commands(log)
+            CheckEvent(record >> TIME_SHIFT,
+                       DRAM_COMMANDS[record >> MID_SHIFT & MID_MASK],
+                       channel, dimm, rank, bank, record & LOW_MASK, 1, 0)
+            for record in log
         ]
     for channel, south, north in links:
-        it = iter(south)
         events += [
-            CheckEvent(start, FRAME_EVENTS[code], channel, -1, -1, -1, -1, 1,
-                       retry)
-            for code, start, retry in zip(it, it, it)
+            CheckEvent(record >> TIME_SHIFT,
+                       FRAME_EVENTS[record >> MID_SHIFT & MID_MASK],
+                       channel, -1, -1, -1, -1, 1, record & LOW_MASK)
+            for record in south
         ]
-        it = iter(north)
         events += [
-            CheckEvent(start, "NB_LINE", channel, -1, -1, -1, -1, frames, retry)
-            for start, frames, retry in zip(it, it, it)
+            CheckEvent(record >> TIME_SHIFT, "NB_LINE", channel, -1, -1, -1,
+                       -1, record >> MID_SHIFT & MID_MASK, record & LOW_MASK)
+            for record in north
         ]
     return events
 
@@ -291,26 +323,21 @@ def event_journals(
     """Split check events into journals, each stream in event order.
 
     The journal key carries each command's location.  Raises ValueError
-    for an unknown kind.
+    for an unknown kind or a value that does not fit its journal field
+    (:func:`event_record`).
     """
     banks: Dict[Tuple[int, int, int, int], array] = {}
     links: Dict[int, Tuple[array, array]] = {}
     for event in events:
+        record = event_record(event)
         kind = event.kind
         if kind in DRAM_COMMANDS:
             key = (event.channel, event.dimm, event.rank, event.bank)
-            banks.setdefault(key, array("q")).extend(
-                (DRAM_COMMANDS.index(kind), event.time_ps, event.row))
+            banks.setdefault(key, array("q")).append(record)
             continue
         south, north = links.setdefault(event.channel,
                                         (array("q"), array("q")))
-        if kind == "NB_LINE":
-            north.extend((event.time_ps, event.frames, event.retry))
-        elif kind in FRAME_EVENTS:
-            south.extend((FRAME_EVENTS.index(kind), event.time_ps,
-                          event.retry))
-        else:
-            raise ValueError(f"unknown check-event kind {kind!r}")
+        (north if kind == "NB_LINE" else south).append(record)
     return (list(banks.items()),
             [(channel, south, north) for channel, (south, north) in links.items()])
 
@@ -409,8 +436,9 @@ def load_events(path: Union[str, Path]) -> Tuple[TraceParams, List[CheckEvent]]:
     """Load a saved check trace: (params, time-sorted events).
 
     Raises OSError when the file cannot be read, and ValueError prefixed
-    ``path:line:`` for a malformed header or record, or a DRAM command
-    outside the header's geometry (:meth:`TraceParams.check_location`).
+    ``path:line:`` for a malformed header or record, a DRAM command
+    outside the header's geometry (:meth:`TraceParams.check_location`),
+    or a value that does not fit its journal field (:func:`event_record`).
     """
     path = Path(path)
     line_no = 1
@@ -422,6 +450,7 @@ def load_events(path: Union[str, Path]) -> Tuple[TraceParams, List[CheckEvent]]:
                 if line.strip():
                     event = record_to_event(_parse_json(line))
                     params.check_location(event)
+                    event_record(event)
                     events.append(event)
         except ValueError as exc:
             raise ValueError(f"{path}:{line_no}: {exc}") from exc

@@ -38,6 +38,7 @@ from repro.faults.retry import ChannelFaults
 from repro.controller.prefetch_buffer import PrefetchBuffer
 from repro.controller.scheduler import HitFirstScheduler
 from repro.controller.transaction import MemoryRequest, RequestKind
+from repro.dram.commands import LOW_MASK, MID_MASK, pack_record
 from repro.dram.resources import BusResource, TaggedBusResource
 from repro.dram.timing import TimingPs
 from repro.engine.simulator import Simulator
@@ -647,6 +648,13 @@ class FbdimmChannelController(ChannelControllerBase):
         self._finish_at(req, result.data_starts[0], demanded_finish)
 
     def enable_protocol_trace(self) -> None:
+        """Also journal the links.  Raises ValueError when a line's frame
+        count or the last replay attempt does not fit its journal field."""
+        frames = self.links.read_frames
+        last_replay = 0 if self.faults is None else self.faults.config.max_retries + 1
+        if frames > MID_MASK or last_replay > LOW_MASK:
+            pack_record(0, frames, last_replay,  # raises, naming the field
+                        ("time", "frames per line", "last replay (max_retries + 1)"))
         for amb in self.ambs:
             for bank in amb.banks:
                 bank.enable_trace()

@@ -22,6 +22,7 @@ from repro.controller.channel_controller import (
 )
 from repro.controller.mapping import AddressMapper
 from repro.controller.transaction import MemoryRequest
+from repro.dram.commands import LOW_MASK, pack_record
 from repro.dram.timing import TimingPs
 from repro.engine.simulator import Simulator, gc_paused, ns
 from repro.stats.collector import DEVICE_COUNTERS, MemSystemStats
@@ -105,6 +106,9 @@ class MemoryController:
         # The Chrome-trace exporter reuses the protocol-checker command
         # journal for its per-bank spans, so tracing turns journalling on.
         if check_protocol or tracer is not None:
+            if config.rows_per_bank > LOW_MASK + 1:
+                pack_record(0, 0, config.rows_per_bank - 1,  # raises
+                            ("time", "command", "last row (rows_per_bank - 1)"))
             for channel in self.channels:
                 channel.enable_protocol_trace()
 

@@ -3,10 +3,14 @@
 Models MSHR files (per-core data-cache MSHRs and the shared L2 MSHRs of
 Table 1).  Acquirers that find the pool full register as a waiter.  A
 release hands the freed slot on in FIFO order: it wakes waiters while a
-slot is free, plus any waiter that no longer needs one (its line reached
-the L2 meanwhile, so it merges).  Every other waiter keeps its place in
-the queue without being woken, so a release costs one predicate call per
-still-blocked waiter instead of a failed retry each.
+slot is free, and then each next waiter that no longer needs one (its
+line reached the L2 meanwhile, so it merges).  The first waiter that
+still needs a slot of the full pool ends the scan; it and every waiter
+behind it keep their places without being asked.  That is exact for
+both pools a core waits on: a per-core data pool has at most one waiter,
+and no line enters the L2 while the shared L2 pool is full, since every
+fill start (``L2FillTable.start_fill``) holds an L2 slot.  A release
+thus costs O(1) predicate calls, not one per still-blocked waiter.
 """
 
 from __future__ import annotations
@@ -48,18 +52,28 @@ class Limiter:
 
     def release(self) -> None:
         """Return a slot and wake, in FIFO order, each waiter whose retry
-        can succeed: while a slot is free, or when it needs none.  The
-        others stay queued in the same order."""
+        can succeed: while a slot is free, or while the next needs none.
+        The first that needs a slot of the full pool stays queued with
+        every waiter behind it, in the same order."""
         if self.in_use <= 0:
             raise RuntimeError(f"{self.name}: release without acquire")
         self.in_use -= 1
+        queue = self._waiters
+        if not queue:
+            return
+        # A woken waiter that blocks here again re-registers ahead of the
+        # waiters still queued.
+        self._waiters = []
+        woken = 0
+        for waiter in queue:
+            if self.in_use >= self.capacity and waiter.needs_slot():
+                break
+            woken += 1
+            waiter.resume()
+        del queue[:woken]
         if self._waiters:
-            waiters, self._waiters = self._waiters, []
-            for waiter in waiters:
-                if self.in_use < self.capacity or not waiter.needs_slot():
-                    waiter.resume()
-                else:
-                    self._waiters.append(waiter)
+            queue[:0] = self._waiters
+        self._waiters = queue
 
     def add_waiter(self, waiter: Waiter) -> None:
         """Queue a one-shot wake-up for a later release."""

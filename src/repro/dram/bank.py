@@ -29,12 +29,16 @@ from bisect import insort
 from typing import TYPE_CHECKING, List, Optional, Tuple
 
 from repro.config import PagePolicy
-from repro.dram.commands import ACT, PRE, RD, WR
+from repro.dram.commands import ACT, MID_SHIFT, PRE, RD, TIME_SHIFT, WR
 from repro.dram.resources import BusResource
 from repro.dram.timing import TimingPs
 
 if TYPE_CHECKING:
     from array import array
+
+#: Each command's journal tag: its code in the record's middle field.
+_ACT_TAG, _RD_TAG, _WR_TAG, _PRE_TAG = (
+    code << MID_SHIFT for code in (ACT, RD, WR, PRE))
 
 
 class BankStats:
@@ -194,9 +198,9 @@ class Bank:
         self.column_ok = 0  # earliest next column command to the open row
         self.precharge_ok = 0  # earliest PRE honouring tRAS / tRPD / tWPD
         self.stats = BankStats()
-        #: Optional per-command journal (enable_trace): a flat
-        #: ``array('q')`` of ``(command code, time_ps, row)`` triples, the
-        #: codes those of ``repro.dram.commands`` (decode with
+        #: Optional per-command journal (enable_trace): an ``array('q')``
+        #: of one packed ``(time_ps, code, row)`` int per command
+        #: (``repro.dram.commands.pack_record``; decode with
         #: ``repro.check.trace.bank_commands``).  None keeps the hot path
         #: allocation-free.
         self.command_log: Optional[array] = None
@@ -221,8 +225,9 @@ class Bank:
         self._tFAW = timing.tFAW
 
     def enable_trace(self) -> None:
-        """Journal every issued DRAM command into ``command_log``, three
-        integers per command (protocol checker and tracing support)."""
+        """Journal every issued DRAM command into ``command_log``, one
+        packed integer per command (protocol checker and tracing support).
+        The row must fit the record's row field (``MID_SHIFT`` bits)."""
         if self.command_log is None:
             # Imported here: a run that journals nothing never loads it.
             from array import array
@@ -302,8 +307,9 @@ class Bank:
             stats.row_misses += 1
         log = self.command_log
         if log is not None:
+            tag = _RD_TAG | row
             for start in data_starts:
-                log.extend((RD, start - rd_lead, row))
+                log.append((start - rd_lead) << TIME_SHIFT | tag)
 
         self._close_or_keep(act_time, last_rd, is_write=False, row=row)
         command_start = act_time if act_time is not None else first_rd_floor
@@ -344,7 +350,7 @@ class Bank:
         wr_time = data_start - wr_lead
         rank.note_write_data_end(data_end, self.timing.tWTR)
         if self.command_log is not None:
-            self.command_log.extend((WR, wr_time, row))
+            self.command_log.append(wr_time << TIME_SHIFT | _WR_TAG | row)
         stats = self.stats
         stats.writes += 1
         if row_hit:
@@ -407,7 +413,7 @@ class Bank:
                 pre_time = now
             self.stats.precharges += 1
             if self.command_log is not None:
-                self.command_log.extend((PRE, pre_time, row))
+                self.command_log.append(pre_time << TIME_SHIFT | _PRE_TAG | row)
             act_floor = pre_time + self._tRP
         else:
             act_floor = self.ready_at
@@ -430,7 +436,7 @@ class Bank:
             rank.next_act_ok = act_ok
         self.stats.activates += 1
         if self.command_log is not None:
-            self.command_log.extend((ACT, act_time, row))
+            self.command_log.append(act_time << TIME_SHIFT | _ACT_TAG | row)
         return act_time, act_time + self._tRCD
 
     def _close_or_keep(
@@ -446,7 +452,7 @@ class Bank:
                 pre_time = drain
             self.stats.precharges += 1
             if self.command_log is not None:
-                self.command_log.extend((PRE, pre_time, row))
+                self.command_log.append(pre_time << TIME_SHIFT | _PRE_TAG | row)
             ready = act + self._tRC
             recovered = pre_time + self._tRP
             self.ready_at = ready if ready >= recovered else recovered

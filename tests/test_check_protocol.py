@@ -22,10 +22,12 @@ from repro.check.trace import (
     default_params,
     event_journals,
     event_to_record,
+    journal_events,
     load_events,
     record_to_event,
     save_events,
 )
+from repro.dram.commands import MID_MASK, MID_SHIFT, TIME_LIMIT
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -307,6 +309,59 @@ class TestGeometry:
         params.check_location(CheckEvent(0, "NB_LINE", frames=2))
 
 
+#: Events with one value that no journal field holds, the message
+#: naming it, and the CLI line of it.
+UNFIT = [
+    ("row", CheckEvent(0, "ACT", dimm=0, rank=0, bank=1, row=1 << MID_SHIFT),
+     f"ACT row {1 << MID_SHIFT} does not fit its journal field"),
+    ("row -1", CheckEvent(0, "RD", dimm=0, rank=0, bank=1),
+     "RD row -1 does not fit its journal field"),
+    ("frames", CheckEvent(0, "NB_LINE", frames=MID_MASK + 1),
+     f"NB_LINE frames {MID_MASK + 1} does not fit its journal field"),
+    ("frames -1", CheckEvent(0, "NB_LINE", frames=-1),
+     "NB_LINE frames -1 does not fit its journal field"),
+    ("retry", CheckEvent(0, "SB_CMD", retry=1 << MID_SHIFT),
+     f"SB_CMD retry {1 << MID_SHIFT} does not fit its journal field"),
+    ("nb retry", CheckEvent(0, "NB_LINE", frames=2, retry=-1),
+     "NB_LINE retry -1 does not fit its journal field"),
+    ("time", CheckEvent(TIME_LIMIT, "SB_DATA"),
+     f"SB_DATA start {TIME_LIMIT} does not fit its journal field"),
+    ("time -1", CheckEvent(-1, "PRE", dimm=0, rank=0, bank=1, row=5),
+     "PRE time_ps -1 does not fit its journal field"),
+]
+
+
+class TestJournalFields:
+    """Every event becomes one packed journal int: a value that does not
+    fit its field is rejected, never wrapped into the next one."""
+
+    @pytest.mark.parametrize("name, event, message", UNFIT,
+                             ids=[name for name, _, _ in UNFIT])
+    def test_check_trace_rejects(self, name, event, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            check_trace(default_params("fbdimm"), [event])
+
+    @pytest.mark.parametrize("name, event, message", UNFIT,
+                             ids=[name for name, _, _ in UNFIT])
+    def test_load_events_locates_the_line(self, tmp_path, name, event,
+                                          message):
+        path = tmp_path / "trace.jsonl"
+        save_events(path, default_params("fbdimm"),
+                    [CheckEvent(0, "SB_CMD"), event])
+        with pytest.raises(ValueError) as info:
+            load_events(path)
+        assert str(info.value).startswith(f"{path}:3: {message}")
+
+    def test_largest_values_round_trip(self):
+        events = [
+            CheckEvent(TIME_LIMIT - 1, "WR", 0, 0, 0, 1, (1 << MID_SHIFT) - 1),
+            CheckEvent(TIME_LIMIT - 1, "SB_DATA", retry=(1 << MID_SHIFT) - 1),
+            CheckEvent(TIME_LIMIT - 1, "NB_LINE", frames=MID_MASK,
+                       retry=(1 << MID_SHIFT) - 1),
+        ]
+        assert journal_events(*event_journals(events)) == events
+
+
 class TestRecordValidation:
     def test_round_trip_elides_defaults(self):
         event = CheckEvent(7, "NB_LINE", channel=1, frames=2, retry=1)
@@ -410,6 +465,7 @@ class TestCli:
         assert "Traceback" not in proc.stderr
         assert proc.stderr.startswith(f"{path}:{line_no}: ")
         assert message in proc.stderr
+        return proc
 
     def test_non_integer_time_is_usage_error(self, tmp_path):
         self._expect_located(tmp_path, [
@@ -443,6 +499,21 @@ class TestCli:
         ], 3, "ACT at ch0.dimm0.rank0.bank9 lies outside the trace's "
               "geometry")
         proc = self._run(str(tmp_path / "trace.jsonl"))
+        assert len(proc.stderr.splitlines()) == 1, proc.stderr
+
+    @pytest.mark.parametrize("record, message", [
+        ('{"t": 3000, "c": "ACT", "ch": 0, "d": 0, "r": 0, "b": 1, '
+         f'"row": {1 << MID_SHIFT}}}', "ACT row"),
+        ('{"t": 3000, "c": "NB_LINE", "n": 64}', "NB_LINE frames 64"),
+        (f'{{"t": 3000, "c": "SB_CMD", "rt": {1 << MID_SHIFT}}}',
+         "SB_CMD retry"),
+    ], ids=["row", "frames", "retry"])
+    def test_value_past_its_journal_field_is_usage_error(self, tmp_path,
+                                                         record, message):
+        proc = self._expect_located(tmp_path, [
+            self._header(), '{"t": 0, "c": "SB_CMD"}', record,
+        ], 3, f"{message} ")
+        assert "does not fit its journal field" in proc.stderr
         assert len(proc.stderr.splitlines()) == 1, proc.stderr
 
     @pytest.mark.parametrize("header, message", [

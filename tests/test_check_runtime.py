@@ -16,7 +16,7 @@ from repro.config import (
     fbdimm_amb_prefetch,
     fbdimm_baseline,
 )
-from repro.dram.commands import PRE
+from repro.dram.commands import BANK_FIELDS, PRE, pack_record, unpack_record
 from repro.system import System
 from repro.workloads.spec import PROGRAMS
 
@@ -168,16 +168,17 @@ class TestCheckCost:
     @staticmethod
     def _break_one_rule(controller):
         """Move one journalled PRE back 1 ps so that exactly one rule
-        breaks; returns the journal and the slot of the moved time."""
+        breaks; returns the journal, the record's index and the record."""
         for channel in controller.channels:
             for _, log in channel.bank_journals():
-                for i in range(0, len(log), 3):
-                    if log[i] != PRE:
+                for i, record in enumerate(log):
+                    time_ps, code, row = unpack_record(record)
+                    if code != PRE:
                         continue
-                    log[i + 1] -= 1
+                    log[i] = pack_record(time_ps - 1, code, row, BANK_FIELDS)
                     if len(controller.check_protocol_violations()) == 1:
-                        return log, i + 1
-                    log[i + 1] += 1
+                        return log, i, record
+                    log[i] = record
         raise AssertionError("no PRE sits on a timing bound")
 
     @pytest.mark.parametrize("make", [make for make, _ in CONFIGS], ids=IDS)
@@ -185,12 +186,12 @@ class TestCheckCost:
         controller = self._controller(make())
         events = controller.collect_check_events()
         assert len(events) > 500
-        log, slot = self._break_one_rule(controller)
+        log, i, record = self._break_one_rule(controller)
         try:
             violations, names = self._profiled(
                 controller.check_protocol_violations)
         finally:
-            log[slot] += 1
+            log[i] = record
         assert len(violations) == 1
         _, ranks, channels = self._states(events)
         # The clean-run bound below, plus flagging and reporting the one
@@ -220,12 +221,14 @@ class TestJournalMemory:
     Each journal's empty object (one per bank and two per link) is a
     fixed cost, not a per-command one, and is taken off first: at 10k
     insts/core a DDR2 bank journals ~13 commands, so the 64 headers
-    would add ~6 B a command.  Flat integer journals cost 24 B a record
-    plus the arrays' growth slack (24 B and 27 B measured); journals of
-    tuples cost 115 B (faulted FB-DIMM) and 129 B (DDR2).
+    would add ~6 B a command.  One packed 8 B int per record
+    (``repro.dram.commands``) plus the arrays' growth slack measures
+    7.9 B (faulted FB-DIMM) and 9.1 B (DDR2) at 10k insts/core; three
+    ints per record measured 24 B and 27 B, and journals of tuples 115 B
+    and 129 B.
     """
 
-    MAX_BYTES_PER_COMMAND = 32
+    MAX_BYTES_PER_COMMAND = 12
 
     @staticmethod
     def _held_after_run(config):
@@ -263,7 +266,7 @@ class TestJournalMemory:
         held_off, _ = self._held_after_run(config)
         held_on, controller = self._held_after_run(checked)
         journals = self._journals(controller)
-        records = sum(map(len, journals)) // 3
+        records = sum(map(len, journals))
         assert records > 500
         fixed = len(journals) * sys.getsizeof(journals[0][:0])
         per_command = (held_on - held_off - fixed) / records
@@ -276,8 +279,8 @@ class TestAuditMemory:
 
     The audit takes one channel at a time, with each rank's ACT, RD and
     WR times in integer arrays and one rank's or one bus's sorted times
-    alive at once: 12 B a record (faulted FB-DIMM) and 8 B (DDR2) at 50k
-    insts/core.  The audit that held every channel's ranks and buses as
+    alive at once: 10.2 B a record (faulted FB-DIMM) and 9.0 B (DDR2) at
+    50k insts/core, a record being one packed journal int.  The audit that held every channel's ranks and buses as
     Python-int lists at once, and counted southbound slots in a
     ``Counter``, peaked at 42 B and 86 B.
     """
@@ -293,7 +296,7 @@ class TestAuditMemory:
         system.run()
         controller = system.controller
         journals = TestJournalMemory._journals(controller)
-        records = sum(map(len, journals)) // 3
+        records = sum(map(len, journals))
         assert records > 2000
         # A first pass outside the window: lazy imports are not the
         # audit's cost.

@@ -4,7 +4,7 @@
 from repro.check.trace import bank_commands
 from repro.config import DramTimings, PagePolicy
 from repro.dram.bank import Bank, RankTimer
-from repro.dram.commands import CommandType
+from repro.dram.commands import COMMANDS_BY_CODE, CommandType, unpack_record
 from repro.dram.resources import BusResource
 from repro.dram.timing import TimingPs
 
@@ -98,7 +98,10 @@ class TestOpenTrace:
         bank, bus, rank = traced_bank(PagePolicy.OPEN_PAGE)
         bank.read(0, 5, 1, bus, rank)
         assert all(row == 5 for _, _, row in records(bank))
-        # The journal holds three integers per command; the bank id is
-        # the journal's key (``bank_journals``), not part of the record.
-        assert len(bank.command_log) == 3 * len(records(bank))
+        # The journal holds one packed integer per command; the bank id
+        # is the journal's key (``bank_journals``), not part of the record.
+        assert len(bank.command_log) == len(records(bank))
+        assert [unpack_record(record) for record in bank.command_log] == [
+            (time_ps, COMMANDS_BY_CODE.index(kind), row)
+            for kind, time_ps, row in records(bank)]
         assert bank.bank_id == 0

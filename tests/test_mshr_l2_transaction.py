@@ -83,6 +83,41 @@ class TestLimiter:
         assert calls == ["a", "b"]
         assert lim._waiters == [c]
 
+    def test_full_pool_asks_only_the_first_blocked_waiter(self):
+        """Once the freed slot is taken, the scan stops at the first
+        waiter that needs one: the others are neither woken nor asked."""
+        lim = Limiter(1)
+        lim.try_acquire()
+        calls, asked = [], []
+        waiters = [_Waiter(name, calls, lim) for name in "abcde"]
+        for waiter in waiters:
+            waiter.needs_slot = lambda w=waiter: asked.append(w.name) or True
+            lim.add_waiter(waiter)
+        lim.release()
+        assert calls == ["a"]
+        assert asked == ["b"]
+        assert lim._waiters == waiters[1:]
+
+    def test_waiter_that_blocks_again_keeps_its_turn(self):
+        """A woken waiter that re-registers goes ahead of those it was
+        queued before."""
+        lim = Limiter(1)
+        lim.try_acquire()
+        calls = []
+
+        class Again(_Waiter):
+            def resume(self):
+                super().resume()
+                lim.add_waiter(self)
+
+        a = Again("a", calls, lim)
+        b, c = (_Waiter(name, calls, lim) for name in "bc")
+        for waiter in (a, b, c):
+            lim.add_waiter(waiter)
+        lim.release()
+        assert calls == ["a"]
+        assert lim._waiters == [a, b, c]
+
     def test_zero_capacity_rejected(self):
         with pytest.raises(ValueError):
             Limiter(0)
