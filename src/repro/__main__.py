@@ -41,7 +41,7 @@ from repro.workloads.multiprog import SINGLE_CORE, WORKLOADS, workload_programs
 
 if TYPE_CHECKING:
     from repro.system import SimulationResult
-    from repro.telemetry import Tracer
+    from repro.telemetry.spans import Tracer
 
 SYSTEMS = ("ddr2", "fbd", "fbd-ap")
 
@@ -176,7 +176,7 @@ def save_run_capture(
     path: str, machine: System, result: SimulationResult
 ) -> None:
     """Write the capture of a finished traced run and say so."""
-    from repro.telemetry import build_capture, save_capture
+    from repro.telemetry.export import build_capture, save_capture
 
     records = save_capture(path, build_capture(machine, result))
     print(f"[trace: {records} records -> {path}]")
@@ -187,7 +187,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 
     tracer = None
     if args.trace_out:
-        from repro.telemetry import Tracer
+        from repro.telemetry.spans import Tracer
 
         tracer = Tracer()
     machine = build_machine(args, tracer=tracer,

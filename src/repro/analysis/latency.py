@@ -1,15 +1,16 @@
 """Latency distribution analysis.
 
 Average latency (what the paper's Figures 5 and 10 plot) hides the tail
-that queueing creates; this module summarises the captured per-request
-latencies into percentiles and a fixed-bucket histogram so the idle-vs-
-queued split is visible.
+that queueing creates; this module summarises per-request latencies into
+exact percentiles so the idle-vs-queued split is visible.  It is the one
+latency distribution of the package: ``repro run --latency`` and
+``repro trace summarize`` both print :meth:`LatencyDistribution.format`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence
+from typing import Sequence
 
 from repro.stats.collector import MemSystemStats
 
@@ -68,11 +69,6 @@ class LatencyDistribution:
             raise ValueError("latency capture was not enabled for this run")
         return cls.from_samples_ps(stats.demand_latency_samples)
 
-    @property
-    def queueing_tail_ns(self) -> float:
-        """p99 minus p50 — a proxy for queueing-induced spread."""
-        return self.p99_ns - self.p50_ns
-
     def format(self) -> str:
         """One-line human-readable summary."""
         return (
@@ -81,31 +77,3 @@ class LatencyDistribution:
             f"p99={self.p99_ns:.1f} max={self.max_ns:.1f}"
         )
 
-
-def histogram_ns(
-    samples_ps: Sequence[int], bucket_ns: float = 15.0, max_ns: float = 300.0
-) -> Dict[str, int]:
-    """Fixed-width latency histogram with an overflow bucket.
-
-    Bucket labels are "lo-hi" ranges in ns; the last is "300+" style.
-    """
-    if bucket_ns <= 0 or max_ns <= 0:
-        raise ValueError("bucket_ns and max_ns must be positive")
-    edges: List[float] = []
-    edge = 0.0
-    while edge < max_ns:
-        edges.append(edge)
-        edge += bucket_ns
-    counts: Dict[str, int] = {
-        f"{int(lo)}-{int(lo + bucket_ns)}": 0 for lo in edges
-    }
-    overflow_label = f"{int(max_ns)}+"
-    counts[overflow_label] = 0
-    for sample in samples_ps:
-        ns_value = sample / 1000.0
-        if ns_value >= max_ns:
-            counts[overflow_label] += 1
-        else:
-            bucket = int(ns_value // bucket_ns) * bucket_ns
-            counts[f"{int(bucket)}-{int(bucket + bucket_ns)}"] += 1
-    return counts

@@ -25,9 +25,9 @@ from typing import List
 
 from repro.check.config_audit import audit_system, errors_only
 from repro.check.lint.selftest import run_self_test as run_lint_self_test
-from repro.check.protocol import check_trace
+from repro.check.protocol import check_journals
 from repro.check.selftest import run_self_test
-from repro.check.trace import load_events
+from repro.check.trace import load_journals
 
 EXIT_CLEAN = 0
 EXIT_FINDINGS = 1
@@ -39,21 +39,23 @@ def _check_traces(paths: List[str]) -> int:
     for raw in paths:
         path = Path(raw)
         try:
-            params, events = load_events(path)
+            params, banks, links = load_journals(path)
         except OSError as exc:
             print(f"{path}: cannot load trace: {exc}", file=sys.stderr)
             return EXIT_USAGE
         except ValueError as exc:  # already located as path:line:
             print(exc, file=sys.stderr)
             return EXIT_USAGE
-        violations = check_trace(params, events)
+        violations = check_journals(params, banks, links)
         if violations:
             status = EXIT_FINDINGS
             print(f"{path}: {len(violations)} violation(s)")
             for violation in violations:
                 print(f"  {violation.format()}")
         else:
-            print(f"{path}: OK ({len(events)} events, {params.kind})")
+            records = sum(len(log) for _, log in banks) + sum(
+                len(south) + len(north) for _, south, north in links)
+            print(f"{path}: OK ({records} events, {params.kind})")
     return status
 
 

@@ -20,7 +20,6 @@ import dataclasses
 import json
 from array import array
 from dataclasses import asdict, dataclass
-from operator import itemgetter
 from pathlib import Path
 from typing import (
     Any, Dict, Iterable, Iterator, List, NamedTuple, Tuple, Union,
@@ -432,27 +431,35 @@ def _parse_header(line: str) -> TraceParams:
     return TraceParams.from_dict(header.get("params"))
 
 
-def load_events(path: Union[str, Path]) -> Tuple[TraceParams, List[CheckEvent]]:
-    """Load a saved check trace: (params, time-sorted events).
+def load_journals(
+    path: Union[str, Path],
+) -> Tuple[TraceParams, List[BankJournal], List[LinkJournal]]:
+    """Load a saved check trace straight into its journals, each stream in
+    file order (:func:`event_journals`), for
+    :func:`repro.check.protocol.check_journals`.
 
-    Raises OSError when the file cannot be read, and ValueError prefixed
-    ``path:line:`` for a malformed header or record, a DRAM command
-    outside the header's geometry (:meth:`TraceParams.check_location`),
-    or a value that does not fit its journal field (:func:`event_record`).
+    Each record is decoded, placed in the header's geometry
+    (:meth:`TraceParams.check_location`) and packed (:func:`event_record`)
+    once.  Raises OSError when the file cannot be read, and ValueError
+    prefixed ``path:line:`` for a malformed header or record, a DRAM
+    command outside the geometry, or a value that does not fit its journal
+    field.
     """
     path = Path(path)
     line_no = 1
-    events: List[CheckEvent] = []
+
+    def located(handle: Iterable[str], params: TraceParams) -> Iterator[CheckEvent]:
+        nonlocal line_no
+        for line_no, line in enumerate(handle, start=2):
+            if line.strip():
+                event = record_to_event(_parse_json(line))
+                params.check_location(event)
+                yield event
+
     with path.open("r", encoding="utf-8") as handle:
         try:
             params = _parse_header(handle.readline())
-            for line_no, line in enumerate(handle, start=2):
-                if line.strip():
-                    event = record_to_event(_parse_json(line))
-                    params.check_location(event)
-                    event_record(event)
-                    events.append(event)
+            banks, links = event_journals(located(handle, params))
         except ValueError as exc:
             raise ValueError(f"{path}:{line_no}: {exc}") from exc
-    events.sort(key=itemgetter(0))
-    return params, events
+    return params, banks, links

@@ -132,7 +132,7 @@ class ChannelControllerBase:
         self._pruned_at = -1  # last tick _prune ran (idempotent within one)
         self._banks_per_dimm = config.banks_per_dimm
         #: Optional request-lifecycle tracer (assigned by MemoryController);
-        #: its completion and retry hooks are skipped while this stays None.
+        #: its retry hook is skipped while this stays None.
         self.tracer: "Optional[Tracer]" = None
         #: Optional per-prefetch lifecycle tracker (repro.prefetch);
         #: attached via attach_lifecycle, None keeps every hook free.
@@ -273,8 +273,6 @@ class ChannelControllerBase:
                 line_bytes=self.config.cacheline_bytes,
                 core_id=req.core_id,
             )
-        if self.tracer is not None:
-            self.tracer.on_complete(req, now)
         req.complete(now)
         if self.read_q or self.write_q:
             self._request_kick(now)

@@ -269,7 +269,8 @@ class ExperimentContext:
         self, config: SystemConfig, programs: Tuple[str, ...]
     ) -> SimulationResult:
         from repro.system import System
-        from repro.telemetry import Tracer, build_capture, save_capture
+        from repro.telemetry.export import build_capture, save_capture
+        from repro.telemetry.spans import Tracer
 
         assert self.trace_dir is not None
         machine = System(config, programs, tracer=Tracer())

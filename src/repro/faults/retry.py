@@ -22,8 +22,8 @@ the timing model of that state machine:
 
 All counters land directly in the shared
 :class:`~repro.stats.collector.MemSystemStats`, so warm-up discard and
-the metrics registry see fault activity like any other completion-side
-counter.
+a telemetry capture's metrics block see fault activity like any other
+completion-side counter.
 """
 
 from __future__ import annotations

@@ -31,7 +31,7 @@ def cmd_report(args: argparse.Namespace) -> int:
     )
     tracer = None
     if args.trace_out:
-        from repro.telemetry import Tracer
+        from repro.telemetry.spans import Tracer
 
         tracer = Tracer()
     machine = build_machine(args, config, tracer=tracer)

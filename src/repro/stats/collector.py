@@ -21,11 +21,12 @@ def counter(help: str, *, scope: str, elide: bool = False,
             window: Optional[str] = None) -> int:
     """Declare one :class:`MemSystemStats` counter (a plain ``int`` field).
 
-    ``help`` is its telemetry registry help text; ``scope`` picks how a
-    measurement reset treats it; ``elide`` keeps it out of the canonical
-    encoding while zero (late-added counters, so older digests hold);
-    ``window`` names the :class:`~repro.timeline.records.WindowRecord`
-    field that carries its per-window delta.
+    ``help`` is its help text in a telemetry capture's metrics block;
+    ``scope`` picks how a measurement reset treats it; ``elide`` keeps it
+    out of the canonical encoding while zero (late-added counters, so
+    older digests hold); ``window`` names the
+    :class:`~repro.timeline.records.WindowRecord` field that carries its
+    per-window delta.
     """
     if scope not in SCOPES:
         raise ValueError(f"counter scope must be one of {SCOPES}, got {scope!r}")
@@ -39,9 +40,9 @@ class MemSystemStats:
     """Counters for one simulated memory subsystem.
 
     Each counter is declared once, below, with :func:`counter`; reset,
-    encoding elision, the telemetry registry, the controller's device
+    encoding elision, the telemetry metrics block, the controller's device
     fold and the timeline deltas are all derived from these declarations
-    (see :data:`COUNTERS`).  Declaration order is registry order.
+    (see :data:`COUNTERS`).  Declaration order is metrics-block order.
     """
 
     demand_reads: int = counter("completed demand reads", scope="completion", window="demand_reads")

@@ -1,9 +1,10 @@
-"""Observability layer: request tracing, metrics registry, exporters.
+"""Observability layer: request tracing, capture files, exporters.
 
 Quickstart::
 
-    from repro.telemetry import Tracer, build_capture, write_chrome_trace
     from repro.system import System
+    from repro.telemetry.export import build_capture, write_chrome_trace
+    from repro.telemetry.spans import Tracer
 
     tracer = Tracer()
     machine = System(config, programs, tracer=tracer)
@@ -11,53 +12,9 @@ Quickstart::
     capture = build_capture(machine, result)
     write_chrome_trace("trace.json", capture)   # open in Perfetto
 
-See ``docs/OBSERVABILITY.md`` and ``python -m repro trace --help``.
+Nothing is re-exported here: import from :mod:`repro.telemetry.spans`
+(request and prefetch spans, the :class:`~repro.telemetry.spans.Tracer`)
+and :mod:`repro.telemetry.export` (the capture file, its ``metrics``
+block, the text summary and the Chrome trace).  See
+``docs/OBSERVABILITY.md`` and ``python -m repro trace --help``.
 """
-
-from repro.telemetry.export import (
-    TelemetryCapture,
-    build_capture,
-    chrome_trace,
-    load_capture,
-    save_capture,
-    summarize_capture,
-    validate_chrome_trace,
-    write_chrome_trace,
-)
-from repro.telemetry.registry import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    registry_from_stats,
-)
-from repro.telemetry.spans import (
-    PF_OUTCOMES,
-    PF_PHASES,
-    PHASES,
-    PrefetchTrace,
-    RequestTrace,
-    Tracer,
-)
-
-__all__ = [
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
-    "PF_OUTCOMES",
-    "PF_PHASES",
-    "PHASES",
-    "PrefetchTrace",
-    "RequestTrace",
-    "TelemetryCapture",
-    "Tracer",
-    "build_capture",
-    "chrome_trace",
-    "load_capture",
-    "registry_from_stats",
-    "save_capture",
-    "summarize_capture",
-    "validate_chrome_trace",
-    "write_chrome_trace",
-]

@@ -3,8 +3,9 @@
 Two output formats:
 
 * **capture JSONL** — the raw recording: a header line (version, run
-  metadata, final metrics snapshot) followed by one record per request
-  trace, DRAM/frame command (same short field codes as the
+  metadata, the final counters and derived metrics of
+  :func:`capture_metrics`) followed by one record per request trace,
+  DRAM/frame command (same short field codes as the
   :mod:`repro.check.trace` files), profiler site and timeline window.
 * **Chrome trace-event JSON** — ``{"traceEvents": [...]}``, loadable in
   Perfetto / ``chrome://tracing``: one process per channel/DIMM with a
@@ -25,10 +26,10 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Dict, List, Optional, Union
 
 from repro.check.trace import CheckEvent, event_to_record, record_to_event
-from repro.telemetry.registry import registry_from_stats
-from repro.telemetry.spans import PrefetchTrace, RequestTrace, Tracer
+from repro.telemetry.spans import PrefetchTrace, RequestTrace
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.stats.collector import MemSystemStats
     from repro.system import SimulationResult, System
     from repro.timeline.records import TimelineResult
 
@@ -94,6 +95,69 @@ def run_meta(result: "SimulationResult") -> Dict[str, object]:
     }
 
 
+def capture_metrics(stats: "MemSystemStats") -> Dict[str, Dict[str, object]]:
+    """A finished run's numbers as the capture's ``metrics`` block.
+
+    Name -> ``{"type", "help", "value"}``: every declared counter
+    (:data:`~repro.stats.collector.COUNTERS`) with its declared help text,
+    then the derived paper quantities of :mod:`repro.stats.metrics` as
+    gauges, the per-channel busy times and the per-core read sums.  Latency
+    distributions are not here: the capture's request traces hold every
+    request's timestamps (:func:`summarize_capture`).
+    """
+    from repro.power.energy import CommandEnergyModel
+    from repro.stats import metrics as derived
+    from repro.stats.collector import COUNTERS
+
+    block: Dict[str, Dict[str, object]] = {}
+
+    def put(kind: str, name: str, help: str, value: object) -> None:
+        block[name] = {"type": kind, "help": help, "value": value}
+
+    for f in COUNTERS:
+        put("counter", f"mem.{f.name}", f.metadata["help"], getattr(stats, f.name))
+    for name, help, value in (
+        ("mem.elapsed_ps", "active window length", float(stats.elapsed_ps)),
+        ("mem.avg_read_latency_ns", "mean demand-read latency",
+         derived.average_read_latency_ns(stats)),
+        ("mem.avg_queue_delay_ns", "mean schedulable-to-issue delay",
+         derived.average_queue_delay_ns(stats)),
+        ("mem.utilized_bandwidth_gbs", "data moved over the channels",
+         derived.utilized_bandwidth_gbs(stats)),
+        ("mem.prefetch_coverage", "#prefetch_hit / #read",
+         derived.prefetch_coverage(stats)),
+        ("mem.prefetch_efficiency", "#prefetch_hit / #prefetch",
+         derived.prefetch_efficiency(stats)),
+        ("mem.prefetch_accuracy", "used prefetches / issued prefetches",
+         derived.prefetch_accuracy(stats)),
+        ("mem.prefetch_pollution", "evicted-unused prefetches / issued",
+         derived.prefetch_pollution(stats)),
+        ("mem.prefetch_timeliness", "timely useful prefetches / useful",
+         derived.prefetch_timeliness(stats)),
+        ("mem.lifecycle_coverage", "pf_hits / #read (lifecycle path)",
+         derived.lifecycle_coverage(stats)),
+        ("mem.dynamic_energy_units", "per-command dynamic energy",
+         CommandEnergyModel().energy_of(stats)),
+        ("mem.powerdown_residency", "power-down share of the idle time",
+         stats.powerdown_ps / stats.idle_ps if stats.idle_ps else 0.0),
+    ):
+        put("gauge", name, help, value)
+    for name, busy_ps in sorted(stats.per_channel_busy_ps.items()):
+        put("gauge", f"mem.busy_ps.{name}", "bus/link occupancy in picoseconds",
+            float(busy_ps))
+    for core_id in sorted(stats.per_core_reads):
+        entry = stats.per_core_reads[core_id]
+        reads, latency_sum = entry[0], entry[1]
+        queue_sum = entry[2] if len(entry) > 2 else 0  # pre-queue-delay shape
+        prefix = f"mem.core{core_id}"
+        put("counter", f"{prefix}.demand_reads", "per-core demand reads", reads)
+        put("counter", f"{prefix}.demand_latency_sum_ps", "per-core latency sum",
+            latency_sum)
+        put("counter", f"{prefix}.queue_delay_sum_ps", "per-core queue-delay sum",
+            queue_sum)
+    return block
+
+
 def build_capture(machine: "System", result: "SimulationResult") -> TelemetryCapture:
     """Assemble the capture of a finished traced run from its machine.
 
@@ -108,8 +172,6 @@ def build_capture(machine: "System", result: "SimulationResult") -> TelemetryCap
     if tracer is None:
         raise ValueError("build_capture needs a machine built with a tracer")
     profiler = machine.sim.profiler
-    metrics = registry_from_stats(result.mem).snapshot()
-    metrics.update(tracer.registry.snapshot())
     meta = run_meta(result)
     meta["traced_requests"] = len(tracer.requests)
     meta["dropped_requests"] = tracer.dropped
@@ -121,7 +183,7 @@ def build_capture(machine: "System", result: "SimulationResult") -> TelemetryCap
         timeline = [encode_value(w) for w in result.timeline.windows]
     return TelemetryCapture(
         meta=meta,
-        metrics=metrics,
+        metrics=capture_metrics(result.mem),
         requests=tracer.traces(),
         prefetches=list(tracer.prefetches),
         commands=sorted(
@@ -541,9 +603,13 @@ def validate_chrome_trace(doc: object) -> List[str]:
 
 
 def summarize_capture(capture: TelemetryCapture, top_sites: int = 10) -> str:
-    """Human-readable digest of a capture: phases, metrics, hot sites."""
-    from repro.telemetry.registry import Histogram
+    """Human-readable digest of a capture: latencies, metrics, hot sites.
 
+    Latency lines are exact (:mod:`repro.analysis.latency`, linear
+    interpolation between order statistics), one per request kind, over the
+    capture's completed request traces; the ``read`` line is the one
+    ``repro run --latency`` prints for the same run.
+    """
     lines: List[str] = []
     meta = capture.meta
     lines.append(
@@ -553,37 +619,43 @@ def summarize_capture(capture: TelemetryCapture, top_sites: int = 10) -> str:
         f"{len(capture.requests)} request traces, "
         f"{len(capture.commands)} command events"
     )
-    if meta.get("dropped_requests"):
-        lines.append(f"  (bounded recording: {meta['dropped_requests']} requests dropped)")
+    dropped = [
+        f"{meta[key]} {what} dropped"
+        for key, what in (("dropped_requests", "requests"),
+                          ("dropped_prefetches", "prefetch spans"))
+        if meta.get(key)
+    ]
+    if dropped:
+        lines.append(f"  (bounded recording: {', '.join(dropped)})")
 
     completed = [t for t in capture.requests if t.completed]
     if completed:
+        from repro.analysis.latency import LatencyDistribution, percentile
+
         by_kind: Dict[str, int] = {}
-        amb_hits = 0
-        hist = Histogram("latency", "")
-        queue = Histogram("queue", "")
+        latencies: Dict[str, List[int]] = {}
+        delays: List[int] = []
         for trace in completed:
             by_kind[trace.kind] = by_kind.get(trace.kind, 0) + 1
-            if trace.amb_hit:
-                amb_hits += 1
             latency = trace.latency_ps
             if latency is not None:
-                hist.observe(latency)
+                latencies.setdefault(trace.kind, []).append(latency)
             delay = trace.queue_delay_ps
             if delay is not None:
-                queue.observe(delay)
+                delays.append(delay)
         kinds = ", ".join(f"{k}={v}" for k, v in sorted(by_kind.items()))
+        amb_hits = sum(trace.amb_hit for trace in completed)
         lines.append(f"completed: {len(completed)} ({kinds}), {amb_hits} AMB hits")
-        lines.append(
-            f"latency ns: mean {hist.mean / 1000:.1f}, "
-            f"p50 {hist.percentile(50) / 1000:.1f}, "
-            f"p95 {hist.percentile(95) / 1000:.1f}, "
-            f"p99 {hist.percentile(99) / 1000:.1f}"
-        )
-        lines.append(
-            f"queue delay ns: mean {queue.mean / 1000:.1f}, "
-            f"p95 {queue.percentile(95) / 1000:.1f}"
-        )
+        scope = " (recorded requests only)" if meta.get("dropped_requests") else ""
+        for kind, samples in sorted(latencies.items()):
+            dist = LatencyDistribution.from_samples_ps(samples)
+            lines.append(f"latency ns, {kind}{scope}: {dist.format()}")
+        if delays:
+            ordered = [delay / 1000.0 for delay in sorted(delays)]
+            lines.append(
+                f"queue delay ns: mean {sum(delays) / (1000 * len(delays)):.1f}, "
+                f"p95 {percentile(ordered, 95):.1f}"
+            )
 
     if capture.prefetches:
         outcomes: Dict[str, int] = {}
@@ -615,9 +687,10 @@ def summarize_capture(capture: TelemetryCapture, top_sites: int = 10) -> str:
         for name in sorted(capture.metrics):
             snap = capture.metrics[name]
             if snap.get("type") == "histogram":
+                # Older captures carry log-bucket histograms, whose
+                # percentiles are bucket edges: only their exact fields print.
                 lines.append(
-                    f"  {name}: count={snap.get('count')} mean={snap.get('mean'):.0f} "
-                    f"p95={snap.get('p95'):.0f}"
+                    f"  {name}: count={snap.get('count')} mean={snap.get('mean'):.0f}"
                 )
             else:
                 lines.append(f"  {name}: {snap.get('value')}")

@@ -4,13 +4,14 @@ A :class:`Tracer` is attached to a run (``System(config, programs,
 tracer=Tracer())`` or ``run_system(..., tracer=...)``).  A request already
 carries its own timestamps (:class:`~repro.controller.transaction.
 MemoryRequest`), so the tracer keeps the request and builds its span from
-those fields when :meth:`Tracer.traces` is called.  Only three facts are
-not on the request, so only three hooks remain, each guarded by ``if
+those fields when :meth:`Tracer.traces` is called.  Only two facts are
+not on the request, so only two hooks remain, each guarded by ``if
 tracer is not None``: :meth:`~Tracer.on_arrival` (whether it was
-backlogged, and the recording bound), :meth:`~Tracer.on_retry` (CRC
-replays) and :meth:`~Tracer.on_complete` (the latency histograms).
-Tracing never schedules simulator events and never touches the
-statistics counters.
+backlogged, and the recording bound) and :meth:`~Tracer.on_retry` (CRC
+replays).  The tracer keeps no totals: latency and queue-delay
+distributions are computed from the spans
+(:func:`repro.telemetry.export.summarize_capture`).  Tracing never
+schedules simulator events and never touches the statistics counters.
 
 Phases of one request (all times integer picoseconds):
 
@@ -29,7 +30,6 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from repro.faults.retry import NB_LINE
-from repro.telemetry.registry import MetricsRegistry
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.controller.transaction import MemoryRequest
@@ -258,12 +258,12 @@ def request_trace(
 
 
 class Tracer:
-    """Collects request traces and per-phase latency histograms.
+    """Collects request traces and prefetch lifecycle spans.
 
-    Memory is bounded: once ``max_requests`` requests are recorded,
-    further requests are counted in ``dropped`` but not recorded (the
-    histograms still see every completion, so aggregate numbers stay
-    exact).
+    Memory is bounded: once ``max_requests`` requests (``max_prefetches``
+    prefetch spans) are recorded, further ones are only counted, in
+    ``dropped`` (``dropped_prefetches``).  The run's counters
+    (``MemSystemStats``) still see every request.
     """
 
     def __init__(
@@ -281,22 +281,6 @@ class Tracer:
         self.max_prefetches = max_prefetches
         self.prefetches: List[PrefetchTrace] = []
         self.dropped_prefetches = 0
-        self.registry = MetricsRegistry()
-        self._h_latency = self.registry.histogram(
-            "trace.latency_ps", "arrival -> completion, traced reads+writes"
-        )
-        self._h_queue = self.registry.histogram(
-            "trace.queue_delay_ps", "schedulable -> issue, traced requests"
-        )
-        self._h_service = self.registry.histogram(
-            "trace.service_ps", "issue -> completion, traced requests"
-        )
-        self._c_stalled = self.registry.counter(
-            "trace.stalled_requests", "requests that waited past schedulable"
-        )
-        self._c_retries = self.registry.counter(
-            "trace.fault_retries", "CRC replays booked under fault injection"
-        )
 
     # -- hooks (called by the controller layer) -------------------------
 
@@ -310,18 +294,8 @@ class Tracer:
 
     def on_retry(self, req: "MemoryRequest", kind: str, time_ps: int) -> None:
         """A fault-injection replay of a ``kind`` transfer was booked."""
-        self._c_retries.inc()
         if req.req_id in self.requests:
             self._retries.setdefault(req.req_id, []).append((kind, time_ps))
-
-    def on_complete(self, req: "MemoryRequest", now: int) -> None:
-        self._h_latency.observe(max(0, now - req.arrival))
-        queue_delay = max(0, req.issue_time - req.schedulable_at)
-        self._h_queue.observe(queue_delay)
-        if queue_delay > 0:
-            self._c_stalled.inc()
-        if req.issue_time >= 0:
-            self._h_service.observe(max(0, now - req.issue_time))
 
     # -- prefetch lifecycle spans ---------------------------------------
 

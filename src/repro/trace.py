@@ -23,9 +23,8 @@ import argparse
 import sys
 
 from repro.__main__ import add_run_args, build_machine
-from repro.telemetry import (
+from repro.telemetry.export import (
     TelemetryCapture,
-    Tracer,
     build_capture,
     load_capture,
     save_capture,
@@ -33,6 +32,7 @@ from repro.telemetry import (
     validate_chrome_trace,
     write_chrome_trace,
 )
+from repro.telemetry.spans import Tracer
 
 
 def record_capture(args: argparse.Namespace) -> TelemetryCapture:

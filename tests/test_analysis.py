@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from repro.analysis.latency import LatencyDistribution, histogram_ns
+from repro.analysis.latency import LatencyDistribution, percentile
 from repro.analysis.report import run_report
 from repro.analysis.utilisation import channel_utilisation_report, utilisation_summary
 from repro.config import (
@@ -53,13 +53,29 @@ class TestLatencyDistribution:
         assert dist.min_ns >= 63.0  # idle latency is the floor
         assert dist.p50_ns <= dist.p90_ns <= dist.p99_ns <= dist.max_ns
 
-    def test_queueing_tail(self):
-        dist = LatencyDistribution.from_samples_ps([63_000] * 99 + [163_000])
-        assert dist.queueing_tail_ns > 0
-
     def test_format(self):
         dist = LatencyDistribution.from_samples_ps([63_000])
         assert "p99" in dist.format()
+
+    def test_input_order_does_not_matter(self):
+        samples = [163_000, 63_000, 80_000, 63_000, 500_000, 91_000]
+        shuffled = LatencyDistribution.from_samples_ps(samples)
+        assert shuffled == LatencyDistribution.from_samples_ps(sorted(samples))
+        assert samples[0] == 163_000  # the caller's list is not sorted in place
+
+
+class TestPercentile:
+    def test_endpoints_are_min_and_max(self):
+        ordered = [1.0, 2.0, 3.0, 4.0]
+        assert percentile(ordered, 0) == 1.0
+        assert percentile(ordered, 100) == 4.0
+        assert percentile([7.5], 99) == 7.5
+
+    def test_interpolates_between_order_statistics(self):
+        ordered = [10.0, 20.0, 30.0, 40.0]
+        assert percentile(ordered, 50) == 25.0  # index 1.5
+        assert percentile(ordered, 90) == pytest.approx(37.0)  # index 2.7
+        assert percentile(ordered, 10) == pytest.approx(13.0)  # index 0.3
 
 
 def _oracle_cases():
@@ -97,19 +113,6 @@ class TestPercentileOracle:
         assert dist.min_ns == float(arr.min())
         assert dist.max_ns == float(arr.max())
         assert dist.mean_ns == pytest.approx(float(arr.mean()), rel=1e-12)
-
-
-class TestHistogram:
-    def test_buckets_and_overflow(self):
-        counts = histogram_ns([10_000, 20_000, 400_000], bucket_ns=15.0, max_ns=60.0)
-        assert counts["0-15"] == 1
-        assert counts["15-30"] == 1
-        assert counts["60+"] == 1
-        assert sum(counts.values()) == 3
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            histogram_ns([], bucket_ns=0)
 
 
 class TestUtilisation:

@@ -46,7 +46,7 @@ import repro
 from repro import config as presets
 from repro.experiments.validation import _run_streams
 from repro.system import run_system
-from repro.telemetry import Tracer
+from repro.telemetry.spans import Tracer
 from repro.workloads.multiprog import workload_programs
 
 GOLDEN_PATH = Path(__file__).parent / "goldens" / "call_budget.json"

@@ -4,6 +4,7 @@ import json
 import re
 import subprocess
 import sys
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
@@ -23,10 +24,11 @@ from repro.check.trace import (
     event_journals,
     event_to_record,
     journal_events,
-    load_events,
+    load_journals,
     record_to_event,
     save_events,
 )
+from repro.config import fbdimm_amb_prefetch
 from repro.dram.commands import MID_MASK, MID_SHIFT, TIME_LIMIT
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -241,15 +243,15 @@ class TestTraceIo:
             path = tmp_path / f"{case.name}.jsonl"
             written = save_events(path, case.params, case.events)
             assert written == len(case.events)
-            params, events = load_events(path)
+            params, banks, links = load_journals(path)
             assert params == case.params
-            assert events == sorted(case.events, key=lambda e: e.time_ps)
+            assert sorted(journal_events(banks, links)) == sorted(case.events)
 
     def test_bad_version_rejected(self, tmp_path):
         path = tmp_path / "bad.jsonl"
         path.write_text('{"version": 99, "params": {}}\n')
         with pytest.raises(ValueError, match="version"):
-            load_events(path)
+            load_journals(path)
 
     def test_bad_event_kind_located(self, tmp_path):
         path = tmp_path / "bad.jsonl"
@@ -257,7 +259,7 @@ class TestTraceIo:
         with path.open("a") as fh:
             fh.write('{"t": 0, "c": "NOP"}\n')
         with pytest.raises(ValueError, match=":2"):
-            load_events(path)
+            load_journals(path)
 
 
 #: DRAM commands no default FB-DIMM channel (4 banks per rank) has.
@@ -299,7 +301,7 @@ class TestGeometry:
         save_events(path, default_params("fbdimm"),
                     [CheckEvent(0, "SB_CMD")] + _act_rd_pre(**where))
         with pytest.raises(ValueError) as info:
-            load_events(path)
+            load_journals(path)
         assert str(info.value).startswith(f"{path}:3: ACT at ")
         assert "outside the trace's geometry (4 banks per rank)" \
             in str(info.value)
@@ -349,7 +351,7 @@ class TestJournalFields:
         save_events(path, default_params("fbdimm"),
                     [CheckEvent(0, "SB_CMD"), event])
         with pytest.raises(ValueError) as info:
-            load_events(path)
+            load_journals(path)
         assert str(info.value).startswith(f"{path}:3: {message}")
 
     def test_largest_values_round_trip(self):
@@ -401,6 +403,40 @@ class TestRecordValidation:
     def test_bad_params_rejected(self, mutate, message):
         with pytest.raises(ValueError, match=message):
             TraceParams.from_dict(mutate(default_params("fbdimm").to_dict()))
+
+
+class TestOfflineLoad:
+    """``python -m repro.check <trace>`` loads a file straight into journals:
+    each record is placed in the geometry and packed exactly once."""
+
+    def test_each_record_is_located_and_packed_once(self, tmp_path, capsys):
+        from repro.check.__main__ import main
+        from repro.system import System
+
+        config = replace(fbdimm_amb_prefetch(num_cores=1),
+                         instructions_per_core=2_000, check_protocol=True)
+        machine = System(config, ["swim"])
+        machine.run()
+        events = machine.controller.collect_check_events()
+        assert any(e.is_dram_command for e in events)
+        assert any(not e.is_dram_command for e in events)
+        path = tmp_path / "run.jsonl"
+        records = save_events(path, machine.controller.check_params(), events)
+        calls = Counter()
+
+        def count(frame, event, _arg):
+            if event == "call":
+                calls[frame.f_code.co_name] += 1
+
+        sys.setprofile(count)
+        try:
+            status = main([str(path)])
+        finally:
+            sys.setprofile(None)
+        assert status == 0, capsys.readouterr()
+        assert f"OK ({records} events, fbdimm)" in capsys.readouterr().out
+        assert calls["check_location"] == records
+        assert calls["pack_record"] == records
 
 
 class TestCli:

@@ -1,7 +1,7 @@
 """The ``MemSystemStats`` counter schema and the surfaces derived from it.
 
 ``tests/goldens/registry_snapshot.json`` pins, byte for byte, what the
-schema feeds: the telemetry registry of two runs, the timeline CSV header
+schema feeds: the telemetry metrics block of two runs, the timeline CSV header
 and the canonical window JSONL, so no counter name, help text,
 registration order or value can move.  The structural tests check that
 every derived surface names exactly what the schema declares.  Regenerate
@@ -31,7 +31,7 @@ from repro.stats.collector import (
     counter,
 )
 from repro.system import run_system
-from repro.telemetry.registry import registry_from_stats
+from repro.telemetry.export import capture_metrics
 from repro.timeline.export import WINDOW_FIELDS, timeline_csv_lines
 from repro.timeline.records import WindowRecord
 from repro.workloads.multiprog import workload_programs
@@ -66,8 +66,8 @@ def snapshot() -> dict:
     windows = [canonical_dumps(dict(encode_value(w), type="window"))
                for w in observed.timeline.windows]
     return {
-        "registry:fbd-ap-observed": registry_from_stats(observed.mem).to_json(),
-        "registry:ddr3-1333": registry_from_stats(ddr3.mem).to_json(),
+        "registry:fbd-ap-observed": json.dumps(capture_metrics(observed.mem)),
+        "registry:ddr3-1333": json.dumps(capture_metrics(ddr3.mem)),
         "timeline:csv-header": timeline_csv_lines(observed.timeline)[0],
         "timeline:windows": "\n".join(windows),
     }
@@ -89,11 +89,11 @@ def test_schema_surfaces_match_golden():
 
 
 def test_every_counter_is_registered_in_declaration_order():
-    reg = registry_from_stats(MemSystemStats())
-    assert [n for n in reg.names() if reg.get(n).kind == "counter"] == [
+    block = capture_metrics(MemSystemStats())
+    assert [n for n, m in block.items() if m["type"] == "counter"] == [
         f"mem.{f.name}" for f in COUNTERS
     ]
-    assert all(reg.get(f"mem.{f.name}").help == f.metadata["help"] for f in COUNTERS)
+    assert all(block[f"mem.{f.name}"]["help"] == f.metadata["help"] for f in COUNTERS)
     assert len(COUNTERS) == 41
     assert sorted(COMPLETION_COUNTERS + DEVICE_COUNTERS) == sorted(f.name for f in COUNTERS)
 

@@ -9,6 +9,7 @@ from repro.analysis.interference import per_core_breakdown
 from repro.config import (
     AmbPrefetchConfig,
     PrefetchLocation,
+    ddr2_baseline,
     ddr3_memory_overrides,
     fbdimm_amb_prefetch,
     fbdimm_baseline,
@@ -103,7 +104,9 @@ class TestValidationDrivers:
 
     def test_saturation_stays_under_the_northbound_peak(self):
         """Read-only streams use only the northbound links, so no row may
-        exceed their peak (the 8-core row sits within 1% of it)."""
+        exceed their peak (the 8-core row sits within 1% of it).  On DDR2
+        they share each channel's one data bus, so no row may exceed the
+        bus peak."""
         memory = fbdimm_baseline().memory
         # 8 B per transfer on one northbound link per physical channel.
         peak = 8 * memory.data_rate_mts / 1000.0 * memory.physical_channels
@@ -112,6 +115,12 @@ class TestValidationDrivers:
         for row in table.rows:
             assert row["bandwidth_gbs"] <= peak, row
         assert table.rows[-1]["bandwidth_gbs"] >= 0.95 * peak
+
+        ddr2 = ddr2_baseline()
+        for cores in (1, 2, 4, 8):
+            bandwidth, _ = validation._run_streams(
+                ddr2, cores, gap_insts=12, instructions=5_000)
+            assert 0 < bandwidth <= ddr2.memory.peak_bandwidth_gbs(), (cores, bandwidth)
 
     def test_pointer_chase_idle(self):
         table = validation.run_pointer_chase(ExperimentContext(instructions=6_000))

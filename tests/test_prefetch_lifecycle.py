@@ -394,10 +394,10 @@ class TestReportSurfaces:
         assert "no prefetches issued" in lifecycle_report(MemSystemStats())
 
     def test_registry_exports_lifecycle_series(self):
-        from repro.telemetry.registry import registry_from_stats
+        from repro.telemetry.export import capture_metrics
 
         result = _run_ap()
-        snapshot = registry_from_stats(result.mem).snapshot()
+        snapshot = capture_metrics(result.mem)
         assert snapshot["mem.pf_issued"]["value"] == result.mem.pf_issued
         assert snapshot["mem.pf_table_evictions"]["value"] == (
             result.mem.pf_table_evictions

@@ -15,13 +15,15 @@ import pytest
 
 from repro.config import fbdimm_amb_prefetch
 from repro.system import System
-from repro.telemetry import Tracer, build_capture, load_capture, save_capture
 from repro.telemetry.export import (
+    build_capture,
     chrome_trace,
+    load_capture,
+    save_capture,
     summarize_capture,
     validate_chrome_trace,
 )
-from repro.telemetry.spans import PF_OUTCOMES, PrefetchTrace
+from repro.telemetry.spans import PF_OUTCOMES, PrefetchTrace, Tracer
 
 INSTS = 2000
 SEED = 12345

@@ -22,7 +22,8 @@ from repro.engine.profiler import (
 )
 from repro.engine.simulator import Simulator
 from repro.system import System
-from repro.telemetry import Tracer, build_capture, chrome_trace, validate_chrome_trace
+from repro.telemetry.export import build_capture, chrome_trace, validate_chrome_trace
+from repro.telemetry.spans import Tracer
 
 
 def profiled_run(insts=4_000):

@@ -12,12 +12,13 @@ import dataclasses
 
 import pytest
 
-from repro.check.protocol import check_trace
+from repro.check.protocol import check_journals, check_trace
 from repro.check.trace import (
     CheckEvent,
     TraceParams,
     default_params,
-    load_events,
+    journal_events,
+    load_journals,
     save_events,
 )
 from repro.config import fbdimm_amb_prefetch, fbdimm_baseline
@@ -82,11 +83,11 @@ class TestOfflineJournalReplay:
         )
         path = tmp_path / "faulted.jsonl"
         save_events(path, params, events)
-        loaded_params, loaded_events = load_events(path)
+        loaded_params, banks, links = load_journals(path)
         assert loaded_params.max_retries == config.faults.max_retries
         # The retry annotation survives the JSONL round trip ("rt" code).
-        assert any(e.retry > 0 for e in loaded_events)
-        violations = check_trace(loaded_params, loaded_events)
+        assert any(e.retry > 0 for e in journal_events(banks, links))
+        violations = check_journals(loaded_params, banks, links)
         assert violations == []
 
 
@@ -175,28 +176,31 @@ class TestGoldenRetryNumbers:
 
 class TestTelemetryIntegration:
     def test_tracer_sees_retry_phases(self):
-        from repro.telemetry import Tracer
+        from repro.telemetry.spans import Tracer
 
         tracer = Tracer()
         config = dataclasses.replace(
             fbdimm_amb_prefetch(num_cores=2), instructions_per_core=4_000
         ).with_faults(error_rate=0.3)
-        run_system(config, list(PROGRAMS), tracer=tracer)
-        retries = tracer.registry.get("trace.fault_retries")
-        assert retries is not None and retries.value > 0
+        result = run_system(config, list(PROGRAMS), tracer=tracer)
+        # Every booked replay is a retry phase of a recorded request.
+        retries = sum(
+            phase == "retry" for t in tracer.traces() for phase, _ in t.phases
+        )
+        assert retries == result.mem.faults_injected > 0
         marked = [
             t for t in tracer.traces() if t.phase_time("retry") is not None
         ]
         assert marked, "some traced requests must carry a retry phase"
 
     def test_registry_exports_fault_counters(self):
-        from repro.telemetry import registry_from_stats
+        from repro.telemetry.export import capture_metrics
 
         config = dataclasses.replace(
             fbdimm_amb_prefetch(num_cores=2), instructions_per_core=4_000
         ).with_faults(error_rate=0.3)
         result = run_system(config, list(PROGRAMS))
-        snap = registry_from_stats(result.mem).snapshot()
+        snap = capture_metrics(result.mem)
         assert snap["mem.faults_corrupted"]["value"] == result.mem.faults_corrupted
         assert snap["mem.faults_retried_ok"]["value"] > 0
         assert (

@@ -1,10 +1,10 @@
-"""Telemetry tests: metrics registry, span lifecycle, capture round-trip,
-Chrome-trace schema, event-loop profiler, the zero-overhead guard, and the
-trace-capture golden.
+"""Telemetry tests: the capture's metrics block, span lifecycle, capture
+round-trip, Chrome-trace schema, event-loop profiler, the zero-overhead
+guard, and the trace-capture golden.
 
 ``tests/goldens/trace_capture.json`` pins, per workload, the sha256 of
-every request trace plus the tracer's metrics snapshot, so an observer
-rewrite must record exactly what it recorded before.  Regenerate it after
+every request trace, so an observer rewrite must record exactly what it
+recorded before.  Regenerate it after
 an *intentional* change with::
 
     PYTHONPATH=src python tests/test_telemetry.py --refresh
@@ -18,6 +18,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.analysis.latency import LatencyDistribution, percentile
 from repro.config import (
     PrefetchLocation,
     ddr2_baseline,
@@ -28,25 +29,21 @@ from repro.controller.transaction import MemoryRequest, RequestKind
 from repro.engine.profiler import EventLoopProfiler, callback_site
 from repro.engine.simulator import Simulator
 from repro.serialize import canonical_dumps
-from repro.stats.collector import MemSystemStats
+from repro.stats import metrics as derived
+from repro.stats.collector import COUNTERS, MemSystemStats
 from repro.system import System, run_system
-from repro.telemetry import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    RequestTrace,
+from repro.telemetry.export import (
     TelemetryCapture,
-    Tracer,
     build_capture,
+    capture_metrics,
     chrome_trace,
     load_capture,
-    registry_from_stats,
     save_capture,
     summarize_capture,
     validate_chrome_trace,
     write_chrome_trace,
 )
+from repro.telemetry.spans import RequestTrace, Tracer
 from repro.workloads.multiprog import workload_programs
 
 
@@ -65,90 +62,76 @@ def traced_run(programs=("swim",), insts=6_000, config=None, profile=False,
 
 
 # ----------------------------------------------------------------------
-# Metrics registry
+# The capture's metrics block
 # ----------------------------------------------------------------------
 
 
-class TestRegistry:
-    def test_counter_monotonic(self):
-        c = Counter("reads")
-        c.inc()
-        c.inc(4)
-        assert c.value == 5
-        with pytest.raises(ValueError):
-            c.inc(-1)
-
-    def test_gauge_moves_both_ways(self):
-        g = Gauge("depth")
-        g.set(3.5)
-        g.set(1.0)
-        assert g.value == 1.0
-
-    def test_histogram_buckets_are_log2(self):
-        h = Histogram("lat")
-        for value in (0, 1, 2, 3, 4, 1000):
-            h.observe(value)
-        assert h.count == 6
-        assert h.sum == 1010
-        assert h.min == 0 and h.max == 1000
-        uppers = [upper for upper, _ in h.buckets()]
-        assert uppers == sorted(uppers)
-        # 0 lands in the dedicated zero bucket, 1000 in (512, 1024].
-        assert uppers[0] == 0
-        assert uppers[-1] == 1024
-
-    def test_histogram_percentiles_clamped_to_max(self):
-        h = Histogram("lat")
-        for _ in range(99):
-            h.observe(100)
-        h.observe(1000)
-        assert h.percentile(50) <= 128  # bucket upper bound of 100
-        assert h.percentile(100) == 1000  # clamped to observed max
-        assert h.mean == pytest.approx((99 * 100 + 1000) / 100)
-
-    def test_histogram_rejects_negative(self):
-        with pytest.raises(ValueError):
-            Histogram("lat").observe(-1)
-
-    def test_empty_histogram_snapshot(self):
-        snap = Histogram("lat").snapshot()
-        assert snap["count"] == 0
-        assert snap["p99"] == 0.0
-
-    def test_get_or_create_and_type_conflict(self):
-        reg = MetricsRegistry()
-        a = reg.counter("x")
-        assert reg.counter("x") is a
-        with pytest.raises(TypeError):
-            reg.gauge("x")
-        assert "x" in reg
-        assert len(reg) == 1
-
-    def test_snapshot_and_json_roundtrip(self):
-        reg = MetricsRegistry()
-        reg.counter("a", "help a").inc(2)
-        reg.histogram("h").observe(7)
-        doc = json.loads(reg.to_json())
-        assert doc["a"]["value"] == 2
-        assert doc["h"]["count"] == 1
-        records = reg.to_records()
-        assert [r["name"] for r in records] == ["a", "h"]
-
-    def test_registry_from_stats_without_breaking_stats(self):
+class TestMetricsBlock:
+    def test_metrics_block_without_breaking_stats(self):
         stats = MemSystemStats()
         stats.record_read_completion(
             latency_ps=63_000, queue_delay_ps=1_000, is_demand=True,
             amb_hit=True, line_bytes=64, core_id=0,
         )
         stats.record_write_completion(64)
-        reg = registry_from_stats(stats)
-        snap = reg.snapshot()
+        snap = capture_metrics(stats)
         assert snap["mem.demand_reads"]["value"] == 1
         assert snap["mem.writes"]["value"] == 1
         assert snap["mem.amb_hits"]["value"] == 1
         assert snap["mem.core0.queue_delay_sum_ps"]["value"] == 1_000
-        # Adapter reads but never mutates the stats object.
+        # Every entry is self-describing, and the block never mutates stats.
+        assert all(set(m) == {"type", "help", "value"} for m in snap.values())
         assert stats.demand_reads == 1
+
+    def test_every_declared_counter_is_listed_with_its_help(self):
+        stats = MemSystemStats()
+        snap = capture_metrics(stats)
+        for f in COUNTERS:
+            entry = snap[f"mem.{f.name}"]
+            assert entry["type"] == "counter"
+            assert entry["help"] == f.metadata["help"]
+            assert entry["value"] == getattr(stats, f.name)
+
+    def test_gauges_are_the_derived_metrics(self):
+        _, result, _ = traced_run(insts=3_000)
+        stats = result.mem
+        snap = capture_metrics(stats)
+        for name, fn in (
+            ("avg_read_latency_ns", derived.average_read_latency_ns),
+            ("avg_queue_delay_ns", derived.average_queue_delay_ns),
+            ("utilized_bandwidth_gbs", derived.utilized_bandwidth_gbs),
+            ("prefetch_coverage", derived.prefetch_coverage),
+            ("prefetch_efficiency", derived.prefetch_efficiency),
+            ("lifecycle_coverage", derived.lifecycle_coverage),
+        ):
+            entry = snap[f"mem.{name}"]
+            assert entry["type"] == "gauge"
+            assert entry["value"] == fn(stats)
+        assert snap["mem.elapsed_ps"]["value"] == float(stats.elapsed_ps)
+        for channel, busy_ps in stats.per_channel_busy_ps.items():
+            assert snap[f"mem.busy_ps.{channel}"]["value"] == float(busy_ps)
+
+    def test_empty_stats_give_zero_powerdown_residency(self):
+        # No idle time at all: the residency gauge reads 0, not a division error.
+        snap = capture_metrics(MemSystemStats())
+        assert snap["mem.powerdown_residency"]["value"] == 0.0
+        assert not any(name.startswith("mem.core") for name in snap)
+
+    def test_legacy_two_field_core_entry_has_zero_queue_delay(self):
+        stats = MemSystemStats()
+        stats.per_core_reads = {3: [2, 126_000]}
+        snap = capture_metrics(stats)
+        assert snap["mem.core3.demand_reads"]["value"] == 2
+        assert snap["mem.core3.demand_latency_sum_ps"]["value"] == 126_000
+        assert snap["mem.core3.queue_delay_sum_ps"]["value"] == 0
+
+    def test_block_roundtrips_through_a_capture_file(self, tmp_path):
+        machine, result, _ = traced_run(insts=2_000)
+        capture = build_capture(machine, result)
+        path = tmp_path / "capture.jsonl"
+        save_capture(path, capture)
+        assert load_capture(path).metrics == json.loads(json.dumps(capture.metrics))
+        assert "mem.demand_latency_ps" not in capture.metrics
 
 
 # ----------------------------------------------------------------------
@@ -193,8 +176,8 @@ class TestRequestTrace:
 
 
 class TestTracerLifecycle:
-    """The tracer records arrival, retries and completion; every other
-    phase is read off the request's own timestamps."""
+    """The tracer records arrival and retries; every other phase is read
+    off the request's own timestamps."""
 
     def _issued(self, tracer):
         req = _request()
@@ -206,20 +189,17 @@ class TestTracerLifecycle:
         return req
 
     def test_hooks_build_a_full_span(self):
-        """Three hooks plus the request's own timestamps give every phase."""
+        """Two hooks plus the request's own timestamps give every phase."""
         tracer = Tracer()
         req = self._issued(tracer)
-        tracer.on_complete(req, 63_000)
         req.complete(63_000)
         [trace] = tracer.completed_traces()
         assert trace.phases == [
             ("arrival", 100), ("schedulable", 12_000), ("issue", 20_000),
             ("data", 55_000), ("complete", 63_000),
         ]
-        snap = tracer.registry.snapshot()
-        assert snap["trace.latency_ps"]["count"] == 1
-        assert snap["trace.queue_delay_ps"]["max"] == 8_000
-        assert snap["trace.stalled_requests"]["value"] == 1
+        assert trace.latency_ps == 62_900
+        assert trace.queue_delay_ps == 8_000
 
     def test_backlogged_request_gets_queued_phase(self):
         tracer = Tracer()
@@ -245,7 +225,6 @@ class TestTracerLifecycle:
         assert [t for name, t in trace.phases if name == "retry"] == [
             30_000, 35_000, 60_000,
         ]
-        assert tracer.registry.snapshot()["trace.fault_retries"]["value"] == 3
 
     def test_hit_flags_only_on_completed_requests(self):
         tracer = Tracer()
@@ -257,21 +236,15 @@ class TestTracerLifecycle:
         [trace] = tracer.traces()
         assert trace.amb_hit and trace.row_hit
 
-    def test_bounded_recording_keeps_exact_histograms(self):
+    def test_bounded_recording_counts_what_it_drops(self):
         tracer = Tracer(max_requests=1)
         first, second = _request(), _request()
         tracer.on_arrival(first, backlogged=False)
         tracer.on_arrival(second, backlogged=False)
         assert tracer.dropped == 1
-        assert len(tracer.traces()) == 1
-        # The dropped request still feeds the aggregate counters.
+        # A dropped request leaves no span and no retry behind.
         tracer.on_retry(second, "SB_CMD", 5)
-        second.schedulable_at = 0
-        second.issue_time = 10
-        tracer.on_complete(second, 50)
-        snap = tracer.registry.snapshot()
-        assert snap["trace.latency_ps"]["count"] == 1
-        assert snap["trace.fault_retries"]["value"] == 1
+        assert not tracer._retries
         assert [t.req_id for t in tracer.traces()] == [first.req_id]
 
     def test_real_run_traces_every_completion(self):
@@ -378,7 +351,7 @@ class TestSummarizeCaptureEdges:
         text = summarize_capture(TelemetryCapture())
         assert "0 request traces" in text
         # No completed requests, samples, metrics or profile sections.
-        assert "latency ns:" not in text
+        assert "latency ns" not in text
         assert "event-loop profile" not in text
 
     def test_only_retry_phase_spans(self):
@@ -391,7 +364,7 @@ class TestSummarizeCaptureEdges:
         text = summarize_capture(capture)
         assert "1 request traces" in text
         assert "completed:" not in text
-        assert "latency ns:" not in text
+        assert "latency ns" not in text
 
     def test_top_sites_larger_than_site_count(self):
         capture = TelemetryCapture(
@@ -418,6 +391,56 @@ class TestSummarizeCaptureEdges:
         text = summarize_capture(capture)
         assert "subsystem wall time" not in text
         assert "a.b" in text
+
+    @staticmethod
+    def _span(req_id, kind, arrival, ready, issue, complete):
+        trace = RequestTrace(req_id=req_id, kind=kind, core_id=0, line_addr=64)
+        for phase, time_ps in (("arrival", arrival), ("schedulable", ready),
+                               ("issue", issue), ("complete", complete)):
+            trace.mark(phase, time_ps)
+        return trace
+
+    def test_one_exact_line_per_kind_with_samples(self):
+        capture = TelemetryCapture(requests=[
+            self._span(1, "read", 0, 1_000, 2_000, 63_000),
+            self._span(2, "read", 0, 1_000, 5_000, 100_000),
+            self._span(3, "write", 0, 1_000, 1_000, 40_000),
+        ])
+        lines = summarize_capture(capture).splitlines()
+        kind_lines = [line for line in lines if line.startswith("latency ns, ")]
+        # No sw_prefetch line: that kind has no samples.
+        assert kind_lines == [
+            "latency ns, read: "
+            + LatencyDistribution.from_samples_ps([63_000, 100_000]).format(),
+            "latency ns, write: "
+            + LatencyDistribution.from_samples_ps([40_000]).format(),
+        ]
+
+    def test_queue_delay_line_is_exact(self):
+        delays_ps = [0, 1_000, 3_000, 10_000, 50_000]
+        capture = TelemetryCapture(requests=[
+            self._span(i, "read", 0, 1_000, 1_000 + delay, 90_000 + delay)
+            for i, delay in enumerate(delays_ps)
+        ])
+        [line] = [line for line in summarize_capture(capture).splitlines()
+                  if line.startswith("queue delay ns:")]
+        p95 = percentile([delay / 1000.0 for delay in delays_ps], 95)
+        assert line == f"queue delay ns: mean 12.8, p95 {p95:.1f}"
+        assert p95 == pytest.approx(42.0)  # index 3.8 between 10 and 50 ns
+
+    def test_old_histogram_entry_prints_count_and_mean_only(self):
+        capture = TelemetryCapture(metrics={
+            "mem.demand_latency_ps": {
+                "type": "histogram", "help": "", "count": 3, "sum": 226_000,
+                "min": 63_000, "max": 100_000, "mean": 75_333.3,
+                "p50": 65_536.0, "p95": 100_000.0, "p99": 100_000.0,
+            },
+            "mem.reads": {"type": "counter", "help": "", "value": 3},
+        })
+        text = summarize_capture(capture)
+        assert "  mem.demand_latency_ps: count=3 mean=75333" in text.splitlines()
+        assert "  mem.reads: 3" in text.splitlines()
+        assert "65536" not in text and "p50" not in text
 
 
 # ----------------------------------------------------------------------
@@ -510,7 +533,7 @@ def _trace_configs():
 
 
 def trace_capture(config):
-    """(sha256 of the traces + tracer metrics, the traces) of one run.
+    """(sha256 of the traces, the traces) of one run.
 
     Request ids come from a process-wide counter, so they are rebased to
     the run's first id: the digest must not depend on what ran before.
@@ -522,10 +545,7 @@ def trace_capture(config):
     base = min(record["id"] for record in records)
     for record in records:
         record["id"] -= base
-    text = canonical_dumps({
-        "traces": records,
-        "metrics": tracer.registry.snapshot(),
-    })
+    text = canonical_dumps({"traces": records})
     return hashlib.sha256(text.encode()).hexdigest(), traces
 
 

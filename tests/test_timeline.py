@@ -752,9 +752,9 @@ class TestReport:
         assert "timeline" in text
 
     def test_registry_exports_new_counters(self, ap_timeline_run):
-        from repro.telemetry.registry import registry_from_stats
+        from repro.telemetry.export import capture_metrics
 
-        snapshot = registry_from_stats(ap_timeline_run.mem).snapshot()
+        snapshot = capture_metrics(ap_timeline_run.mem)
         for name in (
             "mem.column_reads", "mem.column_writes", "mem.refreshes",
             "mem.idle_ps", "mem.powerdown_ps", "mem.idle_gaps",
@@ -829,7 +829,7 @@ class TestCli:
         assert "bandwidth GB/s" in out
 
     def test_export_csv_and_chrome(self, recorded, tmp_path):
-        from repro.telemetry import validate_chrome_trace
+        from repro.telemetry.export import validate_chrome_trace
         from repro.__main__ import main
 
         _, ap = recorded
