@@ -120,7 +120,9 @@ def _programs(workload: str) -> List[str]:
 def _build_config(args: argparse.Namespace, system: str) -> SystemConfig:
     """The config the run knobs (:func:`add_run_args`) describe for
     ``system``; a value a config rejects (``ValueError`` from its
-    ``__post_init__``) exits 2."""
+    ``__post_init__``) exits 2, and each of the config's
+    :meth:`~repro.config.SystemConfig.warnings` goes to stderr as one
+    ``warning:`` line."""
     cores = len(_programs(args.workload))
     try:
         if system == "ddr2":
@@ -147,6 +149,8 @@ def _build_config(args: argparse.Namespace, system: str) -> SystemConfig:
             config = config.with_timeline(window_ns=window_ns)
     except ValueError as exc:
         _fail(str(exc))
+    for warning in config.warnings():
+        print(f"warning: {warning}", file=sys.stderr)
     return config
 
 

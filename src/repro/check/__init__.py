@@ -1,6 +1,6 @@
 """Static and dynamic correctness checks for the simulator.
 
-Three independent passes (see ``docs/CHECKING.md``):
+Two independent passes (see ``docs/CHECKING.md``):
 
 * :mod:`repro.check.protocol` — validates DDR2 command journals and
   FB-DIMM frame journals against the Table 2 timing constraints;
@@ -8,12 +8,14 @@ Three independent passes (see ``docs/CHECKING.md``):
   registry running the determinism rules (wall clocks, unseeded
   ``random``, set iteration, float arithmetic on picosecond times) plus
   unit-flow and worker shared-state analyses
-  (``docs/STATIC_ANALYSIS.md``);
-* :mod:`repro.check.config_audit` — cross-field consistency checks on
-  :class:`~repro.config.SystemConfig` with actionable messages.
+  (``docs/STATIC_ANALYSIS.md``).
+
+Config validity is no pass of its own: the :mod:`repro.config`
+dataclasses reject a meaningless value when they are built, and
+:meth:`~repro.config.SystemConfig.warnings` lists suspicious ones.
 
 Run offline with ``python -m repro.check trace.jsonl`` (plus ``lint`` /
-``--audit-configs`` / ``--self-test``), or at runtime with
+``--self-test``), or at runtime with
 ``SystemConfig(check_protocol=True)``.  Import each pass from its own
 module: this package loads none of them.
 """

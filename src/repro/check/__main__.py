@@ -9,9 +9,10 @@ Modes (combinable; default with no flags is trace checking):
   (determinism + unit-flow + shared-state rules; see
   :mod:`repro.check.lint.cli` for its options);
 * ``--self-test`` — run the golden known-bad suites (seeded protocol
-  traces and seeded lint fixtures);
-* ``--audit-configs`` — cross-field audit of the standard factory
-  configurations.
+  traces and seeded lint fixtures).
+
+Config validity is not checked here: every config dataclass rejects a
+meaningless value when it is built (``repro.config``).
 
 Exit status: 0 clean, 1 findings/violations, 2 usage or I/O error.
 """
@@ -23,7 +24,6 @@ import sys
 from pathlib import Path
 from typing import List
 
-from repro.check.config_audit import audit_system, errors_only
 from repro.check.lint.selftest import run_self_test as run_lint_self_test
 from repro.check.protocol import check_journals
 from repro.check.selftest import run_self_test
@@ -59,28 +59,6 @@ def _check_traces(paths: List[str]) -> int:
     return status
 
 
-def _run_audit() -> int:
-    # Imported here so plain trace checking never pulls in the factories.
-    from repro.config import ddr2_baseline, fbdimm_amb_prefetch, fbdimm_baseline
-
-    status = EXIT_CLEAN
-    for name, factory in (
-        ("ddr2_baseline", ddr2_baseline),
-        ("fbdimm_baseline", fbdimm_baseline),
-        ("fbdimm_amb_prefetch", fbdimm_amb_prefetch),
-    ):
-        issues = audit_system(factory())
-        if issues:
-            print(f"{name}: {len(issues)} issue(s)")
-            for issue in issues:
-                print(f"  {issue.format()}")
-            if errors_only(issues):
-                status = EXIT_FINDINGS
-        else:
-            print(f"{name}: OK")
-    return status
-
-
 def _run_self_test() -> int:
     count, failures = run_self_test()
     lint_count, lint_failures = run_lint_self_test()
@@ -112,10 +90,6 @@ def main(argv: List[str] | None = None) -> int:
         "--self-test", action="store_true",
         help="run the golden known-bad trace suite",
     )
-    parser.add_argument(
-        "--audit-configs", action="store_true",
-        help="audit the standard factory configurations",
-    )
     args = parser.parse_args(argv)
 
     selected = False
@@ -123,17 +97,14 @@ def main(argv: List[str] | None = None) -> int:
     if args.self_test:
         selected = True
         status = max(status, _run_self_test())
-    if args.audit_configs:
-        selected = True
-        status = max(status, _run_audit())
     if args.traces:
         selected = True
         status = max(status, _check_traces(args.traces))
     if not selected:
         parser.print_usage(sys.stderr)
         print(
-            "error: nothing to do — pass a trace file or one of "
-            "--self-test/--audit-configs (or use the lint subcommand)",
+            "error: nothing to do — pass a trace file or --self-test "
+            "(or use the lint subcommand)",
             file=sys.stderr,
         )
         return EXIT_USAGE

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field, replace
-from typing import Optional
+from typing import List, Optional
 
 from repro.engine.simulator import ns
 
@@ -197,6 +197,14 @@ class AmbPrefetchConfig:
             raise ValueError(
                 f"cache_entries={self.cache_entries} not divisible by "
                 f"ways={self.associativity.ways(self.cache_entries)}"
+            )
+        if self.enabled and self.region_cachelines > self.cache_entries:
+            raise ValueError(
+                f"prefetch.region_cachelines: region of "
+                f"{self.region_cachelines} lines cannot fit the "
+                f"{self.cache_entries}-entry AMB cache: every group fetch "
+                "would evict part of itself; raise cache_entries or lower "
+                "region_cachelines"
             )
         if self.full_latency_hits and self.location is not PrefetchLocation.AMB:
             raise ValueError(
@@ -403,6 +411,51 @@ class MemoryConfig:
             raise ValueError("AMB prefetching requires an FB-DIMM memory system")
         if self.tFAW_ns < 0:
             raise ValueError("tFAW_ns must be >= 0")
+        t = self.timings
+        for name in ("tRP", "tRCD", "tCL", "tRC", "tRAS", "tWL"):
+            if getattr(t, name) <= 0:
+                raise ValueError(
+                    f"timings.{name}: must be positive, got "
+                    f"{getattr(t, name)} ns"
+                )
+        burst = self.burst_clocks * self.dram_clock_ps / 1000.0
+        if t.tRC < t.tRAS + t.tRP:
+            raise ValueError(
+                f"timings.tRC: tRC ({t.tRC} ns) < tRAS + tRP ({t.tRAS} + "
+                f"{t.tRP} ns): the ACT-to-ACT window is shorter than "
+                "open-row time plus precharge; raise tRC or lower tRAS/tRP"
+            )
+        if t.tRAS < t.tRCD + burst:
+            raise ValueError(
+                f"timings.tRAS: tRAS ({t.tRAS} ns) < tRCD + burst "
+                f"({t.tRCD} + {burst:.1f} ns): the row would close before "
+                "the first burst drains; raise tRAS"
+            )
+        if t.tWPD < t.tWL + burst:
+            raise ValueError(
+                f"timings.tWPD: tWPD ({t.tWPD} ns) < tWL + burst ({t.tWL} + "
+                f"{burst:.1f} ns): precharge would cut off the write burst; "
+                "raise tWPD"
+            )
+        k = self.prefetch.region_cachelines
+        if self.prefetch.enabled and k > self.lines_per_page:
+            raise ValueError(
+                f"prefetch.region_cachelines: a {k}-line region spans more "
+                f"than one {self.page_bytes}-byte DRAM row; a group fetch is "
+                "one ACT plus pipelined column accesses and cannot cross a "
+                "row boundary"
+            )
+        if self.kind is MemoryKind.FBDIMM and self.cacheline_bytes % 32:
+            raise ValueError(
+                f"cacheline_bytes: {self.cacheline_bytes} B is not a whole "
+                "number of 32 B northbound frames"
+            )
+        if 0 < self.refresh_interval_ns <= self.refresh_cycle_ns:
+            raise ValueError(
+                f"refresh_cycle_ns: tRFC ({self.refresh_cycle_ns} ns) >= "
+                f"tREFI ({self.refresh_interval_ns} ns): banks would refresh "
+                "back-to-back and never serve requests"
+            )
         # Late import: repro.dram.devices builds its presets *from* the
         # timing/power dataclasses this module defines.
         from repro.dram.devices import DEVICE_PRESETS
@@ -541,6 +594,96 @@ class SystemConfig:
                 "memory.kind must be FBDIMM when faults.enabled"
             )
 
+    def warnings(self) -> List[str]:
+        """Legal but suspicious settings, each as ``field: message``.
+
+        A config that constructs is valid (every ``__post_init__`` above
+        rejects meaningless values); these flag half-applied overrides
+        and setups no figure of the paper uses.  ``repro run`` prints
+        them to stderr.  Every factory config on every device preset
+        has none.
+        """
+        memory, cpu = self.memory, self.cpu
+        t, prefetch = memory.timings, memory.prefetch
+        found: List[str] = []
+        if t.tRPD > t.tRAS:
+            found.append(
+                f"timings.tRPD: tRPD ({t.tRPD} ns) > tRAS ({t.tRAS} ns) is "
+                "unusual for DDR2 and makes reads close rows later than the "
+                "row-open minimum"
+            )
+        if memory.data_rate_mts >= 1066 and t == DramTimings():
+            found.append(
+                f"data_rate_mts: {memory.data_rate_mts} MT/s is a DDR3-class "
+                "rate but the timings are the DDR2 Table 2 defaults; pass "
+                "ddr3_memory_overrides() so both move together"
+            )
+        k = prefetch.region_cachelines
+        if prefetch.enabled and prefetch.cache_entries < 2 * k:
+            found.append(
+                f"prefetch.cache_entries: only {prefetch.cache_entries // k} "
+                "region(s) fit the AMB cache; two concurrent streams will "
+                "thrash it"
+            )
+        if prefetch.enabled and prefetch.cache_entries % k:
+            found.append(
+                f"prefetch.cache_entries: {prefetch.cache_entries} entries is "
+                f"not a whole number of {k}-line regions; FIFO replacement "
+                "will evict partial regions"
+            )
+        if memory.interleave is InterleaveScheme.CACHELINE:
+            if prefetch.enabled:
+                found.append(
+                    "interleave: AMB prefetching with cacheline interleaving "
+                    "scatters each region across channels, so group fetches "
+                    "degenerate to single lines; use MULTI_CACHELINE (the "
+                    "fbdimm_amb_prefetch factory does this automatically)"
+                )
+            if memory.page_policy is PagePolicy.OPEN_PAGE:
+                found.append(
+                    "page_policy: open page with cacheline interleaving: "
+                    "consecutive lines map to different banks, so the open "
+                    "row is almost never re-hit; the paper pairs open page "
+                    "with page interleaving"
+                )
+        if memory.write_drain_threshold > memory.buffer_entries:
+            found.append(
+                f"write_drain_threshold: threshold "
+                f"{memory.write_drain_threshold} exceeds the "
+                f"{memory.buffer_entries}-entry memory buffer, so the write "
+                "drain can never trigger and writes only issue when no read "
+                "is ready"
+            )
+        if (
+            memory.refresh_interval_ns > 0
+            and memory.refresh_cycle_ns / memory.refresh_interval_ns > 0.2
+        ):
+            found.append(
+                "refresh_cycle_ns: refresh would consume more than 20% of "
+                "every rank's time; typical DDR2 is ~1.6% (127.5 ns / 7800 ns)"
+            )
+        if cpu.data_mshr_entries * cpu.num_cores < cpu.l2_mshr_entries // 4:
+            found.append(
+                "cpu.data_mshr_entries: per-core MSHRs are far below the "
+                "shared L2's; the L2 MSHR file cannot fill and memory-level "
+                "parallelism is core-bound"
+            )
+        if cpu.hw_prefetch_degree > 0 and self.software_prefetch:
+            found.append(
+                "cpu.hw_prefetch_degree: hardware and software prefetching "
+                "are both on; the paper evaluates one at a time (Section "
+                "5.4), so coverage numbers will not be comparable to any "
+                "figure"
+            )
+        if memory.buffer_entries < cpu.l2_mshr_entries // 2:
+            found.append(
+                f"memory.buffer_entries: {memory.buffer_entries} buffer "
+                f"entries against {cpu.l2_mshr_entries} L2 MSHRs: admission "
+                "backpressure will dominate queueing before the channels "
+                "saturate"
+            )
+        return found
+
     def with_memory(self, **changes: object) -> "SystemConfig":
         """Return a copy with the memory config fields replaced."""
         return replace(self, memory=replace(self.memory, **changes))
@@ -602,9 +745,10 @@ class SystemConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "SystemConfig":
-        """Rebuild a config from :meth:`to_dict` output.  Unknown keys are
-        ignored and missing keys take the field defaults, so configs written
-        by older code versions still load."""
+        """Rebuild a config from :meth:`to_dict` output.  Missing keys take
+        the field defaults, so configs written by older code versions still
+        load; an unknown key, or a value a ``__post_init__`` rejects, raises
+        ``ValueError``."""
         from repro.serialize import decode_value
 
         return decode_value(raw, cls)

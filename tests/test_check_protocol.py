@@ -476,11 +476,6 @@ class TestCli:
         proc = self._run()
         assert proc.returncode == 2
 
-    def test_audit_configs_clean(self):
-        proc = self._run("--audit-configs")
-        assert proc.returncode == 0, proc.stdout + proc.stderr
-        assert "ddr2_baseline: OK" in proc.stdout
-
     def test_lint_flags_wall_clock(self, tmp_path):
         victim = tmp_path / "victim.py"
         victim.write_text("import time\n\nstart = time.time()\n")

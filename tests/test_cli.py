@@ -3,6 +3,7 @@
 import pytest
 
 from repro.__main__ import build_parser, main
+from repro.config import SystemConfig
 from repro.system import System
 
 #: Every command that builds the config of one run from the run knobs.
@@ -109,6 +110,9 @@ class TestInputErrors:
             ["bench", "profile", "--workload", "nope"],
             ["run", "--k", "0"],
             ["run", "--system", "fbd-ap", "--k", "3"],
+            ["run", "--workload", "swim", "--system", "fbd-ap", "--insts",
+             "1000", "--k", "8", "--entries", "4"],
+            ["sweep", "--workload", "swim", "k=8", "entries=4", "--no-cache"],
             ["run", "--insts", "0"],
             ["compare", "--insts", "0"],
             ["run", "--timeline-ns", "-1"],
@@ -141,6 +145,22 @@ class TestInputErrors:
         assert "Traceback" not in captured.err and captured.out == ""
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: "), lines
+
+
+class TestWarnings:
+    def test_warning_goes_to_stderr_and_leaves_stdout(self, capsys, monkeypatch):
+        argv = ["run", "--workload", "swim", "--insts", "1000",
+                "--k", "4", "--entries", "4"]
+        assert main(argv) == 0
+        warned = capsys.readouterr()
+        assert warned.err.splitlines() == [
+            "warning: prefetch.cache_entries: only 1 region(s) fit the AMB "
+            "cache; two concurrent streams will thrash it"
+        ]
+        monkeypatch.setattr(SystemConfig, "warnings", lambda self: [])
+        assert main(argv) == 0
+        quiet = capsys.readouterr()
+        assert quiet.err == "" and quiet.out == warned.out
 
 
 class TestCacheDir:

@@ -7,7 +7,7 @@ latency percentiles are pure Python), and the timeline's collector,
 diff, export, phases and report code, the fault sweep and the
 ``repro.experiments`` package load only in the commands that use them.
 A run under the protocol check loads the checker and its journal model,
-not the lint engine, the config audit or the self-test suite.
+not the lint engine or the self-test suite.
 """
 
 import subprocess
@@ -103,5 +103,5 @@ def test_checked_run_loads_only_the_protocol_check():
     assert sorted(
         name for name in loaded
         if name.startswith("repro.check.lint")
-        or name in ("repro.check.config_audit", "repro.check.selftest")
+        or name == "repro.check.selftest"
     ) == []

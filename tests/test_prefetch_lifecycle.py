@@ -160,11 +160,12 @@ class TestEdgeCases:
         _assert_conserved(result.mem, "late-fill")
 
     def test_eviction_racing_pending_fill(self):
-        # A 2-entry direct-mapped tag store thrashes: fills evict lines
-        # whose replacement fetch is often already in flight.  Evictions
-        # and re-issues must charge exactly one ``evicted_unused`` each.
+        # A 4-entry direct-mapped tag store (one K=4 region) thrashes:
+        # fills evict lines whose replacement fetch is often already in
+        # flight.  Evictions and re-issues must charge exactly one
+        # ``evicted_unused`` each.
         result = _run_ap(
-            cache_entries=2, associativity=Associativity.DIRECT
+            cache_entries=4, associativity=Associativity.DIRECT
         )
         assert result.mem.pf_evicted_unused > 0
         assert result.mem.pf_table_evictions > 0

@@ -263,16 +263,15 @@ class TestPayloadBoundaryFuzz:
         assert [p.name for p in cache.quarantined()] == [path.name]
 
 
-    def test_unknown_key_entry_is_recomputed(self, tmp_path):
-        """A checksummed entry naming a field no dataclass has is not
-        served with the key dropped: it is quarantined and the run
-        recomputed."""
+    @staticmethod
+    def _assert_recomputed(tmp_path, rewrite):
+        """Re-sign a stored entry after ``rewrite`` of its payload; the next
+        context must quarantine it and recompute the same result."""
         ctx = ExperimentContext(instructions=INSTS, cache=tmp_path)
         first = ctx.run(fbdimm_baseline(num_cores=1), PROGRAMS)
         [path] = list(ctx.cache.entries())
         header, payload = path.read_text().splitlines()
-        raw = _unknown_config_key(json.loads(payload))
-        payload = canonical_dumps(raw)
+        payload = canonical_dumps(rewrite(json.loads(payload)))
         header = json.loads(header)
         header["payload_sha256"] = hashlib.sha256(payload.encode()).hexdigest()
         path.write_text(canonical_dumps(header) + "\n" + payload + "\n")
@@ -282,6 +281,21 @@ class TestPayloadBoundaryFuzz:
         assert again.fresh_runs == 1 and again.disk_hits == 0
         assert again.cache.stats.quarantined == 1
         assert second.canonical_json() == first.canonical_json()
+
+    def test_unknown_key_entry_is_recomputed(self, tmp_path):
+        """A checksummed entry naming a field no dataclass has is not
+        served with the key dropped."""
+        self._assert_recomputed(tmp_path, _unknown_config_key)
+
+    def test_invalid_config_entry_is_recomputed(self, tmp_path):
+        """A checksummed entry whose stored config no constructor accepts
+        (a row closed before its burst drains) is not served."""
+
+        def short_tras(raw):
+            raw["config"]["memory"]["timings"]["tRAS"] = 20.0
+            return raw
+
+        self._assert_recomputed(tmp_path, short_tras)
 
 
 class TestWarmDecodeCost:
