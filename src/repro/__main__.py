@@ -25,7 +25,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import sys
-from typing import TYPE_CHECKING, Callable, Dict, List, NoReturn, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, NoReturn, Optional, Set, Tuple
 
 from repro.config import (
     AmbPrefetchConfig,
@@ -117,6 +117,28 @@ def _programs(workload: str) -> List[str]:
         _fail(f"{exc.args[0]}; 'python -m repro list' shows the names")
 
 
+def _fbd_ap_config(cores: int, k: int, entries: int, assoc: str,
+                   **memory_overrides: object) -> SystemConfig:
+    """The fbd-ap config of ``cores`` cores with these AMB-prefetch knobs;
+    ``ValueError`` when a config rejects a value."""
+    prefetch = AmbPrefetchConfig(
+        region_cachelines=k,
+        cache_entries=entries,
+        associativity=ASSOCIATIVITIES[assoc],
+    )
+    return fbdimm_amb_prefetch(num_cores=cores, prefetch=prefetch,
+                               **memory_overrides)
+
+
+def _warn(config: SystemConfig, seen: Set[str]) -> None:
+    """Print each of ``config``'s warnings not yet in ``seen`` to stderr as
+    one ``warning:`` line, and add it to ``seen``."""
+    for warning in config.warnings():
+        if warning not in seen:
+            seen.add(warning)
+            print(f"warning: {warning}", file=sys.stderr)
+
+
 def _build_config(args: argparse.Namespace, system: str) -> SystemConfig:
     """The config the run knobs (:func:`add_run_args`) describe for
     ``system``; a value a config rejects (``ValueError`` from its
@@ -130,12 +152,7 @@ def _build_config(args: argparse.Namespace, system: str) -> SystemConfig:
         elif system == "fbd":
             config = fbdimm_baseline(num_cores=cores)
         else:
-            prefetch = AmbPrefetchConfig(
-                region_cachelines=args.k,
-                cache_entries=args.entries,
-                associativity=ASSOCIATIVITIES[args.assoc],
-            )
-            config = fbdimm_amb_prefetch(num_cores=cores, prefetch=prefetch)
+            config = _fbd_ap_config(cores, args.k, args.entries, args.assoc)
         if args.device != "ddr2-667":
             config = config.with_device(args.device)
         config = dataclasses.replace(
@@ -149,8 +166,7 @@ def _build_config(args: argparse.Namespace, system: str) -> SystemConfig:
             config = config.with_timeline(window_ns=window_ns)
     except ValueError as exc:
         _fail(str(exc))
-    for warning in config.warnings():
-        print(f"warning: {warning}", file=sys.stderr)
+    _warn(config, set())
     return config
 
 
@@ -302,30 +318,24 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
     axes = _parse_axes(args.axes)
     cores = len(_programs(args.workload))
+    warned: Set[str] = set()
 
     def build(k: int = 4, entries: int = 64, assoc: str = "full",
               rate: int = 667, channels: int = 2,
               device: str = "ddr2-667") -> SystemConfig:
         try:
-            prefetch = AmbPrefetchConfig(
-                region_cachelines=k,
-                cache_entries=entries,
-                associativity=ASSOCIATIVITIES[assoc],
-            )
-            config = fbdimm_amb_prefetch(
-                num_cores=cores,
-                prefetch=prefetch,
-                logic_channels=channels,
-            )
+            config = _fbd_ap_config(cores, k, entries, assoc,
+                                    logic_channels=channels)
             if device != "ddr2-667":
                 # The device preset fixes its own data rate; an explicit
                 # rate axis still overrides it below.
                 config = config.with_device(device)
             if device == "ddr2-667" or "rate" in axes:
                 config = config.with_memory(data_rate_mts=rate)
-            return config
         except ValueError as exc:
             _fail(str(exc))
+        _warn(config, warned)  # once per distinct warning, not per point
+        return config
 
     sweep = Sweep(
         axes=axes, build=build, workload=args.workload, metric_name="sum_ipc"

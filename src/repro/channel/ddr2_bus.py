@@ -53,14 +53,6 @@ class Ddr2Dimm:
             for b in range(config.ranks_per_dimm * config.banks_per_dimm)
         ]
 
-    def bank_of(self, mapped: MappedAddress) -> Bank:
-        """The logic bank a mapped address lives in."""
-        return self.banks[mapped.rank * self._banks_per_dimm + mapped.bank]
-
-    def timer_of(self, mapped: MappedAddress) -> RankTimer:
-        """The rank-level timing tracker for a mapped address."""
-        return self.rank_timers[mapped.rank]
-
     def read_line(self, earliest: int, mapped: MappedAddress) -> AccessResult:
         """Read one cacheline; the command bus carries the ACT/RD pair."""
         clock = self._clock

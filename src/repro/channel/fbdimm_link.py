@@ -59,16 +59,22 @@ class FbdimmLinks:
     """South/northbound links of one physical FB-DIMM channel."""
 
     __slots__ = (
-        "frame_ps", "command_delay_ps", "hop_ps", "n_dimms", "vrl",
+        "frame_ps", "command_delay_ps", "hop_penalty",
         "write_frames", "read_frames", "south", "north", "faults",
     )
 
     def __init__(self, config: MemoryConfig, channel_id: int) -> None:
         self.frame_ps = config.frame_ps
         self.command_delay_ps = ns(config.command_delay_ns)
-        self.hop_ps = ns(config.amb_hop_ns)
-        self.n_dimms = config.dimms_per_channel
-        self.vrl = config.variable_read_latency
+        hop_ps = ns(config.amb_hop_ns)
+        dimms = config.dimms_per_channel
+        #: Daisy-chain forwarding delay charged on the read-return (and
+        #: write) path, per DIMM: its own hop count under VRL, the
+        #: farthest DIMM's otherwise.
+        self.hop_penalty = tuple(
+            ((dimm + 1) if config.variable_read_latency else dimms) * hop_ps
+            for dimm in range(dimms)
+        )
         self.write_frames = max(
             1, config.cacheline_bytes // 16
         )  # 16 B write data per southbound frame
@@ -83,11 +89,6 @@ class FbdimmLinks:
         #: assigns it when fault injection is enabled.  None keeps every
         #: transfer on the seed fast path.
         self.faults: "Optional[ChannelFaults]" = None
-
-    def hop_penalty(self, dimm: int) -> int:
-        """Daisy-chain forwarding delay charged on the read-return path."""
-        hops = (dimm + 1) if self.vrl else self.n_dimms
-        return hops * self.hop_ps
 
     def send_command_ps(self, earliest: int) -> int:
         """Send one command south; return its arrival at the AMB.
@@ -130,7 +131,7 @@ class FbdimmLinks:
                     at, self.write_frames, retry=attempt
                 ),
             )
-        return data_end + self.command_delay_ps + self.hop_penalty(dimm)
+        return data_end + self.command_delay_ps + self.hop_penalty[dimm]
 
     def return_read(self, data_ready: int, dimm: int) -> ReadReturn:
         """Carry one cacheline north once the AMB has (or is streaming) it.
@@ -150,7 +151,7 @@ class FbdimmLinks:
                     at, self.read_frames, retry=attempt
                 ),
             )
-        penalty = self.hop_penalty(dimm)
+        penalty = self.hop_penalty[dimm]
         return ReadReturn(
             link_start=start,
             critical_at_mc=start + self.frame_ps + penalty,

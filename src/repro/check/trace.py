@@ -40,6 +40,7 @@ from repro.dram.commands import (
 )
 from repro.dram.timing import TimingPs
 from repro.engine.simulator import ns
+from repro.serialize import unknown_fields
 
 FORMAT_VERSION = 1
 
@@ -209,9 +210,9 @@ def _checked_kwargs(
     if not isinstance(data, dict):
         raise ValueError(f"{where} must be a JSON object, got {data!r}")
     fields = dataclasses.fields(cls)
-    unknown = sorted(set(data) - {f.name for f in fields})
+    unknown = set(data) - {f.name for f in fields}
     if unknown:
-        raise ValueError(f"{where}: unknown field(s) {', '.join(unknown)}")
+        raise ValueError(f"{where}: {unknown_fields(unknown)}")
     missing = [
         f.name for f in fields
         if f.default is dataclasses.MISSING and f.name not in data
@@ -421,9 +422,9 @@ def _parse_header(line: str) -> TraceParams:
     header = _parse_json(line)
     if not isinstance(header, dict):
         raise ValueError(f"header must be a JSON object, got {header!r}")
-    unknown = sorted(set(header) - {"version", "params"})
+    unknown = set(header) - {"version", "params"}
     if unknown:
-        raise ValueError(f"header: unknown field(s) {', '.join(unknown)}")
+        raise ValueError(f"header: {unknown_fields(unknown)}")
     if header.get("version") != FORMAT_VERSION:
         raise ValueError(
             f"unsupported check-trace version {header.get('version')!r}"

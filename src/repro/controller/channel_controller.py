@@ -23,7 +23,9 @@ import dataclasses
 from collections import deque
 from functools import partial
 from operator import attrgetter
-from typing import TYPE_CHECKING, Deque, Dict, Iterable, Optional, Sequence, Union
+from typing import (
+    TYPE_CHECKING, Callable, Deque, Dict, Iterable, Optional, Sequence, Union,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.dram.bank import Bank
@@ -43,6 +45,10 @@ from repro.dram.resources import BusResource, TaggedBusResource
 from repro.dram.timing import TimingPs
 from repro.engine.simulator import Simulator
 from repro.stats.collector import MemSystemStats
+
+#: The request kinds every issue and completion branches on, read once.
+WRITE = RequestKind.WRITE
+DEMAND_READ = RequestKind.DEMAND_READ
 
 #: Device-scope MemSystemStats counters each channel sums over its banks,
 #: with the BankStats slot each one reads.  ``column_accesses`` is
@@ -69,6 +75,10 @@ TABLE_FOLD = {
 }
 
 
+def _no_retire() -> None:
+    """The ``on_retire`` of a channel controller with no front end."""
+
+
 def _fold(fold: Dict[str, str], records: Iterable[object]) -> Dict[str, int]:
     """Sum each fold source over ``records`` into its counter's name."""
     columns = zip(*map(attrgetter(*fold.values()), records))  # one per source
@@ -92,12 +102,18 @@ class ChannelControllerBase:
         timing: TimingPs,
         channel_id: int,
         stats: MemSystemStats,
+        on_retire: Callable[[], None] = _no_retire,
     ) -> None:
         self.sim = sim
         self.config = config
         self.timing = timing
         self.channel_id = channel_id
         self.stats = stats
+        #: Called as each request completes, just before the requester's
+        #: callback: the front end's buffer-entry release
+        #: (``MemoryController._retire``).
+        self._retire = on_retire
+        self._line_bytes = config.cacheline_bytes
         self.read_q: Deque[MemoryRequest] = deque()
         self.write_q: Deque[MemoryRequest] = deque()
         #: The channel's DIMMs (DDR2 DIMMs or AMBs), indexed by
@@ -151,7 +167,7 @@ class ChannelControllerBase:
         dimm = self._dimms[mapped.dimm]
         req.bank = dimm.banks[rank * self._banks_per_dimm + mapped.bank]
         req.rank_timer = dimm.rank_timers[rank]
-        if req.kind is RequestKind.WRITE:
+        if req.kind is WRITE:
             self.write_q.append(req)
         else:
             self.read_q.append(req)
@@ -208,7 +224,10 @@ class ChannelControllerBase:
                 self.read_q.remove(req)
                 self.inflight_reads += 1
             req.issue_time = now
-            self.stats.note_activity(now)
+            stats = self.stats
+            stats.last_activity_ps = now  # time never runs backwards
+            if stats.first_activity_ps < 0:
+                stats.first_activity_ps = now
             if self._prune_each_tick and now != self._pruned_at:
                 # Before the tick's first grant, once.  Exact: the
                 # scheduler's probes read no bus, and prunes at t1 <= t2
@@ -255,24 +274,25 @@ class ChannelControllerBase:
         self.sim.schedule_fire(finish_time, partial(self._complete, req))
 
     def _complete(self, req: MemoryRequest) -> None:
-        if req.kind is RequestKind.WRITE:
+        """Account the finished transaction, retire it from the front end,
+        then run the requester's callback."""
+        now = self.sim.now
+        stats = self.stats
+        stats.last_activity_ps = now
+        if stats.first_activity_ps < 0:
+            stats.first_activity_ps = now
+        if req.kind is WRITE:
             self.inflight_writes -= 1
+            stats.record_write_completion(self._line_bytes)
         else:
             self.inflight_reads -= 1
-        now = self.sim.now
-        self.stats.note_activity(now)
-        queue_delay = max(0, req.issue_time - req.schedulable_at)
-        if req.kind is RequestKind.WRITE:
-            self.stats.record_write_completion(self.config.cacheline_bytes)
-        else:
-            self.stats.record_read_completion(
-                latency_ps=now - req.arrival,
-                queue_delay_ps=queue_delay,
-                is_demand=req.kind is RequestKind.DEMAND_READ,
-                amb_hit=req.amb_hit,
-                line_bytes=self.config.cacheline_bytes,
-                core_id=req.core_id,
+            queue_delay = req.issue_time - req.schedulable_at
+            stats.record_read_completion(
+                now - req.arrival, queue_delay if queue_delay > 0 else 0,
+                req.kind is DEMAND_READ, req.amb_hit, self._line_bytes,
+                req.core_id,
             )
+        self._retire()
         req.complete(now)
         if self.read_q or self.write_q:
             self._request_kick(now)
@@ -348,8 +368,9 @@ class Ddr2ChannelController(ChannelControllerBase):
         timing: TimingPs,
         channel_id: int,
         stats: MemSystemStats,
+        on_retire: Callable[[], None] = _no_retire,
     ) -> None:
-        super().__init__(sim, config, timing, channel_id, stats)
+        super().__init__(sim, config, timing, channel_id, stats, on_retire)
         gap = round(config.ddr2_switch_gap_clocks * timing.clock)
         self.data_bus = TaggedBusResource(f"ddr2-ch{channel_id}.data", switch_gap_ps=gap)
         self.command_bus = BusResource(f"ddr2-ch{channel_id}.cmd")
@@ -378,7 +399,7 @@ class Ddr2ChannelController(ChannelControllerBase):
     def _issue(self, req: MemoryRequest) -> None:
         dimm = self.dimms[req.mapped.dimm]
         result = (dimm.write_line(self.sim.now, req.mapped)
-                  if req.kind is RequestKind.WRITE
+                  if req.kind is WRITE
                   else dimm.read_line(self.sim.now, req.mapped))
         req.row_hit = result.row_hit
         self._finish_at(req, result.data_starts[0], result.data_times[0])
@@ -413,8 +434,9 @@ class FbdimmChannelController(ChannelControllerBase):
         channel_id: int,
         stats: MemSystemStats,
         faults: Optional[FaultConfig] = None,
+        on_retire: Callable[[], None] = _no_retire,
     ) -> None:
-        super().__init__(sim, config, timing, channel_id, stats)
+        super().__init__(sim, config, timing, channel_id, stats, on_retire)
         self.links = FbdimmLinks(config, channel_id)
         self.ambs = [
             Amb(config, timing, channel_id, d) for d in range(config.dimms_per_channel)
@@ -494,34 +516,33 @@ class FbdimmChannelController(ChannelControllerBase):
             buffer.attach_lifecycle(lifecycle)
 
     def submit(self, req: MemoryRequest) -> None:
-        if req.kind is not RequestKind.WRITE and self.buffers:
-            # Bind the buffer's tag-store set and pending-fill map (stable
-            # objects) so the probe needs no lookups of its own.
-            buffer = self.buffers[req.mapped.dimm]
-            req.tag_set = buffer.table.set_for(req.line_addr)
-            req.pending_fills = buffer.pending
-        super().submit(req)
+        """Bind and queue as the base class does; a read also binds its
+        DIMM's prefetch-buffer tag-store set and pending-fill map (stable
+        objects), so the probe needs no lookups of its own."""
+        mapped = req.mapped
+        rank = mapped.rank
+        amb = self.ambs[mapped.dimm]
+        req.bank = amb.banks[rank * self._banks_per_dimm + mapped.bank]
+        req.rank_timer = amb.rank_timers[rank]
+        if req.kind is WRITE:
+            self.write_q.append(req)
+        else:
+            if self.buffers:
+                buffer = self.buffers[mapped.dimm]
+                req.tag_set = buffer.table.set_for(req.line_addr)
+                req.pending_fills = buffer.pending
+            self.read_q.append(req)
+        self._request_kick(self.sim.now)
 
     # -- scheduling probe ------------------------------------------------
-
-    def _prefetch_active(self) -> bool:
-        """Prefetching is configured and the channel has not degraded.
-
-        A channel that entered fault-degraded mode stops trusting (and
-        stops filling) its prefetch caches: demand reads fall back to the
-        plain FB-DIMM path until the end of the run.
-        """
-        if not self._pf_enabled:
-            return False
-        faults = self.faults
-        return faults is None or not faults.degraded
 
     def _probe(self, req: MemoryRequest) -> "tuple[int, bool]":
         """A read the prefetch buffer holds, or is filling, is a hit that
         is ready when its data is; anything else asks the bank.
 
-        Inlines _prefetch_active(): this is the hottest probe in the FBD
-        model, and a degraded channel no longer trusts its buffer.
+        A channel that entered fault-degraded mode stops trusting (and
+        stops filling) its prefetch buffers: from then on its reads take
+        the plain FB-DIMM path until the end of the run.
         """
         now = self.sim.now
         tag_set = req.tag_set
@@ -546,10 +567,11 @@ class FbdimmChannelController(ChannelControllerBase):
 
     def _issue(self, req: MemoryRequest) -> None:
         self._issuing = req
+        faults = self.faults
         try:
-            if req.kind is RequestKind.WRITE:
+            if req.kind is WRITE:
                 self._issue_write(req)
-            elif self._prefetch_active():
+            elif self._pf_enabled and (faults is None or not faults.degraded):
                 self._issue_read_prefetching(req)
             else:
                 self._issue_read_plain(req)
@@ -569,21 +591,27 @@ class FbdimmChannelController(ChannelControllerBase):
         if len(bus._intervals) > self._bus_bound:
             bus.prune_before(now)
 
+    # The issue paths access the bank and rank timer submit bound, over
+    # the DIMM's AMB-side DDR2 bus.
+
     def _issue_write(self, req: MemoryRequest) -> None:
         dimm = req.mapped.dimm
         if self.buffers:
             self.buffers[dimm].invalidate(req.line_addr)
         arrival = self.links.send_write_ps(self.sim.now, dimm)
-        result = self.ambs[dimm].write_line(arrival, req.mapped)
+        result = req.bank.write(arrival, req.mapped.row,
+                                self.ambs[dimm].data_bus, req.rank_timer)
         req.row_hit = result.row_hit
         self._finish_at(req, result.data_starts[0], result.data_times[0])
 
     def _issue_read_plain(self, req: MemoryRequest) -> None:
+        dimm = req.mapped.dimm
         arrival = self.links.send_command_ps(self.sim.now)
-        result = self.ambs[req.mapped.dimm].read_line(arrival, req.mapped)
+        result = req.bank.read(arrival, req.mapped.row, 1,
+                               self.ambs[dimm].data_bus, req.rank_timer)
         req.row_hit = result.row_hit
         demanded = result.data_starts[0]
-        ret = self.links.return_read(demanded, req.mapped.dimm)
+        ret = self.links.return_read(demanded, dimm)
         self._finish_at(req, demanded, ret.critical_at_mc)
 
     def _issue_read_prefetching(self, req: MemoryRequest) -> None:
@@ -613,7 +641,8 @@ class FbdimmChannelController(ChannelControllerBase):
                 self._finish_at(req, ready, links.return_read(ready, dimm).critical_at_mc)
                 return
             order = buffer.miss(line)
-            result = self.ambs[dimm].group_read(arrival, req.mapped, len(order))
+            result = req.bank.read(arrival, req.mapped.row, len(order),
+                                   self.ambs[dimm].data_bus, req.rank_timer)
             buffer.start_fills(region, dict(zip(order[1:], result.data_times[1:])))
             demanded = result.data_starts[0]
             ret = links.return_read(demanded, dimm)
@@ -629,7 +658,8 @@ class FbdimmChannelController(ChannelControllerBase):
             return
         arrival = links.send_command_ps(now)
         order = buffer.miss(line)
-        result = self.ambs[dimm].group_read(arrival, req.mapped, len(order))
+        result = req.bank.read(arrival, req.mapped.row, len(order),
+                               self.ambs[dimm].data_bus, req.rank_timer)
         fills: "dict[int, int]" = {}
         demanded_finish = 0
         for fetched, start in zip(order, result.data_starts):
@@ -638,7 +668,7 @@ class FbdimmChannelController(ChannelControllerBase):
                 demanded_finish = ret.critical_at_mc
             else:
                 fills[fetched] = ret.full_at_mc
-                self.stats.bytes_read += self.config.cacheline_bytes
+                self.stats.bytes_read += self._line_bytes
         buffer.start_fills(region, fills)
         if fills:
             self.sim.schedule_fire(max(fills.values()),

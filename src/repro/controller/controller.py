@@ -60,13 +60,15 @@ class MemoryController:
         if config.kind is MemoryKind.FBDIMM:
             self.channels: List[ChannelControllerBase] = [
                 FbdimmChannelController(
-                    sim, config, timing, ch, self.stats, faults=faults
+                    sim, config, timing, ch, self.stats, faults=faults,
+                    on_retire=self._retire,
                 )
                 for ch in range(config.physical_channels)
             ]
         else:
             self.channels = [
-                Ddr2ChannelController(sim, config, timing, ch, self.stats)
+                Ddr2ChannelController(sim, config, timing, ch, self.stats,
+                                      on_retire=self._retire)
                 for ch in range(config.physical_channels)
             ]
         self.overhead_ps = ns(config.controller_overhead_ns)
@@ -121,15 +123,19 @@ class MemoryController:
         admitted into a channel queue or parked in the admission FIFO when
         all 64 buffer entries are occupied.
         """
+        now = self.sim.now
         if self._idle_since is not None:
-            self._close_idle_gap(self.sim.now)
-        req.mapped = self.mapper.map(req.line_addr)
-        self._chain_completion(req)
+            self._close_idle_gap(now)
+        req.mapped = mapped = self.mapper.map(req.line_addr)
         admitted = self.active < self.capacity
         if self.tracer is not None:
             self.tracer.on_arrival(req, backlogged=not admitted)
         if admitted:
-            self._admit(req)
+            self.active += 1
+            ready = req.arrival + self.overhead_ps
+            req.schedulable_at = ready = ready if ready > now else now
+            self.sim.schedule_fire(
+                ready, partial(self.channels[mapped.channel].submit, req))
         else:
             self.backlog.append(req)
 
@@ -143,19 +149,19 @@ class MemoryController:
 
     # ------------------------------------------------------------------
 
-    def _chain_completion(self, req: MemoryRequest) -> None:
-        user_callback = req.on_complete
+    def _retire(self) -> None:
+        """A request left its channel: free its buffer entry for the
+        oldest backlogged request, or note the subsystem going idle.
 
-        def chained(done: MemoryRequest) -> None:
-            self.active -= 1
-            if self.backlog:
-                self._admit(self.backlog.popleft())
-            elif self._idle_tracking and self.active == 0 and self._idle_since is None:
-                self._idle_since = self.sim.now
-            if user_callback is not None:
-                user_callback(done)
-
-        req.on_complete = chained
+        Each channel controller calls this just before the requester's
+        completion callback, so an event scheduled here wins a same-time
+        tie with one the callback schedules.
+        """
+        self.active -= 1
+        if self.backlog:
+            self._admit(self.backlog.popleft())
+        elif self._idle_tracking and self.active == 0 and self._idle_since is None:
+            self._idle_since = self.sim.now
 
     # ------------------------------------------------------------------
     # Idle/power-down residency tracking
@@ -188,6 +194,7 @@ class MemoryController:
                 self._powerdown_ps += gap - self._idle_entry_ps
 
     def _admit(self, req: MemoryRequest) -> None:
+        """Admit a backlogged request (``submit`` admits a new one itself)."""
         self.active += 1
         channel = self.channels[req.mapped.channel]
         ready = max(req.arrival + self.overhead_ps, self.sim.now)

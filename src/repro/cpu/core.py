@@ -31,6 +31,10 @@ from repro.cpu.mshr import Limiter
 from repro.engine.simulator import Simulator
 from repro.workloads.trace import TraceEvent, TraceKind
 
+#: The trace kinds _try_process dispatches on, read once.
+READ = TraceKind.READ
+PREFETCH = TraceKind.PREFETCH
+
 
 @dataclass
 class CoreStats:
@@ -228,14 +232,21 @@ class Core:
         if self.finished or self.pending is None:
             return
         event = self.pending
-        dispatched = self._dispatch(event)
+        kind = event.kind
+        if kind is READ:
+            dispatched = self._dispatch_read(event)
+        elif kind is PREFETCH:
+            dispatched = self._dispatch_prefetch(event)
+        else:
+            dispatched = self._dispatch_write(event)
         if not dispatched:
             return  # blocked; a waiter will resume us
         self.blocked = None
         self.pending = None
         self.progress_inst = event.inst
         self.progress_time = self.sim.now  # >= the no-stall ideal by construction
-        self._check_warmup()
+        if not self._warmup_fired:
+            self._check_warmup()
         self._fetch_next()
 
     def _check_warmup(self) -> None:
@@ -245,13 +256,6 @@ class Core:
                 self.on_warmup(self)
 
     # ------------------------------------------------------------------
-
-    def _dispatch(self, event: TraceEvent) -> bool:
-        if event.kind is TraceKind.READ:
-            return self._dispatch_read(event)
-        if event.kind is TraceKind.PREFETCH:
-            return self._dispatch_prefetch(event)
-        return self._dispatch_write(event)
 
     def _acquire_mshrs(self) -> bool:
         """Take one data-cache MSHR and one shared-L2 MSHR, or neither."""
@@ -291,21 +295,24 @@ class Core:
             line_addr=event.line_addr,
             core_id=self.core_id,
             arrival=self.sim.now,
-            on_complete=lambda req, i=event.inst: self._demand_done(req, i),
+            on_complete=self._demand_done,
         )
         self.outstanding_reads[request.req_id] = event.inst
         self.controller.submit(request)
-        self._maybe_hw_prefetch(event.line_addr)
+        if self.config.hw_prefetch_degree:
+            self._maybe_hw_prefetch(event.line_addr)
         return True
 
     def _maybe_hw_prefetch(self, line_addr: int) -> None:
         """L2 stream prefetcher: on a miss continuing a detected stream,
         fetch ``hw_prefetch_degree`` lines ahead (non-binding, dropped when
-        MSHRs are scarce — like a real tagged next-line prefetcher)."""
+        MSHRs are scarce — like a real tagged next-line prefetcher).
+
+        Called on each demand miss only while the prefetcher is on; the
+        recent-miss history it keeps is read nowhere else.
+        """
         degree = self.config.hw_prefetch_degree
         self._note_recent_miss(line_addr)
-        if degree == 0:
-            return
         if (
             line_addr - 1 not in self._recent_misses
             and line_addr - 2 not in self._recent_misses
@@ -337,8 +344,9 @@ class Core:
             oldest = next(iter(self._recent_misses))
             del self._recent_misses[oldest]
 
-    def _demand_done(self, request: MemoryRequest, inst: int) -> None:
-        self._release_mshrs()
+    def _demand_done(self, request: MemoryRequest) -> None:
+        self.l2_mshr.release()  # _release_mshrs, on the demand hot path
+        self.data_mshr.release()
         self._read_settled(request.req_id)
 
     def _read_settled(self, token: int) -> None:

@@ -9,13 +9,15 @@ Fire-and-forget call sites — completions, admissions, refresh ticks —
 should prefer :meth:`Simulator.schedule_fire`, which skips the
 :class:`Event` handle allocation entirely.  Only callers that may later
 ``cancel()`` (or that a profiler must attribute) need the handle-returning
-:meth:`schedule` / :meth:`schedule_at`.
+:meth:`schedule` / :meth:`schedule_at`.  Both push their heap entry
+themselves: one Python call per scheduled event.
 """
 
 from __future__ import annotations
 
 import gc
 import heapq
+from heapq import heappush
 from contextlib import contextmanager
 from typing import TYPE_CHECKING, Callable, Iterator, Optional
 
@@ -73,14 +75,19 @@ class Simulator:
         """Schedule ``callback`` after ``delay`` picoseconds from now."""
         if delay < 0:
             raise ValueError(f"delay must be non-negative, got {delay}")
-        event = self.queue.push(self.now + delay, callback)
-        if self.profiler is not None:
-            event.origin = self.profiler.origin_stack()
-        return event
+        return self.schedule_at(self.now + delay, callback)
 
     def schedule_at(self, time: int, callback: Callable[[], None]) -> Event:
         """Schedule ``callback`` at absolute time, clamped to not-before-now."""
-        event = self.queue.push(max(time, self.now), callback)
+        now = self.now
+        if time < now:
+            time = now
+        queue = self.queue
+        seq = queue._seq
+        queue._seq = seq + 1
+        event = Event(time, seq, callback, queue)
+        heappush(queue._heap, (time, seq, event))
+        queue._live += 1
         if self.profiler is not None:
             event.origin = self.profiler.origin_stack()
         return event
@@ -90,15 +97,20 @@ class Simulator:
 
         The fire-and-forget fast path: identical firing semantics to
         :meth:`schedule_at` (clamped to not-before-now, same tie-break
-        ordering) but no :class:`Event` is allocated, so the caller cannot
-        cancel it.  With a profiler attached it falls back to the
-        handle-carrying path so origin attribution still works.
+        ordering) but the callback itself rides in the heap entry, so no
+        :class:`Event` is allocated and the caller cannot cancel it.  With
+        a profiler attached it takes the handle-carrying path so origin
+        attribution still works.
         """
         if self.profiler is not None:
-            event = self.queue.push(max(time, self.now), callback)
-            event.origin = self.profiler.origin_stack()
+            self.schedule_at(time, callback)
             return
-        self.queue.push_fire(max(time, self.now), callback)
+        now = self.now
+        queue = self.queue
+        seq = queue._seq
+        queue._seq = seq + 1
+        heappush(queue._heap, (time if time > now else now, seq, callback))
+        queue._live += 1
 
     def schedule_every(self, period: int, callback: Callable[[], object]) -> Event:
         """Schedule ``callback`` every ``period`` picoseconds from now.
@@ -133,9 +145,8 @@ class Simulator:
                 so an accidental livelock fails loudly instead of hanging.
 
         The drain is fused with the heap: the loop pops (time, seq, item)
-        entries straight off ``queue._heap`` instead of going through a
-        pop/peek method pair per event — the heap invariant already yields
-        the exact firing order (timestamp, then scheduling order), and
+        entries straight off ``queue._heap`` — the heap invariant already
+        yields the exact firing order (timestamp, then scheduling order), and
         anything not yet popped when the loop exits simply stays queued.
         ``EventQueue._compact`` rebuilds that list in place, so the local
         reference stays valid even when a dispatched callback cancels

@@ -49,9 +49,9 @@ import enum
 import functools
 import json
 import typing
-from typing import Any, Callable, List, Optional, Tuple
+from typing import Any, Callable, Iterable, List, Optional, Tuple
 
-__all__ = ["encode_value", "decode_value", "canonical_dumps"]
+__all__ = ["encode_value", "decode_value", "canonical_dumps", "unknown_fields"]
 
 Codec = Callable[[Any], Any]
 
@@ -64,6 +64,16 @@ def encode_value(value: Any) -> Any:
 def decode_value(raw: Any, hint: Any) -> Any:
     """Rebuild a value of declared type ``hint`` from its encoded form."""
     return _decoder(hint)(raw)
+
+
+def unknown_fields(names: Iterable[str], owner: str = "") -> str:
+    """The message for JSON keys that name no field (of ``owner``): each
+    key by ``repr()``, sorted, so an empty key or one containing ``", "``
+    reads unambiguously."""
+    listed = ", ".join(map(repr, sorted(names)))
+    if owner:
+        return f"unknown field(s) for {owner}: {listed}"
+    return f"unknown field(s) {listed}"
 
 
 def canonical_dumps(encoded: Any) -> str:
@@ -189,9 +199,8 @@ def _dataclass_decoder(cls: Any) -> Codec:
             ]
         kwargs = {name: field(raw[name]) for name, field in plan if name in raw}
         if len(kwargs) != len(raw):
-            unknown = sorted(set(raw) - {name for name, _ in plan})
-            raise ValueError(
-                f"unknown field(s) for {cls.__name__}: {', '.join(unknown)}")
+            unknown = set(raw) - {name for name, _ in plan}
+            raise ValueError(unknown_fields(unknown, cls.__name__))
         return cls(**kwargs)
 
     return decode

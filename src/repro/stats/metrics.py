@@ -31,11 +31,11 @@ def average_read_latency_ns(stats: MemSystemStats) -> float:
 
 
 def average_queue_delay_ns(stats: MemSystemStats) -> float:
-    """Mean time reads and writes waited before their first command."""
-    total = stats.total_reads + stats.writes
-    if total == 0:
+    """Mean time a read waited before its first command (writes add
+    nothing to ``queue_delay_sum_ps``, so they count in neither term)."""
+    if stats.total_reads == 0:
         return 0.0
-    return stats.queue_delay_sum_ps / total / 1000.0
+    return stats.queue_delay_sum_ps / stats.total_reads / 1000.0
 
 
 def utilized_bandwidth_gbs(stats: MemSystemStats) -> float:

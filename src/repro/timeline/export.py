@@ -19,7 +19,7 @@ from dataclasses import fields
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple, Union
 
-from repro.serialize import canonical_dumps, decode_value, encode_value
+from repro.serialize import canonical_dumps, decode_value, encode_value, unknown_fields
 from repro.timeline.records import TimelineResult, WindowRecord
 
 FORMAT_NAME = "repro-timeline"
@@ -82,9 +82,9 @@ def _window_record(raw: object) -> WindowRecord:
     kind = values.pop("type", None)
     if kind != "window":
         raise ValueError(f"unknown record type {kind!r}")
-    unknown = sorted(set(values) - set(_WINDOW_VALUE_TYPES))
+    unknown = set(values) - set(_WINDOW_VALUE_TYPES)
     if unknown:
-        raise ValueError(f"unknown field(s) {', '.join(unknown)}")
+        raise ValueError(unknown_fields(unknown))
     for name, value in values.items():
         accepted = _WINDOW_VALUE_TYPES[name]
         if type(value) not in accepted:

@@ -152,7 +152,9 @@ def timeline_report(
     )
     if t["demand_reads"]:
         avg_ns = t["demand_latency_sum_ps"] / t["demand_reads"] / 1000.0
-        qd_ns = t["queue_delay_sum_ps"] / t["demand_reads"] / 1000.0
+        # Only reads add to the queue-delay sum: it is a per-read mean.
+        reads = t["demand_reads"] + t["sw_prefetch_reads"]
+        qd_ns = t["queue_delay_sum_ps"] / reads / 1000.0
         lines.append(
             f"  latency: avg {avg_ns:.1f} ns (queue {qd_ns:.1f}),"
             f" worst-window max {t['latency_max_ps'] / 1000.0:.1f} ns"

@@ -122,6 +122,10 @@ class LegacyCore(Core):
         self._maybe_hw_prefetch(event.line_addr)
         return True
 
+    def _demand_done(self, request: MemoryRequest, inst: int) -> None:
+        self._release_mshrs()
+        self._read_settled(request.req_id)
+
 
 @contextmanager
 def legacy_cores() -> Iterator[None]:

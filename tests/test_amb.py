@@ -43,6 +43,14 @@ def make_amb(k=4, entries=64):
     return channel.ambs[0], channel.buffers[0], mapper, timing
 
 
+def bank_read(amb, mapped, lines=1, at=0):
+    """Read ``lines`` lines of ``mapped``'s row over the AMB's DDR2 bus, as
+    the channel controller's issue paths do."""
+    bank = amb.banks[mapped.rank * amb.config.banks_per_dimm + mapped.bank]
+    return bank.read(at, mapped.row, lines, amb.data_bus,
+                     amb.rank_timers[mapped.rank])
+
+
 def line_on_dimm0(mapper, region_index=0):
     """A demanded line whose region maps to channel 0 / DIMM 0."""
     # Regions rotate channel first, then dimm: region r=0 -> ch0, dimm0.
@@ -54,7 +62,7 @@ def group_fetch(amb, buffer, line, mapper):
     """Fetch ``line`` and its companions into the AMB cache at time 0;
     returns the group read and the booked ``{line: fill time}``."""
     order = buffer.miss(line)
-    result = amb.group_read(0, mapper.map(line), len(order))
+    result = bank_read(amb, mapper.map(line), len(order))
     fills = dict(zip(order[1:], result.data_times[1:]))
     buffer.start_fills(line // mapper.region_lines, fills)
     return result, fills
@@ -156,12 +164,14 @@ class TestPlainAccess:
     def test_read_line_uses_bank(self):
         amb, _, mapper, timing = make_amb()
         base = line_on_dimm0(mapper)
-        result = amb.read_line(0, mapper.map(base))
+        result = bank_read(amb, mapper.map(base))
         assert result.data_starts[0] == timing.tRCD + timing.tCL
 
     def test_write_line_counts(self):
         channel, mapper, _ = make_channel()
         amb = channel.ambs[0]
-        amb.write_line(0, mapper.map(line_on_dimm0(mapper)))
+        mapped = mapper.map(line_on_dimm0(mapper))
+        bank = amb.banks[mapped.rank * amb.config.banks_per_dimm + mapped.bank]
+        bank.write(0, mapped.row, amb.data_bus, amb.rank_timers[mapped.rank])
         counters = channel.collect_device_counters()
         assert (counters["activates"], counters["column_accesses"]) == (1, 1)

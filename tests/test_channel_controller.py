@@ -136,8 +136,9 @@ class TestSchedulerProbe:
         channel, req = self.bound_read(h, 0)
         amb = channel.ambs[req.mapped.dimm]
         buffer = channel.buffers[req.mapped.dimm]
-        assert req.bank is amb.bank_of(req.mapped)
-        assert req.rank_timer is amb.timer_of(req.mapped)
+        per_dimm = h.controller.config.banks_per_dimm
+        assert req.bank is amb.banks[req.mapped.rank * per_dimm + req.mapped.bank]
+        assert req.rank_timer is amb.rank_timers[req.mapped.rank]
         assert req.tag_set is buffer.table.set_for(0)
         assert req.pending_fills is buffer.pending
 

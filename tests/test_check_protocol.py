@@ -548,9 +548,9 @@ class TestCli:
         assert len(proc.stderr.splitlines()) == 1, proc.stderr
 
     @pytest.mark.parametrize("header, message", [
-        ({"nonsense": 1}, "header: unknown field(s) nonsense"),
+        ({"nonsense": 1}, "header: unknown field(s) 'nonsense'"),
         ({"params": dict(default_params("fbdimm").to_dict(), nonsense=1)},
-         "params: unknown field(s) nonsense"),
+         "params: unknown field(s) 'nonsense'"),
     ], ids=["header", "params"])
     def test_unknown_header_key_is_usage_error(self, tmp_path, header,
                                                message):

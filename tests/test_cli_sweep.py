@@ -67,3 +67,25 @@ class TestSweepCommand:
         assert "[cache: 0 simulated, 2 served" in second
         # identical tables either way
         assert first.split("[cache")[0] == second.split("[cache")[0]
+
+    def test_sweep_prints_each_config_warning_once(self, capsys):
+        """A point whose config warns says so on stderr, as `repro run`
+        does; two points with the same warning print it once, and stdout
+        carries only the table."""
+        code = main([
+            "sweep", "rate=1333", "k=2,4", "--workload", "swim",
+            "--insts", "1000", "--no-cache",
+        ])
+        assert code == 0
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert len(lines) == 1, lines
+        assert lines[0].startswith("warning: data_rate_mts: 1333 MT/s ")
+        assert "warning" not in captured.out
+
+    def test_sweep_without_warnings_prints_nothing_on_stderr(self, capsys):
+        assert main([
+            "sweep", "k=2", "--workload", "swim", "--insts", "1000",
+            "--no-cache",
+        ]) == 0
+        assert capsys.readouterr().err == ""

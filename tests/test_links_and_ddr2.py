@@ -26,13 +26,13 @@ class TestFbdimmLinks:
     def test_hop_penalty_without_vrl_is_farthest(self):
         links = FbdimmLinks(fbd_config(), channel_id=0)
         # 4 DIMMs x 3 ns regardless of target DIMM.
-        assert links.hop_penalty(0) == 12_000
-        assert links.hop_penalty(3) == 12_000
+        assert links.hop_penalty[0] == 12_000
+        assert links.hop_penalty[3] == 12_000
 
     def test_hop_penalty_with_vrl_scales_with_distance(self):
         links = FbdimmLinks(fbd_config(variable_read_latency=True), channel_id=0)
-        assert links.hop_penalty(0) == 3_000
-        assert links.hop_penalty(3) == 12_000
+        assert links.hop_penalty[0] == 3_000
+        assert links.hop_penalty[3] == 12_000
 
     def test_three_commands_share_one_frame(self):
         links = FbdimmLinks(fbd_config(), channel_id=0)

@@ -54,8 +54,9 @@ class TestLatencyAndBandwidth:
         assert metrics.utilized_bandwidth_gbs(MemSystemStats()) == 0.0
 
     def test_queue_delay(self):
+        # A per-read mean: the write adds nothing to the sum or the count.
         s = stats_with(demand_reads=1, writes=1, queue_delay_sum_ps=4000)
-        assert metrics.average_queue_delay_ns(s) == pytest.approx(2.0)
+        assert metrics.average_queue_delay_ns(s) == pytest.approx(4.0)
 
 
 class TestCoverageEfficiency:

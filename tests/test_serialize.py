@@ -93,7 +93,7 @@ class TestConfigRoundTrip:
         (raw if where == "top" else raw["memory"])["nonsense"] = 1
         owner = "SystemConfig" if where == "top" else "MemoryConfig"
         with pytest.raises(ValueError,
-                           match=f"unknown field\\(s\\) for {owner}: nonsense"):
+                           match=f"unknown field\\(s\\) for {owner}: 'nonsense'"):
             SystemConfig.from_dict(raw)
 
     def test_only_unknown_key_is_rejected(self):

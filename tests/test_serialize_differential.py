@@ -22,6 +22,7 @@ of the same types (tuple vs list, float vs int, enum identity), and raise
 the same exception type with the same message.
 """
 
+import ast
 import collections
 import dataclasses
 import enum
@@ -31,7 +32,7 @@ import typing
 from typing import Any, Dict, List, Optional, Tuple, Union
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import tests._legacy_serialize as legacy
@@ -376,18 +377,23 @@ def test_synthetic_values_match_legacy(data, hint):
 @pytest.mark.parametrize("hint", HINTS, ids=repr)
 @settings(max_examples=80, deadline=None)
 @given(raw=JSON)
+@example(raw={", ": None})  # a key holding the separator
+@example(raw={"": 1})  # an empty key
 def test_mismatched_raw_decodes_the_same(hint, raw):
     """Raw JSON that need not fit its hint: both decoders return the same
     value or raise the same error (non-object dataclass payloads, fixed
     tuples of the wrong length, non-numeric int/float keys, ...).  The one
     deliberate difference: where the legacy decoder dropped an object key
-    that names no field of its dataclass, the new one raises."""
+    that names no field of its dataclass, the new one raises, naming each
+    such key by its repr."""
     new = _outcome(serialize.decode_value, raw, hint)
     if new[0] == "raised" and new[1] is ValueError \
             and new[2].startswith("unknown field(s) for "):
         owner, names = new[2][len("unknown field(s) for "):].split(": ", 1)
         fields = {f.name for f in dataclasses.fields(_dataclasses_in(hint)[owner])}
-        for name in names.split(", "):
+        named = ast.literal_eval(f"[{names}]")
+        assert named and named == sorted(set(named)), names
+        for name in named:
             assert name not in fields and name in _object_keys(raw), name
         return
     _assert_same_outcome(new, _outcome(legacy.decode_value, raw, hint))
